@@ -1,17 +1,17 @@
 package main
 
-// The fleet-cache drill (-cache): a fleet-wide deduplication exercise
-// over real processes. The binary re-execs itself as a three-member
-// yapserve fleet wired through -cache-peers (internal/fleetcache over
-// real HTTP), sweeps the same P distinct parameter points across every
-// member for several rounds of /v1/evaluate/batch, SIGKILLs one member
-// mid-drill, and asserts the subsystem's headline invariants:
+// The fleet-cache drill (-drill cache): a fleet-wide deduplication
+// exercise over real processes. Three yapserve children form a fleet
+// wired through -cache-peers (internal/fleetcache over real HTTP); the
+// drill sweeps the same cachePoints distinct parameter points across
+// every member for cacheRounds rounds of /v1/evaluate/batch, SIGKILLs one
+// member mid-drill, and asserts the subsystem's headline invariants:
 //
 //   - fleet-wide deduplication: the total number of engine computations
 //     summed over all members (the yapserve_fleetcache_computes_total
-//     counter, plus the dead member's last pre-kill scrape) stays ≈ P —
-//     NOT members × rounds × P, which is what per-daemon caches would
-//     cost;
+//     counter, plus the dead member's last pre-kill scrape) stays ≈
+//     cachePoints — NOT members × rounds × cachePoints, which is what
+//     per-daemon caches would cost;
 //   - bit-identity: a batch point's breakdown equals the same params
 //     sent through /v1/evaluate on a DIFFERENT member, float for float;
 //   - graceful degradation: after the kill, batches on the survivors
@@ -24,17 +24,7 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"io"
-	"log"
-	"net"
-	"net/http"
-	"os"
-	"regexp"
-	"strconv"
-	"strings"
 	"time"
 
 	"yap/internal/client"
@@ -44,129 +34,43 @@ import (
 	"yap/internal/service"
 )
 
-var (
-	cacheMode    = flag.Bool("cache", false, "run the fleet-cache deduplication drill instead of the load mix")
-	cachePoints  = flag.Int("cache-points", 24, "distinct parameter points for the -cache drill")
-	cacheRounds  = flag.Int("cache-rounds", 3, "batch rounds per member for the -cache drill")
-	cacheServerX = flag.Bool("cache-server-exec", false, "internal: run as a -cache drill fleet member subprocess")
-	cacheAddr    = flag.String("cache-exec-addr", "", "internal: pre-reserved listen address for the -cache member")
-	cacheSelf    = flag.String("cache-exec-self", "", "internal: this member's advertised URL")
-	cacheFleet   = flag.String("cache-exec-peers", "", "internal: comma-separated peer URLs")
+const (
+	cachePoints = 24
+	cacheRounds = 3
+	// fleetComputes counts one member's analytic-engine computations.
+	fleetComputes = "yapserve_fleetcache_computes_total"
 )
 
-// runCacheServer is the subprocess side: one fleet member on a
-// pre-reserved loopback port, exactly as cmd/yapserve -cache-peers wires
-// it. It never closes the cache — the parent SIGKILLs members to model
-// crashes.
-func runCacheServer(logger *log.Logger) {
-	if *cacheAddr == "" || *cacheSelf == "" || *cacheFleet == "" {
-		logger.Fatal("-cache-server-exec requires -cache-exec-addr, -cache-exec-self and -cache-exec-peers")
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("cache member: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	members := append(strings.Split(*cacheFleet, ","), *cacheSelf)
-	fleet := fleetcache.New(fleetcache.Config{
-		Self:      *cacheSelf,
-		Members:   members,
-		Transport: &client.CacheTransport{},
-		Faults:    inj,
-	})
-	ln, err := net.Listen("tcp", *cacheAddr)
-	if err != nil {
-		logger.Fatalf("cache member: listen %s: %v", *cacheAddr, err)
-	}
-	srv := service.New(service.Config{
-		RequestTimeout:   30 * time.Second,
-		BreakerThreshold: -1,
-		FleetCache:       fleet,
-		Faults:           inj,
-		Logger:           logger,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("cache member: serve: %v", err)
-	}
-}
-
 // cachePoint is one drill point: the partial-override JSON the wire
-// carries and the resolved params the parent predicts owners with.
+// carries and the canonical hash the parent predicts its owner with.
 type cachePoint struct {
-	raw    string
-	params core.Params
-	hash   uint64
+	raw  string
+	hash uint64
 }
 
-// cacheDrillPoints builds P distinct pitch points whose JSON resolves to
-// exactly core.Baseline().WithPitch(pitch), so the parent can compute
-// each point's canonical hash — and therefore its rendezvous owner —
-// without asking the fleet.
-func cacheDrillPoints(n int) []cachePoint {
-	points := make([]cachePoint, n)
-	for i := range points {
-		pitch := float64(2+i) * 1e-6
-		p := core.Baseline().WithPitch(pitch)
-		points[i] = cachePoint{
-			raw: fmt.Sprintf(`{"Pitch": %g, "BottomPadDiameter": %g, "TopPadDiameter": %g}`,
-				p.Pitch, p.BottomPadDiameter, p.TopPadDiameter),
-			params: p,
-			hash:   p.CanonicalHash(),
-		}
+// cachePointAt is drill point i: a pitch whose JSON resolves to exactly
+// core.Baseline().WithPitch(pitch), so the parent can compute the point's
+// canonical hash — and therefore its rendezvous owner — without asking
+// the fleet.
+func cachePointAt(i int) cachePoint {
+	p := core.Baseline().WithPitch(float64(2+i) * 1e-6)
+	return cachePoint{
+		raw: fmt.Sprintf(`{"Pitch": %g, "BottomPadDiameter": %g, "TopPadDiameter": %g}`,
+			p.Pitch, p.BottomPadDiameter, p.TopPadDiameter),
+		hash: p.CanonicalHash(),
 	}
-	return points
 }
 
-// cacheComputesRe extracts the fleet compute counter from a /metrics
-// scrape.
-var cacheComputesRe = regexp.MustCompile(`(?m)^yapserve_fleetcache_computes_total (\d+)$`)
-
-// cacheComputes scrapes one member's engine-computation count; -1 means
-// unreachable.
-func cacheComputes(ctx context.Context, base string) int64 {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return -1
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return -1
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return -1
-	}
-	m := cacheComputesRe.FindSubmatch(body)
-	if m == nil {
-		return -1
-	}
-	n, err := strconv.ParseInt(string(m[1]), 10, 64)
-	if err != nil {
-		return -1
-	}
-	return n
-}
-
-// runCacheDrill is the parent side; returns the process exit code.
-func runCacheDrill(logger *log.Logger, seed uint64) int {
-	d := &drill{logger: logger}
+// runCacheDrill returns the process exit code.
+func runCacheDrill(d *drill, seed uint64) int {
 	const members = 3
 	const mode = "w2w"
-	pointCount := *cachePoints
-	rounds := *cacheRounds
-	if pointCount < members || rounds < 2 {
-		logger.Fatal("-cache needs at least 3 points and 2 rounds")
-	}
+	const held = "all fleet-cache invariants held"
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	addrs, err := reserveAddrs(members)
-	if err != nil {
-		logger.Fatalf("cache: reserving ports: %v", err)
-	}
+	addrs := d.reserveAddrs(members)
 	urls := make([]string, members)
 	for i, a := range addrs {
 		urls[i] = "http://" + a
@@ -176,39 +80,24 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 	// eats latency, so the drill's dedup numbers survive slow peers, and
 	// ONLY delay mode — an error fault here would legitimately force
 	// local computes and blur the invariant under test.
-	pace := fmt.Sprintf("%s=seed=%d,%s=0.5:delay:2ms", faultinject.EnvVar, seed, faultinject.HookFleetFetch)
-	procs := make([]*workerProc, members)
+	plan := fmt.Sprintf("seed=%d,%s=0.5:delay:2ms", seed, faultinject.HookFleetFetch)
+	procs := make([]*child, members)
 	for i := range procs {
-		peers := make([]string, 0, members-1)
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		procs[i], err = startSubprocess([]string{pace}, "-cache-server-exec",
-			"-cache-exec-addr", addrs[i], "-cache-exec-self", urls[i],
-			"-cache-exec-peers", strings.Join(peers, ","))
-		if err != nil {
-			logger.Fatalf("cache: starting member %d: %v", i, err)
-		}
-		defer procs[i].kill()
-		logger.Printf("cache: member %d pid %d up at %s", i, procs[i].cmd.Process.Pid, urls[i])
+		procs[i] = d.spawn(addrs[i], faultsEnv(plan), "-cache-peers", others(urls, i), "-advertise", urls[i])
 	}
 
-	points := cacheDrillPoints(pointCount)
-	rawPoints := make([]string, len(points))
-	for i, pt := range points {
-		rawPoints[i] = pt.raw
-	}
+	points := make([]cachePoint, cachePoints)
 	batchBody := service.BatchEvaluateRequest{Mode: mode}
-	for _, raw := range rawPoints {
-		batchBody.Points = append(batchBody.Points, []byte(raw))
+	for i := range points {
+		points[i] = cachePointAt(i)
+		batchBody.Points = append(batchBody.Points, []byte(points[i].raw))
 	}
 
 	clients := make([]*client.Client, members)
 	for i := range clients {
+		var err error
 		if clients[i], err = client.New(client.Config{BaseURL: urls[i], MaxAttempts: 4}); err != nil {
-			logger.Fatalf("cache: client: %v", err)
+			d.fatalf("cache: client: %v", err)
 		}
 	}
 
@@ -234,9 +123,9 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 	// deterministic: every point is queryable on its owner.
 	first := sendBatch(0)
 	if first == nil {
-		return d.cacheExit(0, 0)
+		return d.exit(held)
 	}
-	logger.Printf("cache: round 1 on member 0: computed=%d peer_hits=%d coalesced=%d cache_hits=%d",
+	d.logger.Printf("cache: round 1 on member 0: computed=%d peer_hits=%d coalesced=%d cache_hits=%d",
 		first.Computed, first.PeerHits, first.Coalesced, first.CacheHits)
 	for _, pt := range points {
 		owner := fleetcache.Owner(urls, mode, pt.hash)
@@ -276,7 +165,7 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 
 	// Remaining pre-kill rounds, round-robined across all members. With
 	// owners warm these should be answered from caches, not computed.
-	preKillRounds := rounds / 2
+	preKillRounds := cacheRounds / 2
 	for r := 0; r < preKillRounds; r++ {
 		for m := 0; m < members; m++ {
 			sendBatch(m)
@@ -286,18 +175,14 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 	// SIGKILL the last member mid-drill, banking its compute counter
 	// first (its contribution to the fleet-wide total).
 	victim := members - 1
-	deadComputes := cacheComputes(ctx, urls[victim])
-	if deadComputes < 0 {
-		d.violation("could not scrape member %d before the kill", victim)
-		deadComputes = 0
-	}
-	logger.Printf("cache: SIGKILLing member %d (pid %d) with %d computes banked",
+	deadComputes := d.metric(ctx, urls[victim], fleetComputes)
+	d.logger.Printf("cache: SIGKILLing member %d (pid %d) with %v computes banked",
 		victim, procs[victim].cmd.Process.Pid, deadComputes)
 	procs[victim].kill()
 
 	// Survivors keep answering batches: a dead peer must degrade to
 	// cached or locally computed answers, never to request errors.
-	for r := preKillRounds; r < rounds; r++ {
+	for r := preKillRounds; r < cacheRounds; r++ {
 		for m := 0; m < members-1; m++ {
 			if resp := sendBatch(m); resp != nil && resp.Failed != 0 {
 				d.violation("round %d member %d: %d points failed after the kill", r, m, resp.Failed)
@@ -308,7 +193,7 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 	// A FRESH point owned by the dead member: the survivor's peer fetch
 	// hits a dead owner, trips the breaker path, and must fall back to
 	// local compute — an answer, not an error.
-	fresh := freshDeadOwnedPoint(urls, urls[victim], mode, pointCount)
+	fresh := freshDeadOwnedPoint(urls, urls[victim], mode)
 	freshComputed := false
 	if fresh != nil {
 		ev, err := clients[0].Evaluate(ctx, service.EvaluateRequest{Mode: mode, Params: []byte(fresh.raw)})
@@ -319,10 +204,10 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 			d.violation("fresh dead-owned point reported cached; nothing could have cached it")
 		default:
 			freshComputed = true
-			logger.Printf("cache: fresh point owned by dead member computed locally (total %.6f)", ev.W2W.Total)
+			d.logger.Printf("cache: fresh point owned by dead member computed locally (total %.6f)", ev.W2W.Total)
 		}
 	} else {
-		logger.Print("cache: no fresh point hashed to the dead member; skipping the degradation probe")
+		d.logger.Print("cache: no fresh point hashed to the dead member; skipping the degradation probe")
 	}
 
 	// The headline invariant: total engine computations across the fleet
@@ -331,12 +216,7 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 	// 2 × |dead-owned points|, plus the deliberate fresh compute.
 	total := deadComputes
 	for m := 0; m < members-1; m++ {
-		c := cacheComputes(ctx, urls[m])
-		if c < 0 {
-			d.violation("could not scrape member %d after the drill", m)
-			continue
-		}
-		total += c
+		total += d.metric(ctx, urls[m], fleetComputes)
 	}
 	deadOwned := 0
 	for _, pt := range points {
@@ -344,46 +224,27 @@ func runCacheDrill(logger *log.Logger, seed uint64) int {
 			deadOwned++
 		}
 	}
-	budget := int64(pointCount + 2*deadOwned)
+	budget := cachePoints + 2*deadOwned
 	if freshComputed {
 		budget++
 	}
-	naive := int64(members * rounds * pointCount)
-	if total > budget {
-		d.violation("fleet computed %d times for %d distinct points (budget %d with %d dead-owned; naive per-daemon caching would cost %d)",
-			total, pointCount, budget, deadOwned, naive)
+	naive := members * cacheRounds * cachePoints
+	if total > float64(budget) {
+		d.violation("fleet computed %v times for %d distinct points (budget %d with %d dead-owned; naive per-daemon caching would cost %d)",
+			total, cachePoints, budget, deadOwned, naive)
 	}
-	fmt.Printf("yapload: cache drill: %d members × %d rounds × %d points ⇒ %d fleet-wide computations (budget %d, naive %d)\n",
-		members, rounds, pointCount, total, budget, naive)
-	return d.cacheExit(total, naive)
+	fmt.Printf("yapload: cache drill: %d members × %d rounds × %d points ⇒ %v fleet-wide computations (budget %d, naive %d)\n",
+		members, cacheRounds, cachePoints, total, budget, naive)
+	return d.exit(fmt.Sprintf("%s (%v computations vs %d naive)", held, total, naive))
 }
 
-// freshDeadOwnedPoint scans pitches beyond the drill set for one whose
+// freshDeadOwnedPoint scans points beyond the drill set for one whose
 // rendezvous owner is the dead member; nil if none found in 64 tries.
-func freshDeadOwnedPoint(urls []string, dead, mode string, startIdx int) *cachePoint {
-	for i := startIdx; i < startIdx+64; i++ {
-		pitch := float64(2+i) * 1e-6
-		p := core.Baseline().WithPitch(pitch)
-		if fleetcache.Owner(urls, mode, p.CanonicalHash()) == dead {
-			return &cachePoint{
-				raw: fmt.Sprintf(`{"Pitch": %g, "BottomPadDiameter": %g, "TopPadDiameter": %g}`,
-					p.Pitch, p.BottomPadDiameter, p.TopPadDiameter),
-				params: p,
-				hash:   p.CanonicalHash(),
-			}
+func freshDeadOwnedPoint(urls []string, dead, mode string) *cachePoint {
+	for i := cachePoints; i < cachePoints+64; i++ {
+		if pt := cachePointAt(i); fleetcache.Owner(urls, mode, pt.hash) == dead {
+			return &pt
 		}
 	}
 	return nil
-}
-
-// cacheExit prints collected violations and maps them onto an exit code.
-func (d *drill) cacheExit(total, naive int64) int {
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Printf("yapload: all fleet-cache invariants held (%d computations vs %d naive)\n", total, naive)
-	return 0
 }

@@ -1,367 +1,124 @@
 package main
 
-// The distributed-simulation drill (-dist): a true multi-process
-// topology — this binary re-execs itself as N worker daemons, points an
-// in-process coordinator at them, and asserts the subsystem's load-bearing
-// invariants end to end over real HTTP:
+// The distributed-simulation drill (-drill dist): a true multi-process
+// topology — distWorkers worker daemons behind a coordinator daemon
+// (`yapserve -workers`), every one a yapserve child — asserting the
+// subsystem's load-bearing invariants end to end over real HTTP:
 //
 //   - bit-identity: every distributed run (W2W and D2W) merges to exactly
 //     the sim.Result a single-node run produces for the same seed, and
 //     repeated runs agree with each other — including while coordinator-
-//     side dispatch faults (-dist-faults) are being injected;
-//   - the /v1/simulate surface of a coordinator daemon reports the same
-//     yields with distributed=true, and /metrics exposes the fleet
-//     counters;
-//   - worker death (-dist-kill, default on): after SIGKILLing one worker
-//     mid-drill, runs still complete bit-identically through shard
-//     reassignment, and the reassignment is observable in the stats.
+//     side dispatch faults and worker-side sim faults are being injected;
+//   - the coordinator's /v1/simulate reports distributed=true, and
+//     /metrics exposes the fleet counters;
+//   - worker death: after SIGKILLing one worker mid-drill, runs still
+//     complete bit-identically through shard reassignment, and the
+//     reassignment is observable on /metrics.
 //
 // Exits 1 when any invariant is violated.
 
 import (
-	"bufio"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"io"
-	"log"
-	"net"
-	"net/http"
-	"os"
-	"os/exec"
-	"reflect"
-	"regexp"
-	"strconv"
+	"strings"
 	"time"
 
 	"yap/internal/client"
 	"yap/internal/core"
-	"yap/internal/dist"
 	"yap/internal/faultinject"
-	"yap/internal/resilience"
 	"yap/internal/service"
 	"yap/internal/sim"
 )
 
-var (
-	distMode    = flag.Bool("dist", false, "run the distributed-simulation drill instead of the load mix")
-	distNum     = flag.Int("dist-workers", 3, "worker processes to spawn for the -dist drill")
-	distKill    = flag.Bool("dist-kill", true, "SIGKILL one worker mid-drill and require recovery via reassignment")
-	distFaults  = flag.String("dist-faults", "", "coordinator-side fault spec for the -dist drill (dist.* hooks)")
-	distWorkerX = flag.Bool("dist-worker-exec", false, "internal: run as a -dist drill worker subprocess")
+const (
+	// distWorkers leaves two survivors when one worker is killed.
+	distWorkers = 3
+	// distCoordFaults fails a tenth of shard dispatches on the
+	// coordinator, so reassignment runs even before the worker kill.
+	distCoordFaults = "seed=5," + faultinject.HookDistDispatch + "=0.1:error"
+	// distWorkerFaults fails a few worker-side samples: each surfaces as
+	// a failed shard that must be reassigned without perturbing the merge.
+	distWorkerFaults = "seed=11," + faultinject.HookSimW2WWafer + "=0.02:error," + faultinject.HookSimD2WDie + "=0.01:error"
 )
 
-// workerBanner is the line a drill worker prints once it listens.
-const workerBanner = "YAPLOAD_WORKER "
-
-// runDistWorker is the subprocess side of the drill: a plain yapserve
-// worker on a kernel-assigned loopback port, announced on stdout. It runs
-// until the parent kills it — worker death is part of the drill.
-func runDistWorker(logger *log.Logger) {
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("worker: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		logger.Fatalf("worker: listen: %v", err)
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Faults:            inj,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("worker: serve: %v", err)
-	}
-}
-
-// workerProc is one spawned drill worker.
-type workerProc struct {
-	cmd *exec.Cmd
-	url string
-}
-
-func (w *workerProc) kill() {
-	if w.cmd.Process != nil {
-		_ = w.cmd.Process.Kill()
-		_ = w.cmd.Wait()
-	}
-}
-
-// startDrillWorker re-execs this binary in worker mode and waits for its
-// listen banner.
-func startDrillWorker(logger *log.Logger) (*workerProc, error) {
-	w, err := startSubprocess(nil, "-dist-worker-exec")
-	if err == nil {
-		logger.Printf("dist: worker pid %d up at %s", w.cmd.Process.Pid, w.url)
-	}
-	return w, err
-}
-
-// startSubprocess re-execs this binary with the given flags (plus any
-// extra environment entries) and waits for its listen banner.
-func startSubprocess(extraEnv []string, args ...string) (*workerProc, error) {
-	exe, err := os.Executable()
-	if err != nil {
-		return nil, err
-	}
-	cmd := exec.Command(exe, args...)
-	if len(extraEnv) > 0 {
-		cmd.Env = append(os.Environ(), extraEnv...)
-	}
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return nil, err
-	}
-	if err := cmd.Start(); err != nil {
-		return nil, err
-	}
-	urls := make(chan string, 1)
-	go func() {
-		sc := bufio.NewScanner(stdout)
-		for sc.Scan() {
-			line := sc.Text()
-			if len(line) > len(workerBanner) && line[:len(workerBanner)] == workerBanner {
-				urls <- line[len(workerBanner):]
-				break
-			}
-		}
-		// Keep draining so the child never blocks on a full pipe.
-		_, _ = io.Copy(io.Discard, stdout)
-	}()
-	select {
-	case u := <-urls:
-		return &workerProc{cmd: cmd, url: u}, nil
-	case <-time.After(15 * time.Second):
-		_ = cmd.Process.Kill()
-		return nil, errors.New("subprocess did not announce a listen address within 15s")
-	}
-}
-
-// drill collects violations with the same contract as the load mix.
-type drill struct {
-	logger     *log.Logger
-	violations []string
-}
-
-func (d *drill) violation(format string, args ...any) {
-	d.violations = append(d.violations, fmt.Sprintf(format, args...))
-	d.logger.Printf("VIOLATION: "+format, args...)
-}
-
-func stripElapsed(r sim.Result) sim.Result {
-	r.Elapsed = 0
-	return r
-}
-
-// runDistDrill is the parent side; returns the process exit code.
-func runDistDrill(logger *log.Logger, seed uint64, wafers, dies int) int {
-	d := &drill{logger: logger}
-	if *distNum < 2 {
-		logger.Fatal("-dist-workers must be at least 2 (reassignment needs a survivor)")
-	}
-
-	var inj *faultinject.Injector
-	if *distFaults != "" {
-		var err error
-		if inj, err = faultinject.ParseSpec(*distFaults); err != nil {
-			logger.Fatalf("invalid -dist-faults: %v", err)
-		}
-		logger.Printf("dist: coordinator fault injection ACTIVE: %s", inj)
-	}
-
-	workers := make([]*workerProc, 0, *distNum)
-	defer func() {
-		for _, w := range workers {
-			w.kill()
-		}
-	}()
-	urls := make([]string, 0, *distNum)
-	for i := 0; i < *distNum; i++ {
-		w, err := startDrillWorker(logger)
-		if err != nil {
-			logger.Fatalf("spawning worker %d: %v", i, err)
-		}
-		workers = append(workers, w)
-		urls = append(urls, w.url)
-	}
-
-	coord, err := dist.New(dist.Config{
-		Workers:           urls,
-		HeartbeatInterval: 500 * time.Millisecond,
-		DownBackoff:       10 * time.Millisecond,
-		MaxShardAttempts:  8,
-		Faults:            inj,
-		Logger:            logger,
-		ClientFactory: func(u string) (*client.Client, error) {
-			return client.New(client.Config{
-				BaseURL:     u,
-				MaxAttempts: 2,
-				Backoff:     resilience.Backoff{Base: 5 * time.Millisecond, Max: 50 * time.Millisecond},
-			})
-		},
-	})
-	if err != nil {
-		logger.Fatalf("coordinator: %v", err)
-	}
-	defer coord.Close()
-
+// runDistDrill returns the process exit code.
+func runDistDrill(d *drill, seed uint64, wafers, dies int) int {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	// Single-node baselines the whole drill is measured against.
-	w2wOpts := sim.Options{Params: core.Baseline(), Seed: seed, Wafers: wafers, Workers: 2}
-	d2wOpts := sim.Options{Params: core.Baseline(), Seed: seed, Dies: dies, Workers: 2}
-	w2wBase, err := sim.RunW2WContext(ctx, w2wOpts)
+	w2wBase, err := sim.RunW2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Wafers: wafers, Workers: 2})
 	if err != nil {
-		logger.Fatalf("baseline w2w: %v", err)
+		d.fatalf("dist: baseline w2w: %v", err)
 	}
-	d2wBase, err := sim.RunD2WContext(ctx, d2wOpts)
+	d2wBase, err := sim.RunD2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Dies: dies, Workers: 2})
 	if err != nil {
-		logger.Fatalf("baseline d2w: %v", err)
+		d.fatalf("dist: baseline d2w: %v", err)
 	}
 
-	check := func(label, mode string, opts sim.Options, want sim.Result) bool {
-		got, info, err := coord.Simulate(ctx, mode, opts)
-		if err != nil {
+	workers := make([]*child, distWorkers)
+	urls := make([]string, distWorkers)
+	for i := range workers {
+		workers[i] = d.spawn("", faultsEnv(distWorkerFaults),
+			"-worker", "-max-sims", "2", "-timeout", "30s", "-breaker-threshold", "-1")
+		urls[i] = workers[i].url
+	}
+	coord := d.spawn("", faultsEnv(distCoordFaults), "-workers", strings.Join(urls, ","), "-heartbeat", "500ms")
+	// One attempt: a retried run could hide a failed merge.
+	cli, err := client.New(client.Config{BaseURL: coord.url, MaxAttempts: 1})
+	if err != nil {
+		d.fatalf("dist: client: %v", err)
+	}
+
+	w2w := service.SimulateRequest{Mode: "w2w", Seed: seed, Wafers: wafers, Workers: 2}
+	d2w := service.SimulateRequest{Mode: "d2w", Seed: seed, Dies: dies, Workers: 2}
+	check := func(label string, req service.SimulateRequest, want sim.Result) bool {
+		resp, err := cli.Simulate(ctx, req)
+		switch {
+		case err != nil:
 			d.violation("%s: distributed run failed: %v", label, err)
-			return false
+		case !resp.Distributed:
+			d.violation("%s: coordinator did not report distributed=true", label)
+		case !sameResult(resp, want):
+			d.violation("%s: distributed result diverges from single node:\n  dist   %+v\n  single %+v", label, *resp, want)
+		default:
+			d.logger.Printf("dist: %s ok (%d shards, %d reassigned): %d/%d dies, yield %.6f",
+				label, resp.Shards, resp.Reassigned, resp.Survived, resp.Dies, resp.Yield)
+			return true
 		}
-		if !reflect.DeepEqual(stripElapsed(got), stripElapsed(want)) {
-			d.violation("%s: distributed result diverges from single node:\n  dist   %+v\n  single %+v",
-				label, stripElapsed(got), stripElapsed(want))
-			return false
-		}
-		logger.Printf("dist: %s ok (%d shards, %d reassigned): %s", label, info.Shards, info.Reassigned, got)
-		return true
+		return false
 	}
 
 	// Phase 1: bit-identity, twice per mode for run-to-run reproducibility.
-	check("w2w#1", "w2w", w2wOpts, w2wBase)
-	check("w2w#2", "w2w", w2wOpts, w2wBase)
-	check("d2w#1", "d2w", d2wOpts, d2wBase)
-	check("d2w#2", "d2w", d2wOpts, d2wBase)
+	check("w2w#1", w2w, w2wBase)
+	check("w2w#2", w2w, w2wBase)
+	check("d2w#1", d2w, d2wBase)
+	check("d2w#2", d2w, d2wBase)
 
-	// Phase 2: the same fleet behind a coordinator daemon's /v1/simulate,
-	// asserted through the public HTTP surface plus /metrics.
-	coordURL, coordShutdown, err := startCoordinatorServer(coord, logger)
-	if err != nil {
-		logger.Fatalf("coordinator server: %v", err)
-	}
-	defer coordShutdown()
-	cli, err := client.New(client.Config{BaseURL: coordURL, MaxAttempts: 3})
-	if err != nil {
-		logger.Fatalf("coordinator client: %v", err)
-	}
-	resp, err := cli.Simulate(ctx, service.SimulateRequest{Mode: "w2w", Seed: seed, Wafers: wafers, Workers: 2})
-	switch {
-	case err != nil:
-		d.violation("coordinator /v1/simulate failed: %v", err)
-	case !resp.Distributed:
-		d.violation("coordinator /v1/simulate did not report distributed=true")
-	case resp.Yield != w2wBase.Yield || resp.Dies != w2wBase.Counts.Dies || resp.Survived != w2wBase.Counts.Survived:
-		d.violation("coordinator /v1/simulate yield %v (%d/%d dies) != single-node %v (%d/%d)",
-			resp.Yield, resp.Survived, resp.Dies, w2wBase.Yield, w2wBase.Counts.Survived, w2wBase.Counts.Dies)
-	default:
-		logger.Printf("dist: coordinator daemon ok (distributed=true, %d shards)", resp.Shards)
-	}
-
-	// Phase 3: kill one worker and require recovery through reassignment.
-	if *distKill {
-		before := coord.Stats().ShardsReassigned
-		logger.Printf("dist: killing worker pid %d (%s)", workers[0].cmd.Process.Pid, workers[0].url)
-		workers[0].kill()
-		recovered := false
-		for i := 0; i < 10 && ctx.Err() == nil; i++ {
-			if !check(fmt.Sprintf("w2w-postkill#%d", i+1), "w2w", w2wOpts, w2wBase) {
-				break
-			}
-			if coord.Stats().ShardsReassigned > before {
-				recovered = true
-				break
-			}
+	// Phase 2: kill one worker and require recovery through reassignment.
+	const reassigned = "yapserve_dist_shards_reassigned_total"
+	before := d.metric(ctx, coord.url, reassigned)
+	d.logger.Printf("dist: killing worker pid %d (%s)", workers[0].cmd.Process.Pid, workers[0].url)
+	workers[0].kill()
+	after := before
+	for i := 0; i < 10 && after <= before && ctx.Err() == nil; i++ {
+		if !check(fmt.Sprintf("w2w-postkill#%d", i+1), w2w, w2wBase) {
+			break
 		}
-		if !recovered {
-			d.violation("killed worker never caused an observed shard reassignment (stats %+v)", coord.Stats())
-		} else {
-			logger.Printf("dist: recovery ok — reassignments %d -> %d, fleet %d/%d up",
-				before, coord.Stats().ShardsReassigned, coord.Stats().WorkersUp, coord.Stats().WorkersKnown)
-		}
-		if v := scrapeCounter(ctx, d, coordURL, "yapserve_dist_shards_reassigned_total"); v == 0 {
-			d.violation("reassignments not visible in /metrics")
-		}
+		after = d.metric(ctx, coord.url, reassigned)
+	}
+	if after <= before {
+		d.violation("killed worker never caused a shard reassignment visible on /metrics (%s %v)", reassigned, after)
+	} else {
+		d.logger.Printf("dist: recovery ok — reassignments %v -> %v", before, after)
 	}
 
-	fmt.Printf("yapload: dist drill: %d workers, stats %+v\n", *distNum, coord.Stats())
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Println("yapload: all distributed invariants held")
-	return 0
-}
-
-// startCoordinatorServer exposes the coordinator through a real yapserve
-// daemon on a loopback port.
-func startCoordinatorServer(coord *dist.Coordinator, logger *log.Logger) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	fleet, err := scrape(ctx, coord.url)
 	if err != nil {
-		return "", nil, err
+		d.violation("dist: %v", err)
 	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    90 * time.Second,
-		BreakerThreshold:  -1,
-		Distributor:       coord,
-		Logger:            logger,
-	})
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln) //nolint:errcheck // closed by shutdown below
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)     //nolint:errcheck
-		httpSrv.Shutdown(ctx) //nolint:errcheck
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
-}
-
-// scrapeCounter fetches /metrics and returns the value of the named
-// un-labelled series (0 when absent).
-func scrapeCounter(ctx context.Context, d *drill, base, name string) float64 {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		d.violation("building /metrics request: %v", err)
-		return 0
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		d.violation("scraping /metrics: %v", err)
-		return 0
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		d.violation("reading /metrics: %v", err)
-		return 0
-	}
-	m := regexp.MustCompile(`(?m)^` + regexp.QuoteMeta(name) + ` (\S+)$`).FindSubmatch(body)
-	if m == nil {
-		d.violation("/metrics lacks series %s", name)
-		return 0
-	}
-	v, err := strconv.ParseFloat(string(m[1]), 64)
-	if err != nil {
-		d.violation("unparseable %s value %q", name, m[1])
-		return 0
-	}
-	return v
+	fmt.Printf("yapload: dist drill: %d workers, %v/%v up, %v shards dispatched, %v reassigned, %v runs merged\n",
+		distWorkers, fleet["yapserve_dist_workers_up"], fleet["yapserve_dist_workers_known"],
+		fleet["yapserve_dist_shards_dispatched_total"], fleet[reassigned], fleet["yapserve_dist_runs_merged_total"])
+	return d.exit("all distributed invariants held")
 }

@@ -1,12 +1,11 @@
 package main
 
-// The high-availability drill (-ha): a true coordinator-failover
-// exercise over real processes. The binary re-execs itself as a
-// three-member replicated job control plane (internal/replica over real
-// HTTP), submits one paced Monte-Carlo job through the leader-following
-// client, SIGKILLs the LEADER after the job has durably checkpointed but
-// long before it finishes, and asserts the subsystem's headline
-// invariants:
+// The high-availability drill (-drill ha): a true coordinator-failover
+// exercise over real processes. Three yapserve children form a replicated
+// job control plane (-peers, internal/replica over real HTTP); the drill
+// submits one paced Monte-Carlo job through the leader-following client,
+// SIGKILLs the LEADER after the job has durably checkpointed but long
+// before it finishes, and asserts the subsystem's headline invariants:
 //
 //   - a surviving follower promotes itself within the election lease and
 //     resumes the job from its last replicated checkpoint;
@@ -19,138 +18,30 @@ package main
 //     is REFUSED — a job is never reported accepted without a majority
 //     durably holding it.
 //
-// The drill runs with replication faults armed (replica.ship attempt
-// drops) so shipment retries are exercised, not just the happy path.
+// The drill runs with replication faults armed — replica.ship attempt
+// drops and lost replica.elect vote exchanges — so shipment retries and
+// retried election terms are exercised, not just the happy path.
 // Exits 1 when any invariant is violated.
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"io"
-	"log"
-	"net"
-	"net/http"
-	"os"
-	"regexp"
-	"strconv"
-	"strings"
 	"time"
 
 	"yap/internal/client"
 	"yap/internal/core"
 	"yap/internal/faultinject"
-	"yap/internal/jobs"
 	"yap/internal/replica"
 	"yap/internal/resilience"
 	"yap/internal/service"
 	"yap/internal/sim"
 )
 
-var (
-	haMode    = flag.Bool("ha", false, "run the replicated control-plane failover drill instead of the load mix")
-	haWafers  = flag.Int("ha-wafers", 120, "wafers for the -ha drill job")
-	haServerX = flag.Bool("ha-server-exec", false, "internal: run as a -ha drill cluster member subprocess")
-	haDir     = flag.String("ha-exec-dir", "", "internal: job store directory for the -ha member")
-	haAddr    = flag.String("ha-exec-addr", "", "internal: pre-reserved listen address for the -ha member")
-	haSelf    = flag.String("ha-exec-self", "", "internal: this member's advertised URL")
-	haPeers   = flag.String("ha-exec-peers", "", "internal: comma-separated peer URLs")
-)
-
-// haLease keeps failover fast: a dead leader is succeeded within about
-// half a second, well inside the paced job's multi-second runtime.
-const haLease = 400 * time.Millisecond
-
-// runHAServer is the subprocess side: one member of the replica set on a
-// pre-reserved loopback port. Like the jobs drill daemon it never closes
-// the node — the parent SIGKILLs members to model crashes.
-func runHAServer(logger *log.Logger) {
-	if *haDir == "" || *haAddr == "" || *haSelf == "" || *haPeers == "" {
-		logger.Fatal("-ha-server-exec requires -ha-exec-dir, -ha-exec-addr, -ha-exec-self and -ha-exec-peers")
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("ha member: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	node, err := replica.Open(replica.Config{
-		Dir:       *haDir,
-		Self:      *haSelf,
-		Peers:     strings.Split(*haPeers, ","),
-		Transport: &replica.HTTPTransport{},
-		Jobs:      jobs.Config{Dir: *haDir, SimWorkers: 2, Faults: inj, Logger: logger},
-		Lease:     haLease,
-		Faults:    inj,
-		Logger:    logger,
-	})
-	if err != nil {
-		logger.Fatalf("ha member: opening replica node: %v", err)
-	}
-	ln, err := net.Listen("tcp", *haAddr)
-	if err != nil {
-		logger.Fatalf("ha member: listen %s: %v", *haAddr, err)
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Faults:            inj,
-		Jobs:              node.Jobs(),
-		Replica:           node,
-		Logger:            logger,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("ha member: serve: %v", err)
-	}
-}
-
-// reserveAddrs grabs n kernel-assigned loopback ports and releases them
-// again: the replica members must know each other's URLs before any of
-// them starts listening. The tiny release-to-rebind window is fine for a
-// drill on loopback.
-func reserveAddrs(n int) ([]string, error) {
-	addrs := make([]string, n)
-	for i := range addrs {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		addrs[i] = ln.Addr().String()
-		ln.Close() //nolint:errcheck
-	}
-	return addrs, nil
-}
-
-// haRoleRe extracts the replica role gauge from a /metrics scrape.
-var haRoleRe = regexp.MustCompile(`(?m)^yapserve_replica_role (\d+)$`)
-
-// haRole probes one member's role via /metrics; -1 means unreachable.
-func haRole(ctx context.Context, base string) int {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/metrics", nil)
-	if err != nil {
-		return -1
-	}
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return -1
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	body, err := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if err != nil {
-		return -1
-	}
-	m := haRoleRe.FindSubmatch(body)
-	if m == nil {
-		return -1
-	}
-	role, err := strconv.Atoi(string(m[1]))
-	if err != nil {
-		return -1
-	}
-	return role
-}
+// haFaults paces job slices like the jobs drill (so the kill cannot race
+// completion, whichever member leads), drops 5% of replication shipment
+// attempts (so sender retry is exercised under load) and loses 10% of
+// vote exchanges (so elections retry their term).
+const haFaults = jobsPace + "," + faultinject.HookReplicaShip + "=0.05:error," + faultinject.HookReplicaElect + "=0.1:error"
 
 // haWaitLeader polls the live members until exactly one reports itself
 // leader, returning its index; -1 on timeout.
@@ -163,7 +54,7 @@ func haWaitLeader(ctx context.Context, urls []string, dead map[int]bool, patienc
 			if dead[i] {
 				continue
 			}
-			if haRole(ctx, u) == int(replica.RoleLeader) {
+			if m, err := scrape(ctx, u); err == nil && m["yapserve_replica_role"] == float64(replica.RoleLeader) {
 				leader = i
 				leaders++
 			}
@@ -176,142 +67,88 @@ func haWaitLeader(ctx context.Context, urls []string, dead map[int]bool, patienc
 	return -1
 }
 
-// runHADrill is the parent side; returns the process exit code.
-func runHADrill(logger *log.Logger, seed uint64) int {
-	d := &drill{logger: logger}
-	wafers := *haWafers
-	if wafers < 3*jobsCheckpointEvery {
-		logger.Fatalf("-ha-wafers must be at least %d so the kill can land between checkpoints", 3*jobsCheckpointEvery)
-	}
+// runHADrill returns the process exit code.
+func runHADrill(d *drill, seed uint64) int {
 	const members = 3
+	const held = "all high-availability invariants held"
 
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
 	// The uninterrupted single-process reference the failover is measured
 	// against.
-	base, err := sim.RunW2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Wafers: wafers, Workers: 2})
+	base, err := sim.RunW2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Wafers: jobsWafers, Workers: 2})
 	if err != nil {
-		logger.Fatalf("ha: baseline: %v", err)
+		d.fatalf("ha: baseline: %v", err)
 	}
 
-	addrs, err := reserveAddrs(members)
-	if err != nil {
-		logger.Fatalf("ha: reserving ports: %v", err)
-	}
+	addrs := d.reserveAddrs(members)
 	urls := make([]string, members)
 	for i, a := range addrs {
 		urls[i] = "http://" + a
 	}
-
-	// Every member paces job slices 25ms (so the kill cannot race
-	// completion, whichever member leads) and drops 5% of replication
-	// shipment attempts (so sender retry is exercised under load).
-	pace := fmt.Sprintf("%s=seed=1,%s=1:delay:25ms,%s=0.05:error",
-		faultinject.EnvVar, faultinject.HookJobsRun, faultinject.HookReplicaShip)
-	procs := make([]*workerProc, members)
+	procs := make([]*child, members)
 	dead := make(map[int]bool)
 	for i := range procs {
-		peers := make([]string, 0, members-1)
-		for j, u := range urls {
-			if j != i {
-				peers = append(peers, u)
-			}
-		}
-		dir, err := os.MkdirTemp("", "yapload-ha-*")
-		if err != nil {
-			logger.Fatalf("ha: store dir: %v", err)
-		}
-		defer os.RemoveAll(dir) //nolint:errcheck
-		procs[i], err = startSubprocess([]string{pace}, "-ha-server-exec",
-			"-ha-exec-dir", dir, "-ha-exec-addr", addrs[i],
-			"-ha-exec-self", urls[i], "-ha-exec-peers", strings.Join(peers, ","))
-		if err != nil {
-			logger.Fatalf("ha: starting member %d: %v", i, err)
-		}
-		defer procs[i].kill()
-		logger.Printf("ha: member %d pid %d up at %s", i, procs[i].cmd.Process.Pid, urls[i])
+		procs[i] = d.spawn(addrs[i], faultsEnv(haFaults), "-jobs-dir", d.tempDir(),
+			"-peers", others(urls, i), "-advertise", urls[i], "-election-lease", "400ms")
 	}
 
 	leader := haWaitLeader(ctx, urls, dead, 10*time.Second)
 	if leader < 0 {
 		d.violation("no single leader emerged from the fresh cluster")
-		return d.haExit()
+		return d.exit(held)
 	}
-	logger.Printf("ha: member %d leads", leader)
+	d.logger.Printf("ha: member %d leads", leader)
 
 	// Submit through a FOLLOWER: the client must follow the 409 redirect.
 	cli, err := client.New(client.Config{BaseURL: urls[(leader+1)%members], MaxAttempts: 8,
 		Backoff: resilience.Backoff{Base: 5 * time.Millisecond, Max: 300 * time.Millisecond, Seed: seed}})
 	if err != nil {
-		logger.Fatalf("ha: client: %v", err)
+		d.fatalf("ha: client: %v", err)
 	}
 	sub, err := cli.SubmitJob(ctx, service.JobSubmitRequest{
-		Seed: seed, Wafers: wafers, Workers: 2, CheckpointEvery: jobsCheckpointEvery,
+		Seed: seed, Wafers: jobsWafers, Workers: 2, CheckpointEvery: jobsCheckpointEvery,
 	})
 	if err != nil {
-		logger.Fatalf("ha: submit: %v", err)
+		d.fatalf("ha: submit: %v", err)
 	}
-	logger.Printf("ha: submitted %s via follower redirect (%d wafers, checkpoint every %d)",
-		sub.ID, wafers, jobsCheckpointEvery)
+	d.logger.Printf("ha: submitted %s via follower redirect (%d wafers, checkpoint every %d)",
+		sub.ID, jobsWafers, jobsCheckpointEvery)
 
-	// Wait for the first durable checkpoint, then SIGKILL the leader.
-	var atKill *service.JobResponse
-	for atKill == nil {
-		job, err := cli.GetJob(ctx, sub.ID)
-		if err != nil {
-			logger.Fatalf("ha: polling before kill: %v", err)
-		}
-		switch {
-		case job.State == "running" && job.Completed >= jobsCheckpointEvery:
-			atKill = job
-		case job.State == "pending" || job.State == "running":
-			time.Sleep(5 * time.Millisecond)
-		default:
-			d.violation("job reached %q before the kill could land; the drill exercised nothing", job.State)
-			return d.haExit()
-		}
+	atKill := d.awaitCheckpoint(ctx, cli, sub.ID)
+	if atKill == nil {
+		return d.exit(held)
 	}
-	logger.Printf("ha: SIGKILLing leader %d (pid %d) with %d/%d samples checkpointed",
-		leader, procs[leader].cmd.Process.Pid, atKill.Completed, wafers)
+	d.logger.Printf("ha: SIGKILLing leader %d (pid %d) with %d/%d samples checkpointed",
+		leader, procs[leader].cmd.Process.Pid, atKill.Completed, jobsWafers)
 	procs[leader].kill()
 	dead[leader] = true
-	if atKill.Completed >= wafers {
-		d.violation("kill landed after all %d samples completed; widen -ha-wafers", wafers)
-	}
 
 	successor := haWaitLeader(ctx, urls, dead, 15*time.Second)
 	if successor < 0 {
 		d.violation("no successor elected after the leader died")
-		return d.haExit()
+		return d.exit(held)
 	}
-	logger.Printf("ha: member %d took over", successor)
+	d.logger.Printf("ha: member %d took over", successor)
 
 	// The leader-following client rides out the failover: its learned
 	// leader is dead, so it falls back and follows the new redirect.
 	done, err := cli.WaitJob(ctx, sub.ID, 10*time.Millisecond)
 	if err != nil {
-		logger.Fatalf("ha: waiting for failed-over job: %v", err)
+		d.fatalf("ha: waiting for failed-over job: %v", err)
 	}
 	switch {
-	case done.State != "done":
-		d.violation("failed-over job finished as %q (error %q), want done", done.State, done.Error)
-	case done.Result == nil:
-		d.violation("failed-over job has no result")
+	case done.State != "done" || done.Result == nil:
+		d.violation("failed-over job finished as %q (error %q), want done with a result", done.State, done.Error)
+	case !sameResult(done.Result, base):
+		d.violation("failed-over result diverges from uninterrupted run:\n  failover %+v\n  single   %+v", *done.Result, base)
 	default:
-		if done.Resumes < 1 {
-			d.violation("failed-over job reports %d resumes, want >= 1", done.Resumes)
-		}
-		r := done.Result
-		if r.Yield != base.Yield || r.YieldLo != base.YieldLo || r.YieldHi != base.YieldHi ||
-			r.Survived != base.Counts.Survived || r.Dies != base.Counts.Dies ||
-			r.OverlayYield != base.OverlayYield || r.DefectYield != base.DefectYield ||
-			r.RecessYield != base.RecessYield {
-			d.violation("failed-over result diverges from uninterrupted run:\n  failover %+v\n  single   %+v", r, base)
-		} else {
-			logger.Printf("ha: failed-over result bit-identical to uninterrupted run: %d/%d dies, yield %.6f",
-				r.Survived, r.Dies, r.Yield)
-		}
+		d.logger.Printf("ha: failed-over result bit-identical to uninterrupted run: %d/%d dies, yield %.6f",
+			done.Result.Survived, done.Result.Dies, done.Result.Yield)
+	}
+	if done.Resumes < 1 {
+		d.violation("failed-over job reports %d resumes, want >= 1", done.Resumes)
 	}
 
 	// Kill a second member: one of three survivors is not a majority, so
@@ -320,36 +157,24 @@ func runHADrill(logger *log.Logger, seed uint64) int {
 	if dead[second] {
 		second = (successor + 2) % members
 	}
-	logger.Printf("ha: SIGKILLing member %d — the cluster loses quorum", second)
+	d.logger.Printf("ha: SIGKILLing member %d — the cluster loses quorum", second)
 	procs[second].kill()
 	dead[second] = true
 	qctx, qcancel := context.WithTimeout(ctx, 20*time.Second)
 	refused, err := client.New(client.Config{BaseURL: urls[successor], MaxAttempts: 2,
 		Backoff: resilience.Backoff{Base: 5 * time.Millisecond, Max: 300 * time.Millisecond, Seed: seed + 1}})
 	if err != nil {
-		logger.Fatalf("ha: client: %v", err)
+		d.fatalf("ha: client: %v", err)
 	}
 	resp, err := refused.SubmitJob(qctx, service.JobSubmitRequest{Seed: seed + 7, Wafers: 4})
 	qcancel()
 	if err == nil {
 		d.violation("submit without quorum reported accepted: %+v", resp)
 	} else {
-		logger.Printf("ha: quorumless submit correctly refused: %v", err)
+		d.logger.Printf("ha: quorumless submit correctly refused: %v", err)
 	}
 
 	fmt.Printf("yapload: ha drill: killed leader at %d/%d samples, follower finished the job\n",
-		atKill.Completed, wafers)
-	return d.haExit()
-}
-
-// haExit prints collected violations and maps them onto an exit code.
-func (d *drill) haExit() int {
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Println("yapload: all high-availability invariants held")
-	return 0
+		atKill.Completed, jobsWafers)
+	return d.exit(held)
 }

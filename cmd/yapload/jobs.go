@@ -1,12 +1,11 @@
 package main
 
-// The durable-jobs drill (-jobs): a true crash-recovery exercise over
-// real processes. The binary re-execs itself as a yapserve-equivalent
-// daemon with a durable job store, submits one Monte-Carlo job paced by
-// an injected jobs.run delay, SIGKILLs the daemon after the job has
-// durably checkpointed but long before it finishes, restarts a fresh
-// daemon over the same store, and asserts the subsystem's headline
-// invariants:
+// The durable-jobs drill (-drill jobs): a true crash-recovery exercise
+// over real processes. A yapserve child with a durable job store
+// (-jobs-dir) runs one Monte-Carlo job paced by an injected jobs.run
+// delay; the drill SIGKILLs it after the job has durably checkpointed but
+// long before it finishes, restarts a fresh child over the same store,
+// and asserts the subsystem's headline invariants:
 //
 //   - the restarted daemon resumes the job from its last durable
 //     checkpoint (resumes == 1, visible both on the job and as
@@ -21,193 +20,87 @@ package main
 
 import (
 	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
-	"os"
 	"time"
 
 	"yap/internal/client"
 	"yap/internal/core"
 	"yap/internal/faultinject"
-	"yap/internal/jobs"
 	"yap/internal/service"
 	"yap/internal/sim"
 )
 
-var (
-	jobsMode    = flag.Bool("jobs", false, "run the durable-jobs crash-recovery drill instead of the load mix")
-	jobsWafers  = flag.Int("jobs-wafers", 120, "wafers for the -jobs drill job")
-	jobsServerX = flag.Bool("jobs-server-exec", false, "internal: run as a -jobs drill daemon subprocess")
-	jobsExecDir = flag.String("jobs-exec-dir", "", "internal: job store directory for the -jobs drill daemon")
+const (
+	// jobsPace delays every job slice 25ms, so with a checkpoint every
+	// jobsCheckpointEvery samples a jobsWafers job runs for >= 1.5s — a
+	// wide window to land a SIGKILL after the first durable checkpoint.
+	jobsPace            = "seed=1," + faultinject.HookJobsRun + "=1:delay:25ms"
+	jobsCheckpointEvery = 2
+	jobsWafers          = 120
 )
 
-// jobsCheckpointEvery paces the drill job: with the injected 25ms delay
-// per slice, a 120-wafer job runs for >= 1.5s — a wide window to land
-// the SIGKILL after the first durable checkpoint.
-const jobsCheckpointEvery = 2
-
-// runJobsServer is the subprocess side: a daemon with a durable job
-// store on a kernel-assigned loopback port, announced on stdout. It
-// deliberately never closes the manager — the parent SIGKILLs it to
-// model a crash, and a clean shutdown would defeat the drill.
-func runJobsServer(logger *log.Logger) {
-	if *jobsExecDir == "" {
-		logger.Fatal("-jobs-server-exec requires -jobs-exec-dir")
-	}
-	inj, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("jobs daemon: invalid %s: %v", faultinject.EnvVar, err)
-	}
-	jm, err := jobs.Open(jobs.Config{Dir: *jobsExecDir, SimWorkers: 2, Faults: inj, Logger: logger})
-	if err != nil {
-		logger.Fatalf("jobs daemon: opening store: %v", err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		logger.Fatalf("jobs daemon: listen: %v", err)
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Faults:            inj,
-		Jobs:              jm,
-		Logger:            logger,
-	})
-	fmt.Printf("%shttp://%s\n", workerBanner, ln.Addr())
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	if err := httpSrv.Serve(ln); err != nil && !errors.Is(err, http.ErrServerClosed) {
-		logger.Fatalf("jobs daemon: serve: %v", err)
-	}
-}
-
-// runJobsDrill is the parent side; returns the process exit code.
-func runJobsDrill(logger *log.Logger, seed uint64) int {
-	d := &drill{logger: logger}
-	wafers := *jobsWafers
-	if wafers < 3*jobsCheckpointEvery {
-		logger.Fatalf("-jobs-wafers must be at least %d so a kill can land between checkpoints", 3*jobsCheckpointEvery)
-	}
-
+// runJobsDrill returns the process exit code.
+func runJobsDrill(d *drill, seed uint64) int {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
 	// The uninterrupted single-process reference every invariant is
 	// measured against.
-	base, err := sim.RunW2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Wafers: wafers, Workers: 2})
+	base, err := sim.RunW2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Wafers: jobsWafers, Workers: 2})
 	if err != nil {
-		logger.Fatalf("jobs: baseline: %v", err)
+		d.fatalf("jobs: baseline: %v", err)
 	}
 
-	dir, err := os.MkdirTemp("", "yapload-jobs-*")
-	if err != nil {
-		logger.Fatalf("jobs: store dir: %v", err)
-	}
-	defer os.RemoveAll(dir) //nolint:errcheck
-
-	// Daemon #1: every job slice is delayed 25ms through the jobs.run
-	// fault hook, pacing the job so the kill cannot race completion.
-	pace := fmt.Sprintf("%s=seed=1,%s=1:delay:25ms", faultinject.EnvVar, faultinject.HookJobsRun)
-	daemon, err := startSubprocess([]string{pace}, "-jobs-server-exec", "-jobs-exec-dir", dir)
-	if err != nil {
-		logger.Fatalf("jobs: starting daemon: %v", err)
-	}
-	defer daemon.kill()
-	logger.Printf("jobs: daemon pid %d up at %s (paced)", daemon.cmd.Process.Pid, daemon.url)
-
+	dir := d.tempDir()
+	daemon := d.spawn("", faultsEnv(jobsPace), "-jobs-dir", dir, "-sim-workers", "2")
 	cli, err := client.New(client.Config{BaseURL: daemon.url, MaxAttempts: 3})
 	if err != nil {
-		logger.Fatalf("jobs: client: %v", err)
+		d.fatalf("jobs: client: %v", err)
 	}
 	sub, err := cli.SubmitJob(ctx, service.JobSubmitRequest{
-		Seed: seed, Wafers: wafers, Workers: 2, CheckpointEvery: jobsCheckpointEvery,
+		Seed: seed, Wafers: jobsWafers, Workers: 2, CheckpointEvery: jobsCheckpointEvery,
 	})
 	if err != nil {
-		logger.Fatalf("jobs: submit: %v", err)
+		d.fatalf("jobs: submit: %v", err)
 	}
-	logger.Printf("jobs: submitted %s (%d wafers, checkpoint every %d)", sub.ID, wafers, jobsCheckpointEvery)
+	d.logger.Printf("jobs: submitted %s (%d wafers, checkpoint every %d)", sub.ID, jobsWafers, jobsCheckpointEvery)
 
-	// Wait for the first durable checkpoint, then SIGKILL mid-job.
-	var atKill *service.JobResponse
-	for atKill == nil {
-		job, err := cli.GetJob(ctx, sub.ID)
-		if err != nil {
-			logger.Fatalf("jobs: polling before kill: %v", err)
-		}
-		switch {
-		case job.State == "running" && job.Completed >= jobsCheckpointEvery:
-			atKill = job
-		case job.State == "pending" || job.State == "running":
-			time.Sleep(5 * time.Millisecond)
-		default:
-			d.violation("job reached %q before the kill could land; the drill exercised nothing", job.State)
-			return d.exit()
-		}
+	const held = "all durable-job invariants held"
+	atKill := d.awaitCheckpoint(ctx, cli, sub.ID)
+	if atKill == nil {
+		return d.exit(held)
 	}
-	logger.Printf("jobs: SIGKILLing daemon pid %d with %d/%d samples checkpointed",
-		daemon.cmd.Process.Pid, atKill.Completed, wafers)
+	d.logger.Printf("jobs: SIGKILLing daemon pid %d with %d/%d samples checkpointed",
+		daemon.cmd.Process.Pid, atKill.Completed, jobsWafers)
 	daemon.kill()
-	if atKill.Completed >= wafers {
-		d.violation("kill landed after all %d samples completed; widen -jobs-wafers", wafers)
-	}
 
-	// Daemon #2 over the same store, unpaced: recovery replays the WAL
-	// and resumes the job from its last durable checkpoint.
-	daemon2, err := startSubprocess([]string{faultinject.EnvVar + "="}, "-jobs-server-exec", "-jobs-exec-dir", dir)
-	if err != nil {
-		logger.Fatalf("jobs: restarting daemon: %v", err)
-	}
-	defer daemon2.kill()
-	logger.Printf("jobs: restarted daemon pid %d at %s", daemon2.cmd.Process.Pid, daemon2.url)
-
+	// A fresh daemon over the same store, unpaced: recovery replays the
+	// WAL and resumes the job from its last durable checkpoint.
+	daemon2 := d.spawn("", faultsEnv(""), "-jobs-dir", dir, "-sim-workers", "2")
 	cli2, err := client.New(client.Config{BaseURL: daemon2.url, MaxAttempts: 3})
 	if err != nil {
-		logger.Fatalf("jobs: client: %v", err)
+		d.fatalf("jobs: client: %v", err)
 	}
 	done, err := cli2.WaitJob(ctx, sub.ID, 10*time.Millisecond)
 	if err != nil {
-		logger.Fatalf("jobs: waiting for resumed job: %v", err)
+		d.fatalf("jobs: waiting for resumed job: %v", err)
 	}
 	switch {
-	case done.State != "done":
-		d.violation("resumed job finished as %q (error %q), want done", done.State, done.Error)
-	case done.Result == nil:
-		d.violation("resumed job has no result")
+	case done.State != "done" || done.Result == nil:
+		d.violation("resumed job finished as %q (error %q), want done with a result", done.State, done.Error)
+	case !sameResult(done.Result, base):
+		d.violation("resumed result diverges from uninterrupted run:\n  resumed %+v\n  single  %+v", *done.Result, base)
 	default:
-		if done.Resumes != 1 {
-			d.violation("resumed job reports %d resumes, want 1", done.Resumes)
-		}
-		r := done.Result
-		if r.Yield != base.Yield || r.YieldLo != base.YieldLo || r.YieldHi != base.YieldHi ||
-			r.Survived != base.Counts.Survived || r.Dies != base.Counts.Dies ||
-			r.OverlayYield != base.OverlayYield || r.DefectYield != base.DefectYield ||
-			r.RecessYield != base.RecessYield {
-			d.violation("resumed result diverges from uninterrupted run:\n  resumed %+v\n  single  %+v", r, base)
-		} else {
-			logger.Printf("jobs: resumed result bit-identical to uninterrupted run: %d/%d dies, yield %.6f",
-				r.Survived, r.Dies, r.Yield)
-		}
+		d.logger.Printf("jobs: resumed result bit-identical to uninterrupted run: %d/%d dies, yield %.6f",
+			done.Result.Survived, done.Result.Dies, done.Result.Yield)
 	}
-	if v := scrapeCounter(ctx, d, daemon2.url, "yapserve_jobs_resumed_total"); v < 1 {
+	if done.Resumes != 1 {
+		d.violation("resumed job reports %d resumes, want 1", done.Resumes)
+	}
+	if v := d.metric(ctx, daemon2.url, "yapserve_jobs_resumed_total"); v < 1 {
 		d.violation("restart not visible in /metrics: yapserve_jobs_resumed_total %v, want >= 1", v)
 	}
 
-	fmt.Printf("yapload: jobs drill: killed at %d/%d samples, resumed and finished\n", atKill.Completed, wafers)
-	return d.exit()
-}
-
-// exit prints collected violations and maps them onto an exit code.
-func (d *drill) exit() int {
-	if len(d.violations) > 0 {
-		for _, v := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
-		}
-		return 1
-	}
-	fmt.Println("yapload: all durable-job invariants held")
-	return 0
+	fmt.Printf("yapload: jobs drill: killed at %d/%d samples, resumed and finished\n", atKill.Completed, jobsWafers)
+	return d.exit(held)
 }

@@ -1,7 +1,8 @@
-// Command yapload is a chaos-capable load generator for yapserve: it
-// drives a workload mix (analytic evaluates, Monte-Carlo simulates,
-// sweeps, plus deliberately invalid requests) through the retrying
-// client and asserts the resilience invariants on every outcome:
+// Command yapload drives yapserve and checks its guarantees. Without
+// -drill it is a chaos-capable load generator: it drives a workload mix
+// (analytic evaluates, Monte-Carlo simulates, sweeps, plus deliberately
+// invalid requests) through the retrying client and asserts the
+// resilience invariants on every outcome:
 //
 //   - every request is accounted for — success (possibly partial), a
 //     typed error with a documented code, or bounded retry exhaustion;
@@ -9,47 +10,28 @@
 //   - deliberately invalid requests come back as typed 4xx, never 5xx;
 //   - every full (non-partial) simulate with the same seed and sample
 //     count reports the identical yield — determinism survives chaos;
-//   - partial simulate responses satisfy completed < requested.
+//   - partial simulate responses satisfy completed < requested;
+//   - a -faults plan reached the server: its log shows fault injection
+//     ACTIVE (and, at shutdown, the plan's fault activity).
 //
-// With -target it loads an external server; without it, it spins up an
-// in-process yapserve on a loopback port — armed with the -faults plan
-// (or YAP_FAULTS) — so a single command is a full chaos drill:
+// With -target it loads an external server; without it, it starts a
+// yapserve child armed with the -faults plan (or YAP_FAULTS), so a
+// single command is a full chaos drill:
 //
 //	yapload -n 500 -c 16 -faults 'seed=7,sim.*=0.05:error,service.*=0.1:error'
 //
-// With -dist it instead drills the distributed-simulation subsystem:
-// it re-execs itself as -dist-workers worker processes, shards runs
-// across them through internal/dist, and asserts bit-identity against
-// single-node baselines plus recovery from a SIGKILLed worker (see
-// dist.go for the full invariant list):
+// -drill NAME instead runs one SIGKILL drill over a fleet of yapserve
+// children; each file's header lists the invariants its drill asserts:
 //
-//	yapload -dist -dist-workers 3 -dist-faults 'seed=5,dist.dispatch=0.1:error'
+//	yapload -drill dist    # sharded Monte Carlo, a worker killed (dist.go)
+//	yapload -drill jobs    # a job resumed after a daemon kill (jobs.go)
+//	yapload -drill stream  # an SSE watch dropped and resumed (stream.go)
+//	yapload -drill ha      # the replica leader killed mid-job (ha.go)
+//	yapload -drill cache   # fleet-wide evaluate dedup, a member killed (cache.go)
 //
-// With -jobs it drills the durable asynchronous job subsystem: it
-// re-execs itself as a daemon with a job store, SIGKILLs it after the
-// submitted job has durably checkpointed, restarts it over the same
-// store, and requires the resumed job to finish with a result
-// bit-identical to an uninterrupted run (see jobs.go):
-//
-//	yapload -jobs -jobs-wafers 120
-//
-// With -stream it drills the live convergence stream: it watches a paced
-// job over SSE, drops the connection mid-run, resumes from the last
-// event ID, and requires the streamed final result to be bit-identical
-// to the poll endpoint's — plus an epsilon-armed job that must stop
-// early with the stop visible on /metrics (see stream.go):
-//
-//	yapload -stream
-//
-// With -ha it drills the replicated job control plane: it re-execs
-// itself as a three-member replica cluster, submits a paced job through
-// a follower (exercising the client's leader-following redirect),
-// SIGKILLs the LEADER after the first durable checkpoint, and requires a
-// surviving follower to finish the job with a bit-identical result —
-// then kills a second member and requires quorumless submits to be
-// refused (see ha.go):
-//
-//	yapload -ha -ha-wafers 120
+// Every yapserve child is this binary re-exec'd as
+// `yapload serve <yapserve flags>`, which runs the shipped daemon wiring
+// (internal/daemon) — so a -race build of yapload races the daemons too.
 //
 // Exits 1 when any invariant is violated.
 package main
@@ -61,13 +43,15 @@ import (
 	"flag"
 	"fmt"
 	"log"
-	"net"
-	"net/http"
 	"os"
+	"os/signal"
+	"strings"
 	"sync"
+	"syscall"
 	"time"
 
 	"yap/internal/client"
+	"yap/internal/daemon"
 	"yap/internal/faultinject"
 	"yap/internal/randx"
 	"yap/internal/resilience"
@@ -87,95 +71,73 @@ var knownErrorCodes = map[string]bool{
 
 // tally aggregates outcomes across workers.
 type tally struct {
-	mu         sync.Mutex
-	ok         int
-	partial    int
-	typed      map[string]int
-	exhausted  int
-	violations []string
+	d         *drill
+	mu        sync.Mutex
+	ok        int
+	partial   int
+	typed     map[string]int
+	exhausted int
 	// yields pins the deterministic full-run yield per simulate mode.
 	yields map[string]float64
 }
 
-func (t *tally) violation(format string, args ...any) {
-	t.mu.Lock()
-	t.violations = append(t.violations, fmt.Sprintf(format, args...))
-	t.mu.Unlock()
-}
-
 func main() {
+	if len(os.Args) > 1 && os.Args[1] == "serve" {
+		serve(os.Args[2:])
+		return
+	}
 	var (
-		target   = flag.String("target", "", "server base URL; empty starts an in-process server on a loopback port")
-		faults   = flag.String("faults", "", "fault-injection spec for the in-process server (default: $"+faultinject.EnvVar+")")
-		n        = flag.Int("n", 200, "total requests")
-		conc     = flag.Int("c", 8, "concurrent workers")
-		seed     = flag.Uint64("seed", 1, "workload-mix seed")
-		attempts = flag.Int("attempts", 6, "client retry attempts per request")
-		wafers   = flag.Int("sim-wafers", 8, "wafers per W2W simulate")
-		dies     = flag.Int("sim-dies", 800, "dies per D2W simulate")
-		timeout  = flag.Duration("timeout", 2*time.Minute, "whole-run deadline")
+		target    = flag.String("target", "", "server base URL; empty starts a yapserve child on a loopback port")
+		faults    = flag.String("faults", "", "fault-injection spec for the yapserve child (default: $"+faultinject.EnvVar+")")
+		n         = flag.Int("n", 200, "total requests")
+		conc      = flag.Int("c", 8, "concurrent workers")
+		seed      = flag.Uint64("seed", 1, "workload-mix and drill seed")
+		attempts  = flag.Int("attempts", 6, "client retry attempts per request")
+		wafers    = flag.Int("sim-wafers", 8, "wafers per W2W simulate")
+		dies      = flag.Int("sim-dies", 800, "dies per D2W simulate")
+		timeout   = flag.Duration("timeout", 2*time.Minute, "whole-run deadline")
+		drillName = flag.String("drill", "", "run a SIGKILL drill instead of the load mix: dist, jobs, stream, ha or cache")
 	)
 	flag.Parse()
-	logger := log.New(os.Stderr, "yapload: ", log.LstdFlags)
+	d := &drill{logger: log.New(os.Stderr, "yapload: ", log.LstdFlags)}
+	if *drillName != "" && (*target != "" || *faults != "") {
+		d.fatalf("-target and -faults apply to the load mix; a drill starts its own daemons and arms its own fault plans")
+	}
 
-	if *distWorkerX {
-		runDistWorker(logger)
-		return
-	}
-	if *jobsServerX {
-		runJobsServer(logger)
-		return
-	}
-	if *haServerX {
-		runHAServer(logger)
-		return
-	}
-	if *cacheServerX {
-		runCacheServer(logger)
-		return
-	}
-	if *distMode {
-		os.Exit(runDistDrill(logger, *seed, *wafers, *dies))
-	}
-	if *jobsMode {
-		os.Exit(runJobsDrill(logger, *seed))
-	}
-	if *streamMode {
-		os.Exit(runStreamDrill(logger, *seed))
-	}
-	if *haMode {
-		os.Exit(runHADrill(logger, *seed))
-	}
-	if *cacheMode {
-		os.Exit(runCacheDrill(logger, *seed))
+	switch *drillName {
+	case "":
+	case "dist":
+		os.Exit(runDistDrill(d, *seed, *wafers, *dies))
+	case "jobs":
+		os.Exit(runJobsDrill(d, *seed))
+	case "stream":
+		os.Exit(runStreamDrill(d, *seed))
+	case "ha":
+		os.Exit(runHADrill(d, *seed))
+	case "cache":
+		os.Exit(runCacheDrill(d, *seed))
+	default:
+		d.fatalf("unknown -drill %q: want dist, jobs, stream, ha or cache", *drillName)
 	}
 
 	base := *target
-	var inj *faultinject.Injector
+	var srv *child
 	if base == "" {
-		var err error
+		var env []string
 		if *faults != "" {
-			inj, err = faultinject.ParseSpec(*faults)
-		} else {
-			inj, err = faultinject.FromEnv()
+			env = faultsEnv(*faults)
 		}
-		if err != nil {
-			logger.Fatalf("invalid fault spec: %v", err)
-		}
-		var shutdown func()
-		base, shutdown, err = startLocalServer(inj, logger)
-		if err != nil {
-			logger.Fatalf("starting local server: %v", err)
-		}
-		defer shutdown()
+		srv = d.spawn("", env, "-max-sims", "2", "-max-queued", "8", "-timeout", "5s",
+			"-retry-after", "20ms", "-breaker-threshold", "-1")
+		base = srv.url
 	} else if *faults != "" {
-		logger.Fatal("-faults only applies to the in-process server; arm the external one via its own YAP_FAULTS")
+		d.fatalf("-faults only applies to the yapserve child; arm the external one via its own YAP_FAULTS")
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
 
-	t := &tally{typed: make(map[string]int), yields: make(map[string]float64)}
+	t := &tally{d: d, typed: make(map[string]int), yields: make(map[string]float64)}
 	perWorker := (*n + *conc - 1) / *conc
 	var wg sync.WaitGroup
 	issued := 0
@@ -196,7 +158,7 @@ func main() {
 				Breaker:     resilience.NewBreaker(resilience.BreakerConfig{Threshold: 1 << 30}),
 			})
 			if err != nil {
-				t.violation("worker %d: %v", w, err)
+				d.violation("worker %d: %v", w, err)
 				return
 			}
 			rng := randx.Derive(*seed, uint64(w))
@@ -208,58 +170,36 @@ func main() {
 	wg.Wait()
 
 	if ctx.Err() != nil {
-		t.violation("run overran its %v deadline — some request hung", *timeout)
+		d.violation("run overran its %v deadline — some request hung", *timeout)
 	}
 	accounted := t.ok + t.partial + t.exhausted
 	for _, cnt := range t.typed {
 		accounted += cnt
 	}
 	if accounted != *n {
-		t.violation("accounted %d of %d requests", accounted, *n)
+		d.violation("accounted %d of %d requests", accounted, *n)
 	}
-
 	fmt.Printf("yapload: %d requests -> %d ok, %d partial, %d exhausted, typed %v\n",
 		*n, t.ok, t.partial, t.exhausted, t.typed)
-	if inj != nil {
-		fmt.Printf("yapload: fault activity: %s\n", inj.StatsString())
-	}
-	if len(t.violations) > 0 {
-		for _, v := range t.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", v)
+
+	if srv != nil {
+		// SIGTERM: the daemon drains and logs its fault activity.
+		srv.stop()
+		if *faults != "" && !strings.Contains(srv.log.String(), "fault injection ACTIVE") {
+			d.violation("the server never logged fault injection ACTIVE: the -faults plan did not reach it")
 		}
-		os.Exit(1)
 	}
-	fmt.Println("yapload: all invariants held")
+	os.Exit(d.exit("all invariants held"))
 }
 
-// startLocalServer boots an in-process yapserve on 127.0.0.1:0 and
-// returns its base URL and a shutdown func.
-func startLocalServer(inj *faultinject.Injector, logger *log.Logger) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
+// serve is the hidden `yapload serve <yapserve flags>` mode the drills
+// re-exec: the shipped daemon, draining on SIGINT/SIGTERM.
+func serve(args []string) {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if err := daemon.Run(ctx, args); err != nil {
+		log.New(os.Stderr, "yapserve: ", log.LstdFlags).Fatal(err)
 	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		MaxQueuedSims:     8,
-		RequestTimeout:    5 * time.Second,
-		RetryAfter:        20 * time.Millisecond,
-		BreakerThreshold:  -1, // the load test wants to see raw failures, not breaker sheds
-		Faults:            inj,
-	})
-	if inj != nil {
-		logger.Printf("in-process server: fault injection ACTIVE: %s", inj)
-	}
-	logger.Printf("in-process server: resilience: %s", srv.ResilienceSummary())
-	httpSrv := &http.Server{Handler: srv}
-	go httpSrv.Serve(ln) //nolint:errcheck // closed by shutdown below
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)     //nolint:errcheck
-		httpSrv.Shutdown(ctx) //nolint:errcheck
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
 }
 
 // runOne issues the n-th request from the workload mix and folds its
@@ -275,7 +215,7 @@ func runOne(ctx context.Context, c *client.Client, t *tally, rng *randx.Source, 
 		})
 		var apiErr *client.APIError
 		if !errors.As(err, &apiErr) || apiErr.Status < 400 || apiErr.Status >= 500 {
-			t.violation("bad request %d not answered with a typed 4xx: %v", n, err)
+			t.d.violation("bad request %d not answered with a typed 4xx: %v", n, err)
 			t.record(err)
 			return
 		}
@@ -305,7 +245,7 @@ func (t *tally) checkSimulate(resp *service.SimulateResponse, err error, n int) 
 	}
 	if resp.Partial {
 		if resp.Completed <= 0 || resp.Completed >= resp.Requested {
-			t.violation("request %d: partial with completed %d / requested %d", n, resp.Completed, resp.Requested)
+			t.d.violation("request %d: partial with completed %d / requested %d", n, resp.Completed, resp.Requested)
 		}
 		t.mu.Lock()
 		t.partial++
@@ -318,8 +258,7 @@ func (t *tally) checkSimulate(resp *service.SimulateResponse, err error, n int) 
 	defer t.mu.Unlock()
 	if prev, ok := t.yields[resp.Mode]; ok {
 		if prev != resp.Yield {
-			t.violations = append(t.violations,
-				fmt.Sprintf("request %d: %s yield %v diverges from earlier %v under identical seed", n, resp.Mode, resp.Yield, prev))
+			t.d.violation("request %d: %s yield %v diverges from earlier %v under identical seed", n, resp.Mode, resp.Yield, prev)
 		}
 	} else {
 		t.yields[resp.Mode] = resp.Yield
@@ -337,7 +276,7 @@ func (t *tally) record(err error) {
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) {
 			if !knownErrorCodes[apiErr.Code] {
-				t.violations = append(t.violations, fmt.Sprintf("undocumented error code %q: %v", apiErr.Code, err))
+				t.d.violation("undocumented error code %q: %v", apiErr.Code, err)
 			}
 			if errors.Is(err, client.ErrAttemptsExhausted) {
 				t.exhausted++
@@ -350,7 +289,7 @@ func (t *tally) record(err error) {
 			t.exhausted++
 			return
 		}
-		t.violations = append(t.violations, fmt.Sprintf("unclassifiable outcome: %v", err))
+		t.d.violation("unclassifiable outcome: %v", err)
 		t.exhausted++
 	}
 }

@@ -1,11 +1,11 @@
 package main
 
-// The convergence-streaming drill (-stream): a live watch over a durable
-// job's SSE stream, with the connection deliberately dropped mid-run and
-// resumed from the last event ID. The daemon runs in-process with a job
-// store, every job slice paced by an injected jobs.run delay so the drop
-// cannot race completion, and heartbeats tightened to exercise the
-// keep-alive path. Invariants:
+// The convergence-streaming drill (-drill stream): a live watch over a
+// durable job's SSE stream, with the connection deliberately dropped
+// mid-run and resumed from the last event ID. The daemon is a yapserve
+// child with a job store, every job slice paced by an injected jobs.run
+// delay so the drop cannot race completion, and heartbeats tightened to
+// exercise the keep-alive path. Invariants:
 //
 //   - stream events are well-formed: sequence numbers strictly increase,
 //     completed counts never regress, and every running yield estimate is
@@ -25,23 +25,14 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
-	"log"
-	"net"
-	"net/http"
-	"os"
 	"reflect"
 	"time"
 
 	"yap/internal/client"
 	"yap/internal/core"
-	"yap/internal/faultinject"
-	"yap/internal/jobs"
 	"yap/internal/service"
 )
-
-var streamMode = flag.Bool("stream", false, "run the convergence-streaming drill instead of the load mix")
 
 // streamDrillWafers paces phase 1: with the injected 25ms delay per
 // 2-wafer slice the job runs ~750ms — a wide window to drop the watch
@@ -53,34 +44,15 @@ const (
 	streamDrillCheckpoint = 500
 )
 
-// runStreamDrill is the -stream entrypoint; returns the process exit code.
-func runStreamDrill(logger *log.Logger, seed uint64) int {
-	d := &drill{logger: logger}
+// runStreamDrill returns the process exit code.
+func runStreamDrill(d *drill, seed uint64) int {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
-	inj, err := faultinject.ParseSpec(fmt.Sprintf("seed=1,%s=1:delay:25ms", faultinject.HookJobsRun))
-	if err != nil {
-		logger.Fatalf("stream: fault spec: %v", err)
-	}
-	dir, err := os.MkdirTemp("", "yapload-stream-*")
-	if err != nil {
-		logger.Fatalf("stream: store dir: %v", err)
-	}
-	defer os.RemoveAll(dir) //nolint:errcheck
-	jm, err := jobs.Open(jobs.Config{Dir: dir, SimWorkers: 2, Faults: inj, Logger: logger})
-	if err != nil {
-		logger.Fatalf("stream: opening job store: %v", err)
-	}
-	defer jm.Close() //nolint:errcheck
-	base, shutdown, err := startStreamServer(jm, logger)
-	if err != nil {
-		logger.Fatalf("stream: starting server: %v", err)
-	}
-	defer shutdown()
+	base := d.spawn("", faultsEnv(jobsPace), "-jobs-dir", d.tempDir(), "-stream-heartbeat", "100ms").url
 	cli, err := client.New(client.Config{BaseURL: base, MaxAttempts: 4})
 	if err != nil {
-		logger.Fatalf("stream: client: %v", err)
+		d.fatalf("stream: client: %v", err)
 	}
 
 	// Phase 1: watch a paced job, drop the connection after two
@@ -89,9 +61,9 @@ func runStreamDrill(logger *log.Logger, seed uint64) int {
 		Seed: seed, Wafers: streamDrillWafers, Workers: 2, CheckpointEvery: jobsCheckpointEvery,
 	})
 	if err != nil {
-		logger.Fatalf("stream: submit: %v", err)
+		d.fatalf("stream: submit: %v", err)
 	}
-	logger.Printf("stream: submitted %s (%d wafers, checkpoint every %d)",
+	d.logger.Printf("stream: submitted %s (%d wafers, checkpoint every %d)",
 		sub.ID, streamDrillWafers, jobsCheckpointEvery)
 
 	v := &streamValidator{d: d}
@@ -121,7 +93,7 @@ func runStreamDrill(logger *log.Logger, seed uint64) int {
 	if v.last != nil {
 		dropSeq, dropCompleted = v.last.Seq, v.last.Completed
 	}
-	logger.Printf("stream: dropped watch at seq %d (%d/%d wafers); resuming",
+	d.logger.Printf("stream: dropped watch at seq %d (%d/%d wafers); resuming",
 		dropSeq, dropCompleted, streamDrillWafers)
 
 	final, err := cli.StreamJob(ctx, sub.ID, dropSeq, func(ev *service.JobStreamEvent) error {
@@ -129,21 +101,21 @@ func runStreamDrill(logger *log.Logger, seed uint64) int {
 		return nil
 	})
 	if err != nil {
-		logger.Fatalf("stream: resumed watch: %v", err)
+		d.fatalf("stream: resumed watch: %v", err)
 	}
 	if final.State != "done" || final.Result == nil {
 		d.violation("resumed watch ended %q (error %q), want done with result", final.State, final.Error)
 	} else {
 		job, err := cli.GetJob(ctx, sub.ID)
 		if err != nil {
-			logger.Fatalf("stream: GetJob: %v", err)
+			d.fatalf("stream: GetJob: %v", err)
 		}
 		streamed, polled := *final.Result, *job.Result
 		streamed.ElapsedMs, polled.ElapsedMs = 0, 0
 		if !reflect.DeepEqual(streamed, polled) {
 			d.violation("streamed final result diverges from GetJob:\n  streamed %+v\n  polled   %+v", streamed, polled)
 		} else {
-			logger.Printf("stream: streamed final bit-identical to GetJob: %d/%d dies, yield %.6f",
+			d.logger.Printf("stream: streamed final bit-identical to GetJob: %d/%d dies, yield %.6f",
 				streamed.Survived, streamed.Dies, streamed.Yield)
 		}
 	}
@@ -158,18 +130,18 @@ func runStreamDrill(logger *log.Logger, seed uint64) int {
 	easy.RecessSigma = 0.5e-9
 	rawEasy, err := json.Marshal(easy)
 	if err != nil {
-		logger.Fatalf("stream: encoding easy params: %v", err)
+		d.fatalf("stream: encoding easy params: %v", err)
 	}
 	sub2, err := cli.SubmitJob(ctx, service.JobSubmitRequest{
 		Mode: "d2w", Params: rawEasy, Seed: seed + 1, Dies: streamDrillSampleCap,
 		Workers: 2, CheckpointEvery: streamDrillCheckpoint, Epsilon: streamDrillEpsilon,
 	})
 	if err != nil {
-		logger.Fatalf("stream: submit early-stop job: %v", err)
+		d.fatalf("stream: submit early-stop job: %v", err)
 	}
 	final2, err := cli.StreamJob(ctx, sub2.ID, 0, nil)
 	if err != nil {
-		logger.Fatalf("stream: early-stop watch: %v", err)
+		d.fatalf("stream: early-stop watch: %v", err)
 	}
 	switch {
 	case final2.State != "done" || final2.Result == nil:
@@ -187,32 +159,25 @@ func runStreamDrill(logger *log.Logger, seed uint64) int {
 		if r.Partial {
 			d.violation("early-stopped job marked partial")
 		}
-		logger.Printf("stream: early stop at %d/%d samples (%.1fx fewer), half-width %.2g",
+		d.logger.Printf("stream: early stop at %d/%d samples (%.1fx fewer), half-width %.2g",
 			r.SamplesUsed, streamDrillSampleCap,
 			float64(streamDrillSampleCap)/float64(r.SamplesUsed), r.CIHalfWidth)
 
-		if got := scrapeCounter(ctx, d, base, "yapserve_early_stops_total"); got < 1 {
+		if got := d.metric(ctx, base, "yapserve_early_stops_total"); got < 1 {
 			d.violation("yapserve_early_stops_total %v, want >= 1", got)
 		}
 		saved := float64(streamDrillSampleCap - r.SamplesUsed)
-		if got := scrapeCounter(ctx, d, base, "yapserve_samples_saved_total"); got != saved {
+		if got := d.metric(ctx, base, "yapserve_samples_saved_total"); got != saved {
 			d.violation("yapserve_samples_saved_total %v, want %v", got, saved)
 		}
 	}
-	if got := scrapeCounter(ctx, d, base, "yapserve_stream_subscribers"); got != 0 {
+	if got := d.metric(ctx, base, "yapserve_stream_subscribers"); got != 0 {
 		d.violation("yapserve_stream_subscribers %v after all watches ended, want 0", got)
 	}
 
-	if len(d.violations) > 0 {
-		for _, viol := range d.violations {
-			fmt.Fprintln(os.Stderr, "yapload: VIOLATION:", viol)
-		}
-		return 1
-	}
 	fmt.Printf("yapload: stream drill: %d events validated, dropped at seq %d and resumed, early stop verified\n",
 		v.events, dropSeq)
-	fmt.Println("yapload: all streaming invariants held")
-	return 0
+	return d.exit("all streaming invariants held")
 }
 
 // streamValidator applies the per-event invariants across both halves of
@@ -248,30 +213,4 @@ func (v *streamValidator) observe(ev *service.JobStreamEvent) {
 	}
 	copied := *ev
 	v.last = &copied
-}
-
-// startStreamServer boots the in-process daemon for the drill: job store
-// attached, fast heartbeats, no breaker.
-func startStreamServer(jm *jobs.Manager, logger *log.Logger) (string, func(), error) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return "", nil, err
-	}
-	srv := service.New(service.Config{
-		MaxConcurrentSims: 2,
-		RequestTimeout:    30 * time.Second,
-		BreakerThreshold:  -1,
-		Jobs:              jm,
-		StreamHeartbeat:   100 * time.Millisecond,
-		Logger:            logger,
-	})
-	httpSrv := &http.Server{Handler: srv, ReadHeaderTimeout: 10 * time.Second}
-	go httpSrv.Serve(ln) //nolint:errcheck // closed by shutdown below
-	shutdown := func() {
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		srv.Shutdown(ctx)     //nolint:errcheck
-		httpSrv.Shutdown(ctx) //nolint:errcheck
-	}
-	return "http://" + ln.Addr().String(), shutdown, nil
 }

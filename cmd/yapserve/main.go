@@ -103,296 +103,21 @@ import (
 	"context"
 	"errors"
 	"flag"
-	"fmt"
 	"log"
-	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
-	"time"
 
-	"yap/internal/client"
-	"yap/internal/core"
-	"yap/internal/dist"
-	"yap/internal/faultinject"
-	"yap/internal/fleetcache"
-	"yap/internal/jobs"
-	"yap/internal/replica"
-	"yap/internal/service"
-	"yap/internal/sim"
+	"yap/internal/daemon"
 )
 
 func main() {
-	var (
-		addr        = flag.String("addr", ":8080", "listen address")
-		config      = flag.String("config", "", "JSON process file used as the default parameter set (missing fields default to Table I)")
-		cacheSize   = flag.Int("cache", 1024, "evaluate-cache capacity in entries (negative disables)")
-		maxSims     = flag.Int("max-sims", 0, "max concurrently executing simulations (0 = GOMAXPROCS)")
-		workers     = flag.Int("sim-workers", 0, "default per-simulation parallelism (0 = GOMAXPROCS)")
-		timeout     = flag.Duration("timeout", 2*time.Minute, "per-request deadline for simulate/sweep (negative disables)")
-		maxBody     = flag.Int64("max-body", 1<<20, "request body limit in bytes")
-		maxPoints   = flag.Int("max-sweep-points", 10000, "max points per sweep request")
-		maxQueued   = flag.Int("max-queued", 0, "max simulate requests waiting for a pool slot before shedding 503 (0 = 4×max-sims, negative = no queue)")
-		retryAfter  = flag.Duration("retry-after", time.Second, "back-off hint on overloaded responses")
-		brkThresh   = flag.Int("breaker-threshold", 0, "consecutive internal simulation failures that trip the circuit breaker (0 = 8, negative disables)")
-		brkCooldown = flag.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker sheds before probing")
-		drain       = flag.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
-
-		workerMode   = flag.Bool("worker", false, "run as a distributed-simulation worker (a label: the shard protocol is always served)")
-		workerList   = flag.String("workers", "", "comma-separated worker base URLs; turns this daemon into a sharding coordinator")
-		shardsPerW   = flag.Int("shards-per-worker", 0, "shards planned per worker per run (0 = 2)")
-		heartbeat    = flag.Duration("heartbeat", 0, "worker liveness probe interval (0 = 2s, negative disables)")
-		shardTimeout = flag.Duration("shard-timeout", 0, "per-shard dispatch deadline; slower workers get their shard reassigned (0 = run deadline only)")
-
-		jobsDir    = flag.String("jobs-dir", "", "directory for the durable job store; enables POST /v1/jobs (empty disables)")
-		chkEvery   = flag.Int("checkpoint-every", 0, "samples per durable job checkpoint (0 = 200)")
-		jobTTL     = flag.Duration("job-ttl", 0, "how long finished jobs stay queryable before GC (0 = 1h, negative keeps forever)")
-		jobRunners = flag.Int("job-runners", 0, "concurrently executing jobs (0 = 2)")
-		streamHB   = flag.Duration("stream-heartbeat", 0, "SSE keep-alive interval on /v1/jobs/{id}/stream (0 = 15s, negative disables)")
-
-		peers         = flag.String("peers", "", "comma-separated base URLs of the OTHER members of a replicated job control plane (requires -jobs-dir and -advertise)")
-		advertise     = flag.String("advertise", "", "this daemon's own base URL as the other members reach it (its identity in the replica set)")
-		electionLease = flag.Duration("election-lease", 0, "how long a follower trusts the leader after its last heartbeat (0 = 2s)")
-		electionBeat  = flag.Duration("election-heartbeat", 0, "leader heartbeat cadence (0 = lease/8)")
-		quorumTimeout = flag.Duration("quorum-timeout", 0, "how long a submit waits for quorum acknowledgement (0 = 2×lease)")
-
-		cachePeers = flag.String("cache-peers", "", "comma-separated base URLs of the OTHER fleet-cache members (requires -advertise; empty reuses -peers)")
-
-		printVersion = flag.Bool("version", false, "print version and exit")
-	)
-	flag.Parse()
-	if *printVersion {
-		version, goVersion := service.BuildInfo()
-		fmt.Printf("yapserve %s (%s)\n", version, goVersion)
-		return
-	}
-	logger := log.New(os.Stderr, "yapserve: ", log.LstdFlags)
-	if *workerMode && *workerList != "" {
-		logger.Fatal("-worker and -workers are mutually exclusive: a coordinator must not be its own worker")
-	}
-
-	defaults := core.Baseline()
-	if *config != "" {
-		loaded, err := core.LoadParams(*config)
-		if err != nil {
-			logger.Fatalf("invalid -config: %v", err)
-		}
-		defaults = loaded
-	}
-
-	faults, err := faultinject.FromEnv()
-	if err != nil {
-		logger.Fatalf("invalid %s: %v", faultinject.EnvVar, err)
-	}
-	if faults != nil {
-		logger.Printf("fault injection ACTIVE: %s", faults)
-	}
-
-	var coord *dist.Coordinator
-	if *workerList != "" {
-		urls := make([]string, 0, 4)
-		for _, u := range strings.Split(*workerList, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				urls = append(urls, u)
-			}
-		}
-		coord, err = dist.New(dist.Config{
-			Workers:           urls,
-			ShardsPerWorker:   *shardsPerW,
-			ShardTimeout:      *shardTimeout,
-			HeartbeatInterval: *heartbeat,
-			Faults:            faults,
-			Logger:            logger,
-		})
-		if err != nil {
-			logger.Fatalf("invalid -workers: %v", err)
-		}
-		defer coord.Close()
-		logger.Printf("coordinator mode: sharding simulations across %d workers", len(urls))
-	} else if *workerMode {
-		logger.Print("worker mode: serving shards for a coordinator")
-	}
-
-	var peerURLs []string
-	if *peers != "" {
-		for _, u := range strings.Split(*peers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				peerURLs = append(peerURLs, u)
-			}
-		}
-	}
-	if len(peerURLs) > 0 {
-		if *jobsDir == "" {
-			logger.Fatal("-peers replicates the durable job store; it requires -jobs-dir")
-		}
-		if *advertise == "" {
-			logger.Fatal("-peers requires -advertise: the URL this member is reached at is its identity in the replica set")
-		}
-	}
-
-	// The fleet cache is built unconditionally — unpeered it is the
-	// daemon's local evaluate cache, shared between the HTTP handlers and
-	// sweep jobs; with peers it deduplicates computations fleet-wide.
-	cachePeerURLs := peerURLs
-	if *cachePeers != "" {
-		cachePeerURLs = nil
-		for _, u := range strings.Split(*cachePeers, ",") {
-			if u = strings.TrimSpace(u); u != "" {
-				cachePeerURLs = append(cachePeerURLs, u)
-			}
-		}
-	}
-	fcfg := fleetcache.Config{CacheSize: *cacheSize, Faults: faults}
-	if len(cachePeerURLs) > 0 {
-		if *advertise == "" {
-			logger.Fatal("-cache-peers requires -advertise: the URL this member is reached at is its identity in the fleet")
-		}
-		fcfg.Self = *advertise
-		fcfg.Members = append(append([]string{}, cachePeerURLs...), *advertise)
-		fcfg.Transport = &client.CacheTransport{}
-		logger.Printf("fleet cache: %s + %d peers", *advertise, len(cachePeerURLs))
-	}
-	fleet := fleetcache.New(fcfg)
-	defer fleet.Close()
-
-	var jm *jobs.Manager
-	var node *replica.Node
-	if *jobsDir != "" {
-		jcfg := jobs.Config{
-			Dir:             *jobsDir,
-			Runners:         *jobRunners,
-			CheckpointEvery: *chkEvery,
-			ResultTTL:       *jobTTL,
-			SimWorkers:      *workers,
-			Faults:          faults,
-			Logger:          logger,
-			// Sweep jobs evaluate through the shared cache tier.
-			Evaluate: fleet.EvaluateParams,
-		}
-		if coord != nil {
-			// Jobs shard across the fleet like synchronous simulations;
-			// checkpoints still land in the coordinator's local store.
-			jcfg.Run = func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
-				res, _, err := coord.Simulate(ctx, mode, opts)
-				return res, err
-			}
-		}
-		if len(peerURLs) > 0 {
-			// The replica node owns the manager: it opens the store in
-			// follower mode and activates it only on winning an election.
-			node, err = replica.Open(replica.Config{
-				Dir:           *jobsDir,
-				Self:          *advertise,
-				Peers:         peerURLs,
-				Transport:     &replica.HTTPTransport{},
-				Jobs:          jcfg,
-				Lease:         *electionLease,
-				Heartbeat:     *electionBeat,
-				QuorumTimeout: *quorumTimeout,
-				Faults:        faults,
-				Logger:        logger,
-			})
-			if err != nil {
-				logger.Fatalf("invalid replica configuration: %v", err)
-			}
-			jm = node.Jobs()
-			logger.Printf("replicated control plane: %s + %d peers, store %s", *advertise, len(peerURLs), *jobsDir)
-		} else {
-			jm, err = jobs.Open(jcfg)
-			if err != nil {
-				logger.Fatalf("invalid -jobs-dir: %v", err)
-			}
-		}
-		every := *chkEvery
-		if every <= 0 {
-			every = 200
-		}
-		logger.Printf("durable jobs: store %s, checkpoint every %d samples", *jobsDir, every)
-	}
-
-	cfg := service.Config{
-		Defaults:          &defaults,
-		CacheSize:         *cacheSize,
-		MaxConcurrentSims: *maxSims,
-		SimWorkers:        *workers,
-		RequestTimeout:    *timeout,
-		MaxBodyBytes:      *maxBody,
-		MaxSweepPoints:    *maxPoints,
-		MaxQueuedSims:     *maxQueued,
-		RetryAfter:        *retryAfter,
-		BreakerThreshold:  *brkThresh,
-		BreakerCooldown:   *brkCooldown,
-		StreamHeartbeat:   *streamHB,
-		Faults:            faults,
-		Logger:            logger,
-		FleetCache:        fleet,
-	}
-	if coord != nil {
-		cfg.Distributor = coord
-	}
-	if jm != nil {
-		cfg.Jobs = jm
-	}
-	if node != nil {
-		cfg.Replica = node
-	}
-	srv := service.New(cfg)
-	logger.Printf("resilience: %s", srv.ResilienceSummary())
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           srv,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	// Serve until the first SIGINT/SIGTERM, then drain gracefully; a
-	// second signal (stop() restores default handling) kills the process.
+	// The first SIGINT/SIGTERM cancels ctx and the daemon drains; stop
+	// then restores default handling, so a second signal kills the process.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	errc := make(chan error, 1)
-	go func() {
-		logger.Printf("listening on %s (params %s)", *addr, defaults.HashString())
-		errc <- httpSrv.ListenAndServe()
-	}()
-
-	select {
-	case err := <-errc:
-		logger.Fatalf("serve: %v", err)
-	case <-ctx.Done():
+	context.AfterFunc(ctx, stop)
+	if err := daemon.Run(ctx, os.Args[1:]); err != nil && !errors.Is(err, flag.ErrHelp) {
+		log.New(os.Stderr, "yapserve: ", log.LstdFlags).Fatal(err)
 	}
-	stop()
-	logger.Printf("shutting down, draining in-flight requests (budget %v)", *drain)
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), *drain)
-	defer cancel()
-	// Stop simulation admission first (stragglers get 503 + Retry-After),
-	// then let the HTTP server wait out connections that hold responses.
-	if err := srv.Shutdown(shutdownCtx); err != nil {
-		logger.Printf("pool drain: %v", err)
-	}
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		if errors.Is(err, context.DeadlineExceeded) {
-			logger.Print("drain budget exhausted; closing remaining connections")
-			httpSrv.Close()
-		} else {
-			fmt.Fprintln(os.Stderr, "yapserve: shutdown:", err)
-			os.Exit(1)
-		}
-	}
-	switch {
-	case node != nil:
-		// The node owns the manager: closing it stops the election loop and
-		// peer senders, then snapshots the store. A surviving peer takes
-		// over leadership one lease later and resumes unfinished jobs.
-		if err := node.Close(); err != nil {
-			logger.Printf("replica close: %v", err)
-		}
-	case jm != nil:
-		// After HTTP has drained: snapshot the store and stop the runners.
-		// Mid-run jobs stay durably running and resume at the next start.
-		if err := jm.Close(); err != nil {
-			logger.Printf("job store close: %v", err)
-		}
-	}
-	logger.Print("bye")
 }

@@ -8,8 +8,8 @@
 // Injection is off by default and costs one nil check per hook when
 // disabled: a nil *Injector fires nothing. Tests build injectors directly
 // with New; chaos runs enable them process-wide through the YAP_FAULTS
-// environment variable (see ParseSpec for the grammar), which cmd/yapserve
-// and cmd/yapload read at startup.
+// environment variable (see ParseSpec for the grammar), which the yapserve
+// daemon (internal/daemon) reads at startup.
 package faultinject
 
 import (
@@ -28,8 +28,9 @@ import (
 )
 
 // EnvVar is the environment variable holding a chaos plan in ParseSpec
-// grammar. It is read only by the entry points that opt in (cmd/yapserve,
-// cmd/yapload, the chaos tests) — never implicitly by library code.
+// grammar. It is read only by the entry points that opt in (the yapserve
+// daemon in internal/daemon, the chaos tests) — never implicitly by
+// library code.
 const EnvVar = "YAP_FAULTS"
 
 // Hook names wired into the repository. An injector accepts any string,

@@ -147,7 +147,7 @@ func TestJobRunsToCompletion(t *testing.T) {
 // slices durable) and verify the resumed job finishes with a Result
 // bit-identical to the uninterrupted run. Close() mid-slice is the
 // simulated crash — it discards the in-flight slice and leaves the job
-// durably running, exactly like a SIGKILL would (the yapload -jobs drill
+// durably running, exactly like a SIGKILL would (yapload -drill jobs
 // covers the literal SIGKILL against a real daemon).
 func TestCrashResumeBitIdentical(t *testing.T) {
 	spec := testSpec(6, 2) // 3 slices: boundaries after 0, 2 and 4 samples
