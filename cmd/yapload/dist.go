@@ -14,6 +14,10 @@ package main
 //   - worker death: after SIGKILLing one worker mid-drill, runs still
 //     complete bit-identically through shard reassignment, and the
 //     reassignment is observable on /metrics.
+//   - early stop: after the kill, an epsilon-armed W2W run shards its
+//     checkpoint ladder across the survivors, dispatch faults still armed,
+//     and stops at exactly the single-node sample index with the
+//     single-node result.
 //
 // Exits 1 when any invariant is violated.
 
@@ -24,6 +28,7 @@ import (
 	"time"
 
 	"yap/internal/client"
+	"yap/internal/converge"
 	"yap/internal/core"
 	"yap/internal/faultinject"
 	"yap/internal/service"
@@ -39,6 +44,13 @@ const (
 	// distWorkerFaults fails a few worker-side samples: each surfaces as
 	// a failed shard that must be reassigned without perturbing the merge.
 	distWorkerFaults = "seed=11," + faultinject.HookSimW2WWafer + "=0.02:error," + faultinject.HookSimD2WDie + "=0.01:error"
+	// The epsilon-armed run stops at its first checkpoint, distEarlyMin
+	// wafers of a distEarlyCap cap. A later rung is 100 wafers (the wire's
+	// fixed check stride), whose shards would each meet several of the
+	// worker faults; the dist package tests pin multi-rung ladders.
+	distEarlyEpsilon = 0.01
+	distEarlyMin     = 12
+	distEarlyCap     = 40
 )
 
 // runDistDrill returns the process exit code.
@@ -54,6 +66,14 @@ func runDistDrill(d *drill, seed uint64, wafers, dies int) int {
 	d2wBase, err := sim.RunD2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Dies: dies, Workers: 2})
 	if err != nil {
 		d.fatalf("dist: baseline d2w: %v", err)
+	}
+	earlyBase, err := sim.RunW2WContext(ctx, sim.Options{Params: core.Baseline(), Seed: seed, Wafers: distEarlyCap, Workers: 2,
+		EarlyStop: converge.Rule{Epsilon: distEarlyEpsilon, MinSamples: distEarlyMin}})
+	if err != nil {
+		d.fatalf("dist: baseline early-stop w2w: %v", err)
+	}
+	if !earlyBase.StoppedEarly {
+		d.fatalf("dist: baseline early-stop w2w ran all %d wafers; the drill needs a run that stops early", earlyBase.Completed)
 	}
 
 	workers := make([]*child, distWorkers)
@@ -112,6 +132,10 @@ func runDistDrill(d *drill, seed uint64, wafers, dies int) int {
 	} else {
 		d.logger.Printf("dist: recovery ok — reassignments %v -> %v", before, after)
 	}
+
+	// Phase 3: early stop composes with the fan-out and the faults.
+	check("w2w-epsilon", service.SimulateRequest{Mode: "w2w", Seed: seed, Wafers: distEarlyCap, Workers: 2,
+		Epsilon: distEarlyEpsilon, MinSamples: distEarlyMin}, earlyBase)
 
 	fleet, err := scrape(ctx, coord.url)
 	if err != nil {

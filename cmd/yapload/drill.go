@@ -248,10 +248,11 @@ func others(urls []string, i int) string {
 	return strings.Join(append(peers, urls[i+1:]...), ",")
 }
 
-// sameResult reports whether a simulate result carries exactly the
-// tallies, yields and interval of the uninterrupted single-node run want.
+// sameResult reports whether a simulate result carries exactly the stop
+// state, tallies, yields and interval of the single-node run want.
 func sameResult(got *service.SimulateResponse, want sim.Result) bool {
-	return !got.Partial && got.Dies == want.Counts.Dies && got.Survived == want.Counts.Survived &&
+	return !got.Partial && got.StoppedEarly == want.StoppedEarly &&
+		got.Dies == want.Counts.Dies && got.Survived == want.Counts.Survived &&
 		got.OverlayYield == want.OverlayYield && got.DefectYield == want.DefectYield &&
 		got.RecessYield == want.RecessYield && got.Yield == want.Yield &&
 		got.YieldLo == want.YieldLo && got.YieldHi == want.YieldHi

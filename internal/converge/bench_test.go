@@ -33,20 +33,16 @@ func BenchmarkRuleNextCheckpoint(b *testing.B) {
 	benchSinkInt = sink
 }
 
-// BenchmarkTrackerStream walks a full 20k-sample checkpoint ladder —
-// the complete per-run cost of convergence tracking at D2W default scale.
-func BenchmarkTrackerStream(b *testing.B) {
+// BenchmarkStopLadder walks a full 20k-sample checkpoint ladder,
+// estimating and evaluating the rule at every boundary — the complete
+// per-run cost of the stop rule at D2W default scale.
+func BenchmarkStopLadder(b *testing.B) {
 	r := Rule{Epsilon: 1e-9, MinSamples: 100, CheckEvery: 100} // never stops
 	for i := 0; i < b.N; i++ {
-		tr := NewTracker(r)
 		const total = 20000
 		for c := 0; c < total; {
 			c = r.NextCheckpoint(c, total)
-			s, err := tr.Observe(c, total, c-c/50, c)
-			if err != nil {
-				b.Fatal(err)
-			}
-			benchSinkBool = s.Stop
+			benchSinkBool = r.ShouldStop(c, EstimateOf(c-c/50, c))
 		}
 	}
 }

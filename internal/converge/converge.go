@@ -18,7 +18,6 @@
 package converge
 
 import (
-	"fmt"
 	"math"
 
 	"yap/internal/num"
@@ -151,59 +150,3 @@ func (r Rule) ShouldStop(completed int, est Estimate) bool {
 	}
 	return est.HalfWidth <= r.Epsilon
 }
-
-// Snapshot is one element of a convergence stream: the running estimate
-// after Completed of Requested samples, plus the rule's verdict at that
-// point.
-type Snapshot struct {
-	// Seq is the 1-based ordinal of this snapshot within its stream.
-	Seq int
-	// Completed and Requested count samples folded into the tally and the
-	// run's hard cap.
-	Completed, Requested int
-	// Estimate is the running yield estimate over the tally so far.
-	Estimate Estimate
-	// Stop is the rule's verdict at this snapshot.
-	Stop bool
-}
-
-// Tracker folds an ordered sequence of cumulative tally checkpoints into
-// Snapshots. It enforces the ordering a convergence stream promises its
-// consumers: sample counts must be non-decreasing (checkpoints are
-// cumulative, so a regression means the producer is broken, not merely
-// slow). Tracker is not safe for concurrent use; each stream owns one.
-type Tracker struct {
-	rule          Rule
-	seq           int
-	lastCompleted int
-}
-
-// NewTracker returns a Tracker applying rule (normalized) to a fresh stream.
-func NewTracker(rule Rule) *Tracker {
-	return &Tracker{rule: rule.Normalized()}
-}
-
-// Observe folds the cumulative tally (successes out of trials) reached
-// after completed of requested samples and returns the resulting Snapshot.
-// A completed value below the previous observation is rejected — streams
-// are cumulative by contract.
-func (t *Tracker) Observe(completed, requested, successes, trials int) (Snapshot, error) {
-	if completed < t.lastCompleted {
-		return Snapshot{}, fmt.Errorf(
-			"converge: checkpoint regressed from %d to %d completed samples",
-			t.lastCompleted, completed)
-	}
-	t.lastCompleted = completed
-	t.seq++
-	est := EstimateOf(successes, trials)
-	return Snapshot{
-		Seq:       t.seq,
-		Completed: completed,
-		Requested: requested,
-		Estimate:  est,
-		Stop:      t.rule.ShouldStop(completed, est),
-	}, nil
-}
-
-// Rule returns the (normalized) rule the tracker applies.
-func (t *Tracker) Rule() Rule { return t.rule }

@@ -162,35 +162,6 @@ func TestRuleShouldStop(t *testing.T) {
 	}
 }
 
-func TestTrackerObserve(t *testing.T) {
-	tr := NewTracker(Rule{Epsilon: 0.01, MinSamples: 100, CheckEvery: 100})
-	s1, err := tr.Observe(100, 1000, 99, 100)
-	if err != nil {
-		t.Fatalf("Observe: %v", err)
-	}
-	if s1.Seq != 1 || s1.Completed != 100 || s1.Requested != 1000 {
-		t.Errorf("snapshot 1 = %+v", s1)
-	}
-	if s1.Stop {
-		t.Error("stopped at half-width ≈ 0.04 with ε = 0.01")
-	}
-	s2, err := tr.Observe(200, 1000, 200, 200)
-	if err != nil {
-		t.Fatalf("Observe: %v", err)
-	}
-	if s2.Seq != 2 {
-		t.Errorf("seq = %d, want 2", s2.Seq)
-	}
-	// Same completed count again (e.g. a re-published checkpoint) is fine —
-	// cumulative streams may repeat, they may not regress.
-	if _, err := tr.Observe(200, 1000, 200, 200); err != nil {
-		t.Fatalf("repeat Observe: %v", err)
-	}
-	if _, err := tr.Observe(150, 1000, 150, 150); err == nil {
-		t.Error("Observe accepted a regressed checkpoint")
-	}
-}
-
 // Property: the stop index produced by walking the checkpoint ladder over a
 // fixed success sequence is a pure function of (rule, tally sequence) — two
 // independent walks agree exactly.
@@ -198,26 +169,22 @@ func TestStopIndexDeterministicProperty(t *testing.T) {
 	// A synthetic deterministic tally: success count k(n) = n - n/50 gives
 	// a yield of 0.98 whose Wilson half-width crosses 0.01 around n ≈ 1100.
 	tally := func(n int) int { return n - n/50 }
-	run := func() (stopAt, seq int) {
+	run := func() (stopAt, checks int) {
 		r := Rule{Epsilon: 0.01, MinSamples: 100, CheckEvery: 50}
-		tr := NewTracker(r)
 		const total = 100000
 		for c := 0; c < total; {
 			c = r.NextCheckpoint(c, total)
-			s, err := tr.Observe(c, total, tally(c), c)
-			if err != nil {
-				t.Fatalf("Observe: %v", err)
-			}
-			if s.Stop {
-				return c, s.Seq
+			checks++
+			if r.ShouldStop(c, EstimateOf(tally(c), c)) {
+				return c, checks
 			}
 		}
 		return -1, -1
 	}
-	stop1, seq1 := run()
-	stop2, seq2 := run()
-	if stop1 != stop2 || seq1 != seq2 {
-		t.Fatalf("non-deterministic stop: (%d,%d) vs (%d,%d)", stop1, seq1, stop2, seq2)
+	stop1, checks1 := run()
+	stop2, checks2 := run()
+	if stop1 != stop2 || checks1 != checks2 {
+		t.Fatalf("non-deterministic stop: (%d,%d) vs (%d,%d)", stop1, checks1, stop2, checks2)
 	}
 	if stop1 <= 0 {
 		t.Fatal("rule never stopped on a converging tally")

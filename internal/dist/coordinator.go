@@ -199,7 +199,10 @@ type job struct {
 // workers, reassign from dead or slow ones, fold partial shard results,
 // and merge. The merged Result is bit-identical (Elapsed excluded) to
 // sim.RunW2WContext/RunD2WContext with the same options — at any fleet
-// size, with any reassignment history. mode is "w2w" or "d2w".
+// size, with any reassignment history. mode is "w2w" or "d2w". Simulate
+// runs opts as one fixed-N slice, ignoring opts.EarlyStop; the service
+// adapts it into a sim.SliceRunner so that sim.Run walks an early-stop
+// ladder across the fleet, one call per slice.
 //
 // opts.Faults is ignored: the coordinator's own hooks come from
 // Config.Faults, and workers arm their plans process-side (YAP_FAULTS).
@@ -207,19 +210,7 @@ type job struct {
 // (CollectPerDie and the ablation switches) are rejected rather than
 // silently dropped.
 func (c *Coordinator) Simulate(ctx context.Context, mode string, opts sim.Options) (sim.Result, service.DistInfo, error) {
-	var total int
-	switch mode {
-	case "w2w":
-		total = opts.Wafers
-		if total <= 0 {
-			total = 1000
-		}
-	case "d2w":
-		total = opts.Dies
-		if total <= 0 {
-			total = 20000
-		}
-	default:
+	if mode != "w2w" && mode != "d2w" {
 		return sim.Result{}, service.DistInfo{}, fmt.Errorf("dist: unknown mode %q (want w2w or d2w)", mode)
 	}
 	if err := unsupportedOptions(opts); err != nil {
@@ -233,7 +224,7 @@ func (c *Coordinator) Simulate(ctx context.Context, mode string, opts sim.Option
 		return sim.Result{}, service.DistInfo{}, fmt.Errorf("dist: encoding params: %w", err)
 	}
 	wantHash := opts.Params.HashString()
-	shards, err := Plan(total, c.reg.Known()*c.cfg.ShardsPerWorker)
+	shards, err := Plan(opts.Samples(mode), c.reg.Known()*c.cfg.ShardsPerWorker)
 	if err != nil {
 		return sim.Result{}, service.DistInfo{}, err
 	}
@@ -410,8 +401,6 @@ func unsupportedOptions(opts sim.Options) error {
 	case opts.TwoDRandomMisalignment, opts.IncludeMainVoidW2W, opts.PerWaferSystematics,
 		opts.ExplicitRecessPads, opts.ExplicitOverlayPads, opts.ModelConventionDefects:
 		return errors.New("dist: ablation options are not supported over the shard protocol; run locally")
-	case opts.D2WDefectMarginFactor != 0:
-		return errors.New("dist: D2WDefectMarginFactor is not supported over the shard protocol; run locally")
 	}
 	return nil
 }

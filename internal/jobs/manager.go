@@ -20,21 +20,6 @@ import (
 	"yap/internal/sim"
 )
 
-// RunFunc executes one contiguous slice of a Monte-Carlo run. mode is
-// "w2w" or "d2w"; opts carries the slice's FirstSample/Wafers/Dies. The
-// default runs in-process; yapserve substitutes the dist coordinator when
-// a worker fleet is registered. The contract the manager depends on: for
-// a given (Params, Seed, FirstSample, sample count) the returned raw
-// tallies are bit-identical however the slice is executed.
-type RunFunc func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error)
-
-func defaultRun(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
-	if mode == "d2w" {
-		return sim.RunD2WContext(ctx, opts)
-	}
-	return sim.RunW2WContext(ctx, opts)
-}
-
 // Replicator observes the durable record stream for replication.
 // Implemented by internal/replica.Node; the Manager stays ignorant of
 // transports and election.
@@ -62,8 +47,10 @@ type Config struct {
 	// Dir is the durability directory (jobs.wal + jobs.snap live here);
 	// created if absent. Two managers must not share a directory.
 	Dir string
-	// Run executes job slices; nil runs the in-process simulator.
-	Run RunFunc
+	// Run executes job slices; nil runs the in-process simulator
+	// (sim.LocalRunner). yapserve substitutes the dist coordinator when a
+	// worker fleet is registered.
+	Run sim.SliceRunner
 	// Runners bounds concurrently executing jobs (default 2).
 	Runners int
 	// CheckpointEvery is the default slice size in samples between durable
@@ -242,7 +229,6 @@ type Stats struct {
 // pools from different activations never overlap.
 type Manager struct {
 	cfg   Config
-	run   RunFunc
 	clock func() time.Time
 
 	wal  *wal
@@ -292,13 +278,9 @@ func Open(cfg Config) (*Manager, error) {
 	}
 	m := &Manager{
 		cfg:   cfg,
-		run:   cfg.Run,
 		clock: cfg.Clock,
 		snap:  filepath.Join(cfg.Dir, snapName),
 		jobs:  make(map[string]*jobState),
-	}
-	if m.run == nil {
-		m.run = defaultRun
 	}
 	if m.clock == nil {
 		m.clock = time.Now
@@ -1442,29 +1424,20 @@ func (m *Manager) takeJob() (string, bool) {
 	return id, true
 }
 
-// stopEarlyLocked finishes a job the sequential rule just stopped: the
-// accumulated Result over the durable prefix becomes the final one, with
-// Requested kept at the submitted cap — the skipped samples were saved,
-// not lost, and the StoppedEarly flag records why Completed is short.
-// Callers hold m.mu.
-func (m *Manager) stopEarlyLocked(js *jobState, acc sim.Result, cap int) {
-	final, err := sim.Merge(acc)
-	if err != nil {
-		m.finishLocked(js, StateFailed, fmt.Sprintf("finalizing early stop: %v", err), nil)
-		return
-	}
-	final.Requested = cap
-	final.StoppedEarly = true
-	m.stats.EarlyStops++
-	m.stats.SamplesSaved += uint64(cap - final.Completed)
-	m.finishLocked(js, StateDone, "", &final)
-}
+// errSettled ends a run whose job went terminal under it (see
+// commitLocked); settle leaves such a job as it is.
+var errSettled = errors.New("jobs: run settled by its checkpoint")
 
-// runJob executes one job from its last durable checkpoint to the end,
-// appending a cumulative checkpoint record after every slice. The slice
-// results are folded through sim.Merge — the same arithmetic as the dist
-// coordinator — so the final Result is bit-identical to an uninterrupted
-// single-process run (Elapsed excepted, as everywhere).
+// runJob executes one job from its last durable checkpoint to the end. A
+// simulate job runs through sim.RunSlices on the multiples of its
+// checkpoint cadence: each whole slice is folded in with sim.Merge — the
+// same arithmetic as the dist coordinator — and made durable as a
+// cumulative checkpoint record before the stop rule sees it. The
+// boundaries and the tallies at them are the same on every run and
+// across crash/resume, so the final Result is bit-identical to an
+// uninterrupted single-process run (Elapsed excepted, as everywhere) and
+// a resumed job stops at exactly the sample index the uninterrupted one
+// would have.
 func (m *Manager) runJob(ctx context.Context, id string) {
 	// An injected panic at HookJobsRun (or a genuine bug in the slice
 	// path) costs this job a failure, not the whole daemon. Code holding
@@ -1505,239 +1478,146 @@ func (m *Manager) runJob(ctx context.Context, id string) {
 	sweepDone := append([]SweepOutcome(nil), js.job.Sweep...)
 	m.mu.Unlock()
 
+	// Submit resolves CheckpointEvery into the persisted spec; the fallback
+	// only covers records written before it did so.
+	every := spec.CheckpointEvery
+	if every <= 0 {
+		every = m.cfg.checkpointEvery()
+	}
 	if spec.Mode == ModeSweep {
-		m.runSweepJob(jobCtx, js, spec, completed, sweepDone)
+		m.settle(jobCtx, js, m.runSweepJob(jobCtx, js, spec, every, completed, sweepDone), nil)
 		return
 	}
 
-	// Submit resolves CheckpointEvery into the persisted spec; the fallback
-	// only covers records written before it did so.
-	checkpointEvery := spec.CheckpointEvery
-	if checkpointEvery <= 0 {
-		checkpointEvery = m.cfg.checkpointEvery()
+	run := m.cfg.Run
+	if run == nil {
+		run = sim.LocalRunner()
+	}
+	slice := func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
+		if err := m.cfg.Faults.Fire(ctx, faultinject.HookJobsRun); err != nil {
+			return sim.Result{}, fmt.Errorf("slice at sample %d: %w", opts.FirstSample, err)
+		}
+		res, err := run(ctx, mode, opts)
+		switch {
+		case err != nil:
+			return sim.Result{}, fmt.Errorf("slice at sample %d: %w", opts.FirstSample, err)
+		case res.Partial && ctx.Err() == nil:
+			// No deadline and no cancellation, yet the slice is partial —
+			// a distributed runner degraded. The tallies cannot be trusted
+			// to be contiguous, so fail rather than checkpoint them.
+			return sim.Result{}, fmt.Errorf("slice at sample %d returned partial tallies (%d/%d)",
+				opts.FirstSample, res.Completed, res.Requested)
+		}
+		return res, nil
 	}
 	workers := spec.Workers
 	if workers <= 0 {
 		workers = m.cfg.SimWorkers
 	}
-	// The early-stop rule is evaluated at durable checkpoint boundaries,
-	// which are deterministic (multiples of checkpointEvery, capped at
-	// Samples) and carry bit-identical cumulative tallies across
-	// crash/resume — so a resumed job stops at exactly the sample index the
-	// uninterrupted one would have. CheckEvery is the checkpoint cadence
-	// purely for documentation; ShouldStop only reads Epsilon/MinSamples.
-	rule := converge.Rule{
-		Epsilon:    spec.Epsilon,
-		MinSamples: spec.MinSamples,
-		CheckEvery: checkpointEvery,
-	}.Normalized()
-
-	// acc accumulates the merged partial Result; base is the durable
-	// prefix (empty for a fresh job).
-	acc := baseResult(spec.Mode, counts, completed)
-	fail := func(text string) {
-		m.mu.Lock()
-		js.cancel = nil
-		m.finishLocked(js, StateFailed, text, nil)
-		m.mu.Unlock()
+	opts := sim.Options{Params: spec.Params, Seed: spec.Seed, Workers: workers, Faults: m.cfg.Faults}
+	if spec.Mode == "d2w" {
+		opts.Dies = spec.Samples
+	} else {
+		opts.Wafers = spec.Samples
 	}
-
-	// A resumed job may already sit at the checkpoint where the rule fires:
-	// a crash can land between appending that checkpoint record and the
-	// terminal record. Re-evaluate the durable prefix before running any
-	// further slice, so the resumed job stops at exactly the sample index —
-	// and with the Result — the uninterrupted one would have.
-	if completed > 0 && completed < spec.Samples && rule.Enabled() &&
-		rule.ShouldStop(completed, converge.EstimateOf(counts.Survived, counts.Dies)) {
-		m.mu.Lock()
-		js.cancel = nil
-		if !js.job.State.Terminal() {
-			m.stopEarlyLocked(js, acc, spec.Samples)
-		}
-		m.mu.Unlock()
-		return
-	}
-
-	// interrupted ends the run when jobCtx fired: a user cancel becomes a
-	// durable canceled state; a manager shutdown leaves the job durably
-	// running so the next Open resumes it from the last checkpoint —
-	// deliberately indistinguishable from a crash. Either way the
-	// in-flight slice is discarded: its partial tallies may cover
-	// NON-contiguous samples (workers stride the index space), so they
-	// can never be checkpointed.
-	interrupted := func() {
-		m.mu.Lock()
-		js.cancel = nil
-		if js.cancelRequested && !js.job.State.Terminal() {
-			m.finishLocked(js, StateCanceled, "", nil)
-		}
-		m.mu.Unlock()
-	}
-
-	for completed < spec.Samples {
-		chunk := spec.Samples - completed
-		if chunk > checkpointEvery {
-			chunk = checkpointEvery
-		}
-		if err := m.cfg.Faults.Fire(jobCtx, faultinject.HookJobsRun); err != nil {
-			if jobCtx.Err() != nil {
-				interrupted()
-				return
+	rule := converge.Rule{Epsilon: spec.Epsilon, MinSamples: spec.MinSamples}
+	res, err := sim.RunSlices(jobCtx, slice, spec.Mode, opts, baseResult(spec.Mode, counts, completed),
+		func(done int) int { return (done/every + 1) * every },
+		func(acc sim.Result) (bool, error) {
+			m.mu.Lock()
+			defer m.mu.Unlock()
+			if acc.Completed > js.job.Completed {
+				c := acc.Counts
+				if !m.commitLocked(js, walRecord{Type: recCheckpoint, ID: id, Completed: acc.Completed, Counts: &c}, "sample") {
+					return false, errSettled
+				}
 			}
-			fail(fmt.Sprintf("slice at sample %d: %v", completed, err))
-			return
-		}
-		opts := sim.Options{
-			Params:      spec.Params,
-			Seed:        spec.Seed,
-			Workers:     workers,
-			FirstSample: completed,
-			Faults:      m.cfg.Faults,
-		}
-		if spec.Mode == "d2w" {
-			opts.Dies = chunk
-		} else {
-			opts.Wafers = chunk
-		}
-		res, err := m.run(jobCtx, spec.Mode, opts)
-		if jobCtx.Err() != nil {
-			interrupted()
-			return
-		}
-		if err != nil {
-			fail(fmt.Sprintf("slice at sample %d: %v", completed, err))
-			return
-		}
-		if res.Partial {
-			// No deadline and no cancellation, yet the slice is partial —
-			// a distributed runner degraded. The tallies cannot be trusted
-			// to be contiguous, so fail rather than checkpoint them.
-			fail(fmt.Sprintf("slice at sample %d returned partial tallies (%d/%d)", completed, res.Completed, res.Requested))
-			return
-		}
-		merged, err := sim.Merge(acc, res)
-		if err != nil {
-			fail(fmt.Sprintf("merging slice at sample %d: %v", completed, err))
-			return
-		}
-		acc = merged
-		completed += chunk
-
-		m.mu.Lock()
-		if js.job.State.Terminal() { // raced with a durable cancel
-			js.cancel = nil
-			m.mu.Unlock()
-			return
-		}
-		c := acc.Counts
-		if err := m.appendLocked(walRecord{Type: recCheckpoint, ID: id, Completed: completed, Counts: &c}); err != nil {
-			js.cancel = nil
-			m.finishLocked(js, StateFailed, fmt.Sprintf("checkpoint at sample %d: %v", completed, err), nil)
-			m.mu.Unlock()
-			return
-		}
-		js.job.Completed = completed
-		js.job.Counts = acc.Counts
-		m.publishLocked(js)
-		if completed < spec.Samples && rule.Enabled() &&
-			rule.ShouldStop(completed, converge.EstimateOf(acc.Counts.Survived, acc.Counts.Dies)) {
-			js.cancel = nil
-			m.stopEarlyLocked(js, acc, spec.Samples)
-			m.mu.Unlock()
-			return
-		}
-		m.mu.Unlock()
-	}
-
-	final, err := sim.Merge(acc)
-	if err != nil {
-		fail(fmt.Sprintf("finalizing: %v", err))
-		return
-	}
-	m.mu.Lock()
-	js.cancel = nil
-	if !js.job.State.Terminal() {
-		m.finishLocked(js, StateDone, "", &final)
-	}
-	m.mu.Unlock()
+			return rule.ShouldStop(acc.Completed, converge.EstimateOf(acc.Counts.Survived, acc.Counts.Dies)), nil
+		})
+	m.settle(jobCtx, js, err, &res)
 }
 
 // runSweepJob walks the sweep's remaining points through the analytic
-// model in checkpoint-sized slices, appending a cumulative outcome record
-// after each. Evaluation is pure float arithmetic over the persisted
-// resolved params, so a resumed sweep reproduces the identical outcome
-// list — the same bit-identity contract simulate jobs get from their
-// (seed, index) streams. A panicking point is recorded as that point's
-// error and the sweep continues, mirroring /v1/sweep.
-func (m *Manager) runSweepJob(jobCtx context.Context, js *jobState, spec Spec, completed int, done []SweepOutcome) {
+// model in checkpoint-sized slices, committing a cumulative outcome record
+// after each; it returns nil once every point is durable. Evaluation is
+// pure float arithmetic over the persisted resolved params, so a resumed
+// sweep reproduces the identical outcome list — the same bit-identity
+// contract simulate jobs get from their (seed, index) streams. A
+// panicking point is recorded as that point's error and the sweep
+// continues, mirroring /v1/sweep.
+func (m *Manager) runSweepJob(jobCtx context.Context, js *jobState, spec Spec, every, completed int, done []SweepOutcome) error {
 	id := js.job.ID
-	checkpointEvery := spec.CheckpointEvery
-	if checkpointEvery <= 0 {
-		checkpointEvery = m.cfg.checkpointEvery()
-	}
-	fail := func(text string) {
-		m.mu.Lock()
-		js.cancel = nil
-		m.finishLocked(js, StateFailed, text, nil)
-		m.mu.Unlock()
-	}
-	interrupted := func() {
-		m.mu.Lock()
-		js.cancel = nil
-		if js.cancelRequested && !js.job.State.Terminal() {
-			m.finishLocked(js, StateCanceled, "", nil)
-		}
-		m.mu.Unlock()
-	}
-
-	total := len(spec.Points)
-	for completed < total {
-		chunk := total - completed
-		if chunk > checkpointEvery {
-			chunk = checkpointEvery
-		}
+	for total := len(spec.Points); completed < total; {
+		chunk := min(total-completed, every)
 		if err := m.cfg.Faults.Fire(jobCtx, faultinject.HookJobsRun); err != nil {
-			if jobCtx.Err() != nil {
-				interrupted()
-				return
-			}
-			fail(fmt.Sprintf("sweep slice at point %d: %v", completed, err))
-			return
+			return fmt.Errorf("sweep slice at point %d: %w", completed, err)
 		}
 		for i := completed; i < completed+chunk; i++ {
-			if jobCtx.Err() != nil {
-				interrupted()
-				return
+			if err := jobCtx.Err(); err != nil {
+				return err
 			}
 			done = append(done, m.evalSweepPoint(jobCtx, i, spec.Points[i], spec.Eval))
 		}
 		completed += chunk
-
+		rec := walRecord{Type: recCheckpoint, ID: id, Completed: completed, Sweep: append([]SweepOutcome(nil), done...)}
 		m.mu.Lock()
-		if js.job.State.Terminal() { // raced with a durable cancel
-			js.cancel = nil
-			m.mu.Unlock()
-			return
-		}
-		outcomes := append([]SweepOutcome(nil), done...)
-		if err := m.appendLocked(walRecord{Type: recCheckpoint, ID: id, Completed: completed, Sweep: outcomes}); err != nil {
-			js.cancel = nil
-			m.finishLocked(js, StateFailed, fmt.Sprintf("checkpoint at point %d: %v", completed, err), nil)
-			m.mu.Unlock()
-			return
-		}
-		js.job.Completed = completed
-		js.job.Sweep = outcomes
-		m.publishLocked(js)
+		ok := m.commitLocked(js, rec, "point")
 		m.mu.Unlock()
+		if !ok {
+			return errSettled
+		}
 	}
+	return nil
+}
 
-	m.mu.Lock()
-	js.cancel = nil
-	if !js.job.State.Terminal() {
-		m.finishLocked(js, StateDone, "", nil)
+// commitLocked makes a run's progress durable: it appends the cumulative
+// checkpoint record, applies it and publishes the new state. It reports
+// false when the run must end instead: the job went terminal while the
+// slice ran (a durable cancel won the race), or the append failed, which
+// fails the job. Callers hold m.mu.
+func (m *Manager) commitLocked(js *jobState, rec walRecord, unit string) bool {
+	if js.job.State.Terminal() {
+		return false
 	}
-	m.mu.Unlock()
+	if err := m.appendLocked(rec); err != nil {
+		m.finishLocked(js, StateFailed, fmt.Sprintf("checkpoint at %s %d: %v", unit, rec.Completed, err), nil)
+		return false
+	}
+	m.apply(rec)
+	m.publishLocked(js)
+	return true
+}
+
+// settle ends a run once its slice loop returns. A job that is already
+// terminal (see commitLocked) stays as it is. An interrupted run — jobCtx
+// fired — becomes a durable canceled state when a user asked for it; a
+// manager shutdown leaves the job durably running so the next Open
+// resumes it from the last checkpoint, deliberately indistinguishable
+// from a crash. Either way the in-flight slice is discarded: its partial
+// tallies may cover NON-contiguous samples (workers stride the index
+// space), so they are never checkpointed. Otherwise err fails the job,
+// or the job is done with res (nil for a sweep). A stopped-early res
+// keeps Requested at the submitted cap: the skipped samples were saved,
+// not lost.
+func (m *Manager) settle(jobCtx context.Context, js *jobState, err error, res *sim.Result) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	js.cancel = nil
+	switch {
+	case js.job.State.Terminal():
+	case jobCtx.Err() != nil:
+		if js.cancelRequested {
+			m.finishLocked(js, StateCanceled, "", nil)
+		}
+	case err != nil:
+		m.finishLocked(js, StateFailed, err.Error(), nil)
+	default:
+		if res != nil && res.StoppedEarly {
+			m.stats.EarlyStops++
+			m.stats.SamplesSaved += uint64(res.Requested - res.Completed)
+		}
+		m.finishLocked(js, StateDone, "", res)
+	}
 }
 
 // evalSweepPoint evaluates one resolved parameter set through the

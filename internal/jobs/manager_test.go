@@ -164,7 +164,7 @@ func TestCrashResumeBitIdentical(t *testing.T) {
 					<-ctx.Done()
 					return sim.Result{}, ctx.Err()
 				}
-				return defaultRun(ctx, mode, opts)
+				return sim.LocalRunner()(ctx, mode, opts)
 			}
 			m, err := Open(Config{Dir: dir, Run: run})
 			if err != nil {
@@ -220,7 +220,7 @@ func TestRepeatedCrashEveryEpoch(t *testing.T) {
 				<-ctx.Done()
 				return sim.Result{}, ctx.Err()
 			}
-			return defaultRun(ctx, mode, opts)
+			return sim.LocalRunner()(ctx, mode, opts)
 		}
 		m, err := Open(Config{Dir: dir, Run: run})
 		if err != nil {
@@ -369,7 +369,7 @@ func TestCancelPendingAndRunning(t *testing.T) {
 		started <- mode
 		select {
 		case <-release:
-			return defaultRun(ctx, mode, opts)
+			return sim.LocalRunner()(ctx, mode, opts)
 		case <-ctx.Done():
 			return sim.Result{}, ctx.Err()
 		}

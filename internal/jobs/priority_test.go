@@ -32,7 +32,7 @@ func (o *orderRun) run(ctx context.Context, mode string, opts sim.Options) (sim.
 			return sim.Result{}, ctx.Err()
 		}
 	}
-	return defaultRun(ctx, mode, opts)
+	return sim.LocalRunner()(ctx, mode, opts)
 }
 
 func (o *orderRun) order() []uint64 {

@@ -319,7 +319,7 @@ func TestJobEarlyStopAcrossResumeBitIdentical(t *testing.T) {
 			<-ctx.Done()
 			return sim.Result{}, ctx.Err()
 		}
-		return defaultRun(ctx, mode, opts)
+		return sim.LocalRunner()(ctx, mode, opts)
 	}
 	m, err := Open(Config{Dir: dir, Run: run})
 	if err != nil {
@@ -402,7 +402,7 @@ func TestJobEarlyStopResumeAtFiredCheckpoint(t *testing.T) {
 	var slices atomic.Int32
 	run := func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
 		slices.Add(1)
-		return defaultRun(ctx, mode, opts)
+		return sim.LocalRunner()(ctx, mode, opts)
 	}
 	m, err := Open(Config{Dir: dir, Run: run})
 	if err != nil {

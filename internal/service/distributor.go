@@ -13,10 +13,12 @@ import (
 // dependency ladder: dist → client → service).
 //
 // The contract mirrors the single-node engine exactly: for the same mode,
-// parameters, seed and sample count, Simulate must return a sim.Result
+// parameters, seed and sample range, Simulate must return a sim.Result
 // bit-identical (Elapsed excluded) to sim.RunW2WContext/RunD2WContext. A
 // deadline that expires mid-run may fold partial shard results into a
-// partial merged Result, just like the local engine does.
+// partial merged Result, just like the local engine does. Simulate runs
+// one fixed-N slice; the service drives an early-stop run's ladder over
+// it as a sim.SliceRunner, one call per slice.
 type Distributor interface {
 	// Simulate runs opts on the worker fleet. mode is "w2w" or "d2w".
 	Simulate(ctx context.Context, mode string, opts sim.Options) (sim.Result, DistInfo, error)
@@ -43,6 +45,7 @@ type DistStats struct {
 	// ShardsDispatched counts shard dispatch attempts; ShardsReassigned
 	// counts the failed attempts that were requeued.
 	ShardsDispatched, ShardsReassigned uint64
-	// RunsMerged counts distributed runs merged to completion.
+	// RunsMerged counts fan-outs merged to completion, one per Simulate
+	// call: an early-stopped run adds one per slice of its ladder.
 	RunsMerged uint64
 }

@@ -10,6 +10,7 @@ import (
 	"yap/internal/core"
 	"yap/internal/jobs"
 	"yap/internal/replica"
+	"yap/internal/sim"
 )
 
 // This file is the HTTP face of internal/jobs: durable asynchronous
@@ -96,16 +97,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		spec.Params = p
-		samples := req.Wafers
-		if mode == "d2w" {
-			samples = req.Dies
-			if samples == 0 {
-				samples = 20000
-			}
-		} else if samples == 0 {
-			samples = 1000
-		}
-		spec.Samples = samples
+		spec.Samples = sim.Options{Wafers: req.Wafers, Dies: req.Dies}.Samples(mode)
 	}
 	job, err := jm.Submit(spec)
 	switch {

@@ -519,22 +519,22 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
 		defer cancel()
 	}
-	var res sim.Result
+	// A coordinator fans every slice out across the fleet: the whole run
+	// when fixed-N, each slice of the rule's checkpoint ladder when
+	// epsilon is set, so the stop index is the local one either way.
 	var info DistInfo
-	// An early-stop run always executes locally: the sequential rule's
-	// checkpoint ladder is what makes the stop index deterministic, and
-	// the shard fan-out has no such ladder. Fixed-N requests still shard.
-	distributed := s.cfg.Distributor != nil && !req.Local && !opts.EarlyStop.Enabled()
-	runErr := s.pool.Run(ctx, func() {
-		switch {
-		case distributed:
-			res, info, err = s.cfg.Distributor.Simulate(ctx, mode, opts)
-		case mode == "w2w":
-			res, err = sim.RunW2WContext(ctx, opts)
-		default:
-			res, err = sim.RunD2WContext(ctx, opts)
+	run := sim.LocalRunner()
+	distributed := s.cfg.Distributor != nil && !req.Local
+	if distributed {
+		run = func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
+			res, slice, err := s.cfg.Distributor.Simulate(ctx, mode, opts)
+			info.Shards += slice.Shards
+			info.Reassigned += slice.Reassigned
+			return res, err
 		}
-	})
+	}
+	var res sim.Result
+	runErr := s.pool.Run(ctx, func() { res, err = sim.Run(ctx, run, mode, opts) })
 	if runErr == nil {
 		runErr = err
 	}
@@ -632,13 +632,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		defer cancel()
 	}
 	var res sim.Result
-	runErr := s.pool.Run(ctx, func() {
-		if mode == "w2w" {
-			res, err = sim.RunW2WContext(ctx, opts)
-		} else {
-			res, err = sim.RunD2WContext(ctx, opts)
-		}
-	})
+	runErr := s.pool.Run(ctx, func() { res, err = sim.LocalRunner()(ctx, mode, opts) })
 	if runErr == nil {
 		runErr = err
 	}

@@ -54,7 +54,7 @@ type SimulateRequest struct {
 	// Seed fixes the RNG; equal seeds reproduce exactly at any Workers.
 	Seed uint64 `json:"seed,omitempty"`
 	// Wafers (W2W) and Dies (D2W) are the sample counts; zero uses the
-	// paper defaults (1000 wafers / 20000 dies).
+	// paper defaults (sim.Options.Samples).
 	Wafers int `json:"wafers,omitempty"`
 	Dies   int `json:"dies,omitempty"`
 	// Workers bounds this run's parallelism; zero uses the daemon default.
@@ -316,7 +316,7 @@ type JobSubmitRequest struct {
 	// Seed fixes the RNG; equal seeds reproduce exactly — across crashes.
 	Seed uint64 `json:"seed,omitempty"`
 	// Wafers (W2W) and Dies (D2W) are the sample counts; zero uses the
-	// paper defaults (1000 wafers / 20000 dies).
+	// paper defaults (sim.Options.Samples).
 	Wafers int `json:"wafers,omitempty"`
 	Dies   int `json:"dies,omitempty"`
 	// Workers bounds each slice's parallelism; zero uses the daemon

@@ -3,6 +3,7 @@ package sim
 import (
 	"context"
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -29,7 +30,7 @@ func TestRunW2WContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunW2WContext(ctx, Options{Params: core.Baseline(), Seed: 1, Wafers: 100})
-	if !errors.Is(err, context.Canceled) {
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "sim: W2W run aborted before any wafer completed") {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }
@@ -72,7 +73,7 @@ func TestRunD2WContextCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunD2WContext(ctx, Options{Params: core.Baseline(), Seed: 1, Dies: 100000})
-	if !errors.Is(err, context.Canceled) {
+	if !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), "sim: D2W run aborted before any die completed") {
 		t.Fatalf("want context.Canceled, got %v", err)
 	}
 }

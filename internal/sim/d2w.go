@@ -2,10 +2,7 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sync"
-	"time"
 
 	"yap/internal/faultinject"
 	"yap/internal/geom"
@@ -42,12 +39,12 @@ func newD2WEnv(opts Options) (*d2wEnv, error) {
 	dp := p.DefectParams()
 	effR := wafer.EffectiveDieRadius(p.DieWidth, p.DieHeight)
 	// Particle-sampling margin: void squares larger than margin·knee are
-	// truncated; with the default factor 20 and z = 3 that is a ~20⁻⁴
+	// truncated; with the factor 20 and z = 3 that is a ~20⁻⁴
 	// relative tail loss (DESIGN.md §2.8). The pad-reach term uses the
 	// largest top-pad half-side over the regions, so a wide-pad region near
 	// the die edge still sees its full particle flux.
 	knee := dp.MainVoidRadius(effR, p.MinParticleThickness)
-	margin := opts.marginFactor()*knee + maxPadHalf(regions)
+	margin := 20*knee + maxPadHalf(regions)
 	ext := geom.RectAround(geom.Vec2{}, p.DieWidth, p.DieHeight).Expand(margin)
 	return &d2wEnv{
 		opts:       opts,
@@ -82,99 +79,14 @@ const d2wCancelStride = 64
 // injected fault (Options.Faults), returns an error. Determinism is
 // unaffected — each die sample draws from its own seed-derived stream.
 func RunD2WContext(ctx context.Context, opts Options) (Result, error) {
-	if opts.FirstSample < 0 {
-		return Result{}, fmt.Errorf("sim: negative FirstSample %d", opts.FirstSample)
-	}
-	if opts.EarlyStop.Enabled() {
-		dies := opts.Dies
-		if dies <= 0 {
-			dies = 20000
-		}
-		return runEarlyStop(ctx, "D2W", opts, dies)
-	}
-	env, err := newD2WEnv(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	dies := opts.Dies
-	if dies <= 0 {
-		dies = 20000
-	}
-	start := time.Now() //yaplint:allow determinism runtime telemetry only; never feeds the sampled streams
+	return Run(ctx, LocalRunner(), "d2w", opts)
+}
 
-	workers := opts.workers()
-	if workers > dies {
-		workers = dies
-	}
-	// Workers share a derived context so an injected fault in one aborts
-	// the siblings promptly; the parent ctx still decides partial-vs-full.
-	runCtx, stop := context.WithCancel(ctx)
-	defer stop()
-	done := runCtx.Done()
-	faultErrs := make(chan error, workers)
-	results := make(chan Counts, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var local Counts
-			// A panicking die sample (fault injection, or a genuine bug)
-			// must cost this run an error, not the whole process; local is
-			// checkpointed per completed die, so it is always coherent.
-			defer func() {
-				if rec := recover(); rec != nil {
-					faultErrs <- fmt.Errorf("sim: D2W die worker panicked: %v", rec)
-					stop()
-				}
-				results <- local
-			}()
-			steps := 0
-			for i := worker; i < dies; i += workers {
-				if steps%d2wCancelStride == 0 {
-					select {
-					case <-done:
-						return
-					default:
-					}
-					if err := opts.Faults.Fire(runCtx, faultinject.HookSimD2WDie); err != nil {
-						if runCtx.Err() == nil { // a real fault, not cancellation
-							faultErrs <- fmt.Errorf("sim: D2W die aborted: %w", err)
-							stop()
-						}
-						return
-					}
-				}
-				steps++
-				local.Add(env.simulateDie(randx.Derive(opts.Seed, uint64(opts.FirstSample)+uint64(i))))
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(results)
-
-	var total Counts
-	for c := range results {
-		total.Add(c)
-	}
-	select {
-	case err := <-faultErrs:
-		return Result{}, err
-	default:
-	}
-	elapsed := time.Since(start) //yaplint:allow determinism runtime telemetry only; never feeds the sampled streams
-	completed := total.Dies
-	if err := ctx.Err(); err != nil && completed < dies {
-		if completed == 0 {
-			return Result{}, fmt.Errorf("sim: D2W run aborted before any die completed: %w", err)
-		}
-		res := resultFrom("D2W", total, elapsed)
-		res.Partial, res.Completed, res.Requested = true, completed, dies
-		return res, nil
-	}
-	res := resultFrom("D2W", total, elapsed)
-	res.Completed, res.Requested = completed, dies
-	return res, nil
+// sampler returns the D2W kernel for the shared sample loop: one sample
+// is one bonded die.
+func (e *d2wEnv) sampler() sampler {
+	return sampler{mode: "D2W", unit: "die", hook: faultinject.HookSimD2WDie, stride: d2wCancelStride,
+		sample: func(rng *randx.Source, _ []Counts) Counts { return e.simulateDie(rng) }}
 }
 
 // simulateDie runs one bonded-die sample through the three checks.

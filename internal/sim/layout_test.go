@@ -83,9 +83,6 @@ func TestLegacyGoldenReplayD2W(t *testing.T) {
 		{"explicitPads", Options{Params: smallParams(), Seed: 4, Dies: 1500, Workers: 2,
 			ExplicitOverlayPads: true, ExplicitRecessPads: true},
 			Counts{1500, 1500, 1493, 1500, 1493}},
-		{"margin10", Options{Params: core.Baseline(), Seed: 5, Dies: 2000, Workers: 2,
-			D2WDefectMarginFactor: 10},
-			Counts{2000, 2000, 1754, 1991, 1746}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -166,7 +163,6 @@ func TestUniformLayoutBitIdenticalD2W(t *testing.T) {
 		{Params: core.Baseline(), Seed: 22, Dies: 600, TwoDRandomMisalignment: true},
 		{Params: waferSigmaParams(), Seed: 23, Dies: 600},
 		{Params: smallParams(), Seed: 24, Dies: 400, ExplicitOverlayPads: true, ExplicitRecessPads: true},
-		{Params: core.Baseline(), Seed: 25, Dies: 500, D2WDefectMarginFactor: 10},
 	}
 	for _, opts := range base {
 		for _, workers := range []int{1, 2, 5} {

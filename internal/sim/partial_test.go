@@ -104,7 +104,7 @@ func TestFaultErrorAbortsW2W(t *testing.T) {
 		Hook: faultinject.HookSimW2WWafer, Mode: faultinject.ModeError, Probability: 1,
 	})
 	_, err := RunW2W(Options{Params: core.Baseline(), Seed: 1, Wafers: 8, Workers: 2, Faults: inj})
-	if !errors.Is(err, faultinject.ErrInjected) {
+	if !errors.Is(err, faultinject.ErrInjected) || !strings.Contains(err.Error(), "sim: W2W wafer aborted") {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestFaultPanicIsRecoveredToErrorW2W(t *testing.T) {
 		Hook: faultinject.HookSimW2WWafer, Mode: faultinject.ModePanic, Probability: 1,
 	})
 	_, err := RunW2W(Options{Params: core.Baseline(), Seed: 1, Wafers: 8, Workers: 2, Faults: inj})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
+	if err == nil || !strings.Contains(err.Error(), "sim: W2W wafer worker panicked") {
 		t.Fatalf("want a recovered-panic error, got %v", err)
 	}
 }
@@ -124,7 +124,7 @@ func TestFaultErrorAbortsD2W(t *testing.T) {
 		Hook: faultinject.HookSimD2WDie, Mode: faultinject.ModeError, Probability: 1,
 	})
 	_, err := RunD2W(Options{Params: core.Baseline(), Seed: 1, Dies: 500, Workers: 2, Faults: inj})
-	if !errors.Is(err, faultinject.ErrInjected) {
+	if !errors.Is(err, faultinject.ErrInjected) || !strings.Contains(err.Error(), "sim: D2W die aborted") {
 		t.Fatalf("want ErrInjected, got %v", err)
 	}
 }
@@ -134,7 +134,7 @@ func TestFaultPanicIsRecoveredToErrorD2W(t *testing.T) {
 		Hook: faultinject.HookSimD2WDie, Mode: faultinject.ModePanic, Probability: 1,
 	})
 	_, err := RunD2W(Options{Params: core.Baseline(), Seed: 1, Dies: 500, Workers: 2, Faults: inj})
-	if err == nil || !strings.Contains(err.Error(), "panicked") {
+	if err == nil || !strings.Contains(err.Error(), "sim: D2W die worker panicked") {
 		t.Fatalf("want a recovered-panic error, got %v", err)
 	}
 }

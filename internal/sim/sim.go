@@ -45,16 +45,16 @@ type Options struct {
 	// produce identical results regardless of Workers.
 	Seed uint64
 	// Wafers is the number of bonded-wafer samples for W2W runs
-	// (paper default: 1000).
+	// (0: the paper default, see Samples).
 	Wafers int
 	// Dies is the number of bonded-die samples for D2W runs
-	// (paper default: 20000).
+	// (0: the paper default, see Samples).
 	Dies int
 	// Workers bounds the parallelism; 0 means GOMAXPROCS.
 	Workers int
 	// EarlyStop optionally arms the deterministic sequential-stopping rule
 	// of internal/converge: the run executes in contiguous sample slices
-	// and ends as soon as the Wilson 95% half-width of the running yield
+	// (Run, RunSlices) and ends as soon as the Wilson 95% half-width of the running yield
 	// estimate falls to EarlyStop.Epsilon (never before
 	// EarlyStop.MinSamples, never after Wafers/Dies — the fixed N becomes
 	// a hard cap). Because the rule is evaluated only at sample-count
@@ -105,10 +105,6 @@ type Options struct {
 	// default isolates the wafer-edge and orientation approximations in
 	// the closed-form Λ of Eq. 20 (ablation; DESIGN.md §2.7).
 	ModelConventionDefects bool
-	// D2WDefectMarginFactor scales the particle-sampling margin around a
-	// D2W die in units of the void-size knee (default 20, which leaves a
-	// ~20⁻⁴ relative truncation of the void-size tail).
-	D2WDefectMarginFactor float64
 	// CollectPerDie (W2W only) additionally accumulates per-die-site
 	// survival statistics into Result.PerDie, index-aligned with the
 	// wafer layout's Dies() — the simulated counterpart of the model's
@@ -130,11 +126,20 @@ func (o Options) workers() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-func (o Options) marginFactor() float64 {
-	if o.D2WDefectMarginFactor > 0 {
-		return o.D2WDefectMarginFactor
+// Samples returns the sample count of a run in mode "w2w" or "d2w":
+// Wafers or Dies, or the paper's default of 1000 bonded wafers or 20000
+// bonded dies when that is not positive.
+func (o Options) Samples(mode string) int {
+	if mode == "d2w" {
+		if o.Dies > 0 {
+			return o.Dies
+		}
+		return 20000
 	}
-	return 20
+	if o.Wafers > 0 {
+		return o.Wafers
+	}
+	return 1000
 }
 
 // Counts aggregates per-check outcomes over all simulated dies. A die is

@@ -2,10 +2,7 @@ package sim
 
 import (
 	"context"
-	"fmt"
 	"math"
-	"sync"
-	"time"
 
 	"yap/internal/faultinject"
 	"yap/internal/geom"
@@ -124,114 +121,18 @@ func RunW2W(opts Options) (Result, error) {
 // so any wafer that completes contributes exactly what it would have
 // contributed to an uncanceled run at any worker count.
 func RunW2WContext(ctx context.Context, opts Options) (Result, error) {
-	if opts.FirstSample < 0 {
-		return Result{}, fmt.Errorf("sim: negative FirstSample %d", opts.FirstSample)
-	}
-	if opts.EarlyStop.Enabled() {
-		wafers := opts.Wafers
-		if wafers <= 0 {
-			wafers = 1000
-		}
-		return runEarlyStop(ctx, "W2W", opts, wafers)
-	}
-	env, err := newW2WEnv(opts)
-	if err != nil {
-		return Result{}, err
-	}
-	wafers := opts.Wafers
-	if wafers <= 0 {
-		wafers = 1000
-	}
-	start := time.Now() //yaplint:allow determinism runtime telemetry only; never feeds the sampled streams
+	return Run(ctx, LocalRunner(), "w2w", opts)
+}
 
-	workers := opts.workers()
-	if workers > wafers {
-		workers = wafers
+// sampler returns the W2W kernel for the shared sample loop: one sample
+// is one bonded wafer, and the loop polls ctx and fires the wafer hook
+// before every one.
+func (e *w2wEnv) sampler() sampler {
+	s := sampler{mode: "W2W", unit: "wafer", hook: faultinject.HookSimW2WWafer, stride: 1, sample: e.simulateWafer}
+	if e.opts.CollectPerDie {
+		s.perDie = len(e.dies)
 	}
-	type workerOut struct {
-		counts    Counts
-		perDie    []Counts
-		completed int
-	}
-	// Workers share a derived context so an injected fault in one aborts
-	// the siblings promptly; the parent ctx still decides partial-vs-full.
-	runCtx, stop := context.WithCancel(ctx)
-	defer stop()
-	done := runCtx.Done()
-	faultErrs := make(chan error, workers)
-	results := make(chan workerOut, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(worker int) {
-			defer wg.Done()
-			var out workerOut
-			if opts.CollectPerDie {
-				out.perDie = make([]Counts, len(env.dies))
-			}
-			// A panicking wafer (fault injection, or a genuine bug) must
-			// cost this run an error, not the whole process: tallies are
-			// checkpointed per completed wafer, so out is always coherent.
-			defer func() {
-				if rec := recover(); rec != nil {
-					faultErrs <- fmt.Errorf("sim: W2W wafer worker panicked: %v", rec)
-					stop()
-				}
-				results <- out
-			}()
-			for i := worker; i < wafers; i += workers {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				if err := opts.Faults.Fire(runCtx, faultinject.HookSimW2WWafer); err != nil {
-					if runCtx.Err() == nil { // a real fault, not cancellation
-						faultErrs <- fmt.Errorf("sim: W2W wafer aborted: %w", err)
-						stop()
-					}
-					return
-				}
-				out.counts.Add(env.simulateWafer(randx.Derive(opts.Seed, uint64(opts.FirstSample)+uint64(i)), out.perDie))
-				out.completed++
-			}
-		}(w)
-	}
-	wg.Wait()
-	close(results)
-
-	var total Counts
-	var perDie []Counts
-	completed := 0
-	if opts.CollectPerDie {
-		perDie = make([]Counts, len(env.dies))
-	}
-	for out := range results {
-		total.Add(out.counts)
-		completed += out.completed
-		for i := range out.perDie {
-			perDie[i].Add(out.perDie[i])
-		}
-	}
-	select {
-	case err := <-faultErrs:
-		return Result{}, err
-	default:
-	}
-	elapsed := time.Since(start) //yaplint:allow determinism runtime telemetry only; never feeds the sampled streams
-	if err := ctx.Err(); err != nil && completed < wafers {
-		if completed == 0 {
-			return Result{}, fmt.Errorf("sim: W2W run aborted before any wafer completed: %w", err)
-		}
-		res := resultFrom("W2W", total, elapsed)
-		res.Partial, res.Completed, res.Requested = true, completed, wafers
-		res.PerDie = perDie
-		return res, nil
-	}
-	res := resultFrom("W2W", total, elapsed)
-	res.Completed, res.Requested = completed, wafers
-	res.PerDie = perDie
-	return res, nil
+	return s
 }
 
 // simulateWafer runs one bonded-wafer sample: every die on the wafer is

@@ -43,11 +43,8 @@ func (r RuntimeComparison) String() string {
 }
 
 // MeasureRuntimeW2W times the analytic W2W model against a wafers-sample
-// simulation at the given parameters. wafers ≤ 0 uses the paper's 1000.
+// simulation at the given parameters. wafers ≤ 0 uses the paper's count.
 func MeasureRuntimeW2W(p core.Params, wafers int) (RuntimeComparison, error) {
-	if wafers <= 0 {
-		wafers = 1000
-	}
 	model, err := timeModel(func() error {
 		_, err := p.EvaluateW2W()
 		return err
@@ -59,6 +56,7 @@ func MeasureRuntimeW2W(p core.Params, wafers int) (RuntimeComparison, error) {
 	if err != nil {
 		return RuntimeComparison{}, err
 	}
+	wafers = res.Requested
 	// Paper-fidelity cost: time a single wafer with every pad's recess
 	// height drawn and every pad's overlay visited, then scale.
 	const explicitWafers = 1
@@ -83,11 +81,8 @@ func MeasureRuntimeW2W(p core.Params, wafers int) (RuntimeComparison, error) {
 }
 
 // MeasureRuntimeD2W times the analytic D2W model against a dies-sample
-// simulation. dies ≤ 0 uses the paper's 20000.
+// simulation. dies ≤ 0 uses the paper's count.
 func MeasureRuntimeD2W(p core.Params, dies int) (RuntimeComparison, error) {
-	if dies <= 0 {
-		dies = 20000
-	}
 	model, err := timeModel(func() error {
 		_, err := p.EvaluateD2W()
 		return err
@@ -99,6 +94,7 @@ func MeasureRuntimeD2W(p core.Params, dies int) (RuntimeComparison, error) {
 	if err != nil {
 		return RuntimeComparison{}, err
 	}
+	dies = res.Requested
 	// Paper-fidelity cost: time a handful of explicit per-pad dies and
 	// scale to the full sample count.
 	explicitDies := 20
