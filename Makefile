@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race chaos drills bench bench-records cover figures report serve clean
+.PHONY: all build vet lint test test-race chaos drills bench bench-smoke bench-records cover figures report serve clean
 
 all: build vet lint test
 
@@ -51,6 +51,18 @@ $(DRILL_TARGETS): drill-%:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Smoke run of the benchmark in traced mode (~10 s). Its traced mode
+# re-composes core.Params.EvaluateW2W/D2W from the model calls they make
+# and, when that no longer matches core bit for bit, only warns on stderr
+# and exits 0. This target fails on that warning.
+bench-smoke:
+	@err=$$(bash perfbench/run.sh --workload sweep-cold --seed 1 --seconds 1 --trace 1 2>&1 >/dev/null) || \
+		{ printf '%s\n' "$$err"; exit 1; }; \
+	[ -z "$$err" ] || printf '%s\n' "$$err"; \
+	if printf '%s' "$$err" | grep -q 'model decompositions no longer reproduce'; then \
+		echo "bench-smoke: perfbench's traced model mirror drifted from internal/core"; exit 1; \
+	fi
 
 # Machine-readable benchmark records, one JSON event per line, all
 # regenerated by `make bench-records`. Three are committed so perf

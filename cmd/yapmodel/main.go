@@ -80,7 +80,7 @@ func run(p core.Params, mode string, systemArea float64) error {
 		units.FormatMeters(p.Pitch), units.FormatMeters(p.TopPadDiameter), units.FormatMeters(p.BottomPadDiameter),
 		units.FormatMeters(p.DieWidth), units.FormatMeters(p.DieHeight), units.FormatDensity(p.DefectDensity))
 	fmt.Printf("pads/die=%d  dies/wafer=%d  delta=%s\n",
-		p.PadArray().Pads(), p.Layout().DieCount(), units.FormatMeters(p.PadGeometry().MaxMisalignment()))
+		p.TotalPads(), p.Layout().DieCount(), units.FormatMeters(p.PadGeometry().MaxMisalignment()))
 
 	if mode == "w2w" || mode == "both" {
 		b, err := p.EvaluateW2W()

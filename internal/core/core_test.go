@@ -98,6 +98,23 @@ func TestDerivedQuantities(t *testing.T) {
 	}
 }
 
+// TestTotalPads: the pad count of the effective layout is the uniform
+// grid's for a nil layout and the per-region sum otherwise.
+func TestTotalPads(t *testing.T) {
+	p := Baseline()
+	if got, want := p.TotalPads(), p.PadArray().Pads(); got != want {
+		t.Errorf("nil layout TotalPads = %d, want PadArray's %d", got, want)
+	}
+	q := twoPitchParams()
+	want := 0
+	for _, g := range q.RegionGrids() {
+		want += g.Grid.Pads()
+	}
+	if got := q.TotalPads(); got != want || got != 109_583_250 {
+		t.Errorf("two-region TotalPads = %d, want the region sum %d (109583250)", got, want)
+	}
+}
+
 func TestWithPitchSizingRule(t *testing.T) {
 	p := Baseline().WithPitch(1e-6)
 	if p.Pitch != 1e-6 {

@@ -3,7 +3,6 @@ package core
 import (
 	"math"
 
-	"yap/internal/overlay"
 	"yap/internal/wafer"
 )
 
@@ -33,26 +32,27 @@ func (d DieYield) Radius() float64 {
 	return math.Hypot(c.X, c.Y)
 }
 
-// W2WDieYields returns the per-die yield map of the W2W model. Averaging
-// the Total column reproduces EvaluateW2W's product up to the correlation
+// W2WDieYields returns the per-die yield map of the W2W model over the
+// effective pad layout. Averaging the Overlay column reproduces
+// EvaluateW2W's overlay term, the Recess column is its recess term, and
+// averaging the Total column reproduces its product up to the correlation
 // between mechanisms across positions (exactly, when defects are uniform).
 func (p Params) W2WDieYields() ([]DieYield, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	layout := p.Layout()
-	dies := layout.Dies()
-	pads := p.PadArray()
+	dies := p.Layout().Dies()
+	grids := p.RegionGrids()
+	regions := overlayRegions(grids)
 	ov := p.OverlayModel()
-	delta := ov.Pads.MaxMisalignment()
-	recessY := p.RecessParams().DieYield(pads.Pads())
+	recessY := p.regionRecessYield(grids)
 	dp := p.DefectParams()
 
-	// Split Eq. 20 into its position-independent pieces so the local
-	// density can scale the anchor term per die. The tail term mixes
-	// contributions from particles at all radii; it is kept at its
-	// wafer-average (the die-resolved tail would need the full 2-D
-	// integral the simulator effectively performs).
+	// Split Eq. 20 over the die outline into its position-independent
+	// pieces so the local density can scale the anchor term per die. The
+	// tail term mixes contributions from particles at all radii; it is
+	// kept at its wafer-average (the die-resolved tail would need the full
+	// 2-D integral the simulator effectively performs).
 	anchorArea := p.DieWidth * p.DieHeight
 	z := p.DefectShape
 	tailTerm := 8 * dp.Density * (z - 1) / (3 * math.Pi * (2*z - 3)) *
@@ -60,13 +60,12 @@ func (p Params) W2WDieYields() ([]DieYield, error) {
 
 	out := make([]DieYield, len(dies))
 	for i, d := range dies {
-		rect := pads.PadArrayRectOn(d)
 		c := d.Rect.Center()
 		localDensity := dp.DensityAt(math.Hypot(c.X, c.Y))
 		lambda := localDensity*anchorArea + tailTerm
 		dy := DieYield{
 			Die:     d,
-			Overlay: overlay.DiePOS(ov.Dist, rect, delta, ov.Sigma1),
+			Overlay: ov.WaferDiePOS(d, regions),
 			Recess:  recessY,
 			Defect:  math.Exp(-lambda),
 		}

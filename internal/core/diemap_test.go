@@ -1,11 +1,26 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"yap/internal/layout"
 	"yap/internal/units"
 )
+
+// twoPitchParams is the 0.8 µm baseline with a two-region layout: a core
+// region inheriting the die-level pads and an io strip at 12 µm pitch.
+func twoPitchParams() Params {
+	p := Baseline().WithPitch(0.8 * units.Micrometer)
+	p.PadLayout = &layout.Layout{Regions: []layout.Region{
+		{Name: "core", X0: -5e-3, Y0: -5e-3, X1: 2e-3, Y1: 5e-3},
+		{Name: "io", X0: 2e-3, Y0: -5e-3, X1: 5e-3, Y1: 5e-3,
+			Pitch: 12e-6, TopPadDiameter: 4e-6, BottomPadDiameter: 6e-6},
+	}}
+	return p
+}
 
 func TestW2WDieYieldsConsistentWithWaferAverage(t *testing.T) {
 	p := Baseline()
@@ -124,5 +139,62 @@ func TestW2WDieYieldsRejectsInvalid(t *testing.T) {
 	p.DefectShape = 1
 	if _, err := p.W2WDieYields(); err == nil {
 		t.Error("invalid params accepted")
+	}
+}
+
+// TestW2WDieYieldsHonorsLayout: the per-die map evaluates the same region
+// grids as EvaluateW2W, so its mean overlay is Eq. 8's average and every
+// recess entry is the layout's recess term (not the uniform grid's).
+func TestW2WDieYieldsHonorsLayout(t *testing.T) {
+	p := twoPitchParams()
+	dies, err := p.W2WDieYields()
+	if err != nil {
+		t.Fatal(err)
+	}
+	model, err := p.EvaluateW2W()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sumOverlay float64
+	for _, d := range dies {
+		sumOverlay += d.Overlay
+		if d.Recess != model.Recess {
+			t.Fatalf("die recess %g, want the layout's Y_cr %g", d.Recess, model.Recess)
+		}
+	}
+	if got := sumOverlay / float64(len(dies)); math.Abs(got-model.Overlay) > 1e-12 {
+		t.Errorf("mean per-die overlay %g vs layout Eq. 8 %g", got, model.Overlay)
+	}
+}
+
+// TestW2WDieYieldsGolden pins a digest of every bit of the nil-layout map
+// at 0.8 µm pitch (overlay in the informative regime), with uniform and
+// radially clustered defects. The digests were captured from the
+// single-array map that predates pad layouts.
+func TestW2WDieYieldsGolden(t *testing.T) {
+	for _, tc := range []struct {
+		clustering float64
+		want       uint64
+	}{
+		{0, 0xd738761359057791},
+		{3, 0x078dbb6fb600611c},
+	} {
+		p := Baseline().WithPitch(0.8 * units.Micrometer)
+		p.RadialDefectClustering = tc.clustering
+		dies, err := p.W2WDieYields()
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		var buf [8]byte
+		for _, d := range dies {
+			for _, v := range []float64{d.Overlay, d.Recess, d.Defect, d.Total} {
+				binary.LittleEndian.PutUint64(buf[:], math.Float64bits(v))
+				h.Write(buf[:])
+			}
+		}
+		if got := h.Sum64(); got != tc.want {
+			t.Errorf("clustering %g: map digest %016x, want %016x", tc.clustering, got, tc.want)
+		}
 	}
 }

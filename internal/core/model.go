@@ -41,75 +41,56 @@ func (b Breakdown) Limiter() string {
 }
 
 // EvaluateW2W evaluates the full W2W bonding-yield model (Eq. 22):
-// Y_W2W = Y_ovl,W2W · Y_cr,W2W · Y_df,W2W. With a PadLayout set, every
-// mechanism generalizes per region (YAP+): the overlay term products
-// per-region pad survival under the shared distortion field, the recess
-// term products per-region die yields at each region's Cu density, and the
-// defect term sums per-region kill rates Λ before the Poisson exponent.
+// Y_W2W = Y_ovl,W2W · Y_cr,W2W · Y_df,W2W, each mechanism evaluated per
+// region of the effective pad layout (YAP+). The paper's uniform pad grid
+// is the one-region layout RegionGrids resolves a nil PadLayout to. The
+// overlay term products per-region pad survival under the shared
+// distortion field, the recess term products per-region die yields at each
+// region's Cu density, and the defect term sums per-region kill rates Λ
+// before the Poisson exponent.
 func (p Params) EvaluateW2W() (Breakdown, error) {
 	if err := p.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	var b Breakdown
-	if p.PadLayout == nil {
-		b = Breakdown{
-			Overlay: p.OverlayModel().WaferYieldW2W(p.Layout()),
-			Recess:  p.RecessParams().DieYield(p.PadArray().Pads()),
-			Defect:  p.DefectParams().YieldW2W(p.DieWidth, p.DieHeight),
-		}
-	} else {
-		grids := p.RegionGrids()
-		dp := p.DefectParams()
-		var lsum float64
-		for _, g := range grids {
-			// Per-region critical outline, mirroring the legacy term's use
-			// of the die outline for the whole-die region.
-			lsum += dp.LambdaW2W(g.Rect.Width(), g.Rect.Height())
-		}
-		b = Breakdown{
-			Overlay: p.OverlayModel().WaferYieldW2WRegions(p.Layout(), overlayRegions(grids)),
-			Recess:  p.regionRecessYield(grids),
-			Defect:  math.Exp(-lsum),
-		}
+	grids := p.RegionGrids()
+	dp := p.DefectParams()
+	var lsum float64
+	for _, g := range grids {
+		// Per-region critical outline: the die outline for the paper's
+		// one full-die region.
+		lsum += dp.LambdaW2W(g.Rect.Width(), g.Rect.Height())
+	}
+	b := Breakdown{
+		Overlay: p.OverlayModel().WaferYieldW2WRegions(p.Layout(), overlayRegions(grids)),
+		Recess:  p.regionRecessYield(grids),
+		Defect:  math.Exp(-lsum),
 	}
 	b.Total = b.Overlay * b.Recess * b.Defect
 	return b, nil
 }
 
 // EvaluateD2W evaluates the full D2W bonding-yield model (Eq. 28):
-// Y_D2W = Y_ovl,D2W · Y_cr,D2W · Y_df,D2W. The overlay term averages the
-// die placement variation; the rotation/magnification reference radius is
-// the wafer radius at which Table I characterizes them. With a PadLayout
-// set the mechanisms generalize per region as in EvaluateW2W, the D2W
-// defect term summing each region's main-void kill rate at its own pitch,
-// pad size and pad count.
+// Y_D2W = Y_ovl,D2W · Y_cr,D2W · Y_df,D2W, per region of the effective pad
+// layout as in EvaluateW2W. The overlay term averages the die placement
+// variation; the rotation/magnification reference radius is the wafer
+// radius at which Table I characterizes them. The defect term sums each
+// region's main-void kill rate at its own pitch, pad size and pad count.
 func (p Params) EvaluateD2W() (Breakdown, error) {
 	if err := p.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	var b Breakdown
-	if p.PadLayout == nil {
-		b = Breakdown{
-			Overlay: p.OverlayModel().ExpectedDieYieldD2W(
-				p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread()),
-			Recess: p.RecessParams().DieYield(p.PadArray().Pads()),
-			Defect: p.DefectParams().YieldD2W(
-				p.DieWidth, p.DieHeight, p.Pitch, p.TopPadDiameter/2, p.PadArray().Pads()),
-		}
-	} else {
-		grids := p.RegionGrids()
-		dp := p.DefectParams()
-		var lsum float64
-		for _, g := range grids {
-			lsum += dp.LambdaD2W(g.Rect.Width(), g.Rect.Height(),
-				g.Geometry.Pitch, g.Geometry.TopDiameter/2, g.Grid.Pads())
-		}
-		b = Breakdown{
-			Overlay: p.OverlayModel().ExpectedDieYieldD2WRegions(
-				p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), overlayRegions(grids)),
-			Recess: p.regionRecessYield(grids),
-			Defect: math.Exp(-lsum),
-		}
+	grids := p.RegionGrids()
+	dp := p.DefectParams()
+	var lsum float64
+	for _, g := range grids {
+		lsum += dp.LambdaD2W(g.Rect.Width(), g.Rect.Height(),
+			g.Geometry.Pitch, g.Geometry.TopDiameter/2, g.Grid.Pads())
+	}
+	b := Breakdown{
+		Overlay: p.OverlayModel().ExpectedDieYieldD2WRegions(
+			p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), overlayRegions(grids)),
+		Recess: p.regionRecessYield(grids),
+		Defect: math.Exp(-lsum),
 	}
 	b.Total = b.Overlay * b.Recess * b.Defect
 	return b, nil
@@ -125,9 +106,9 @@ func overlayRegions(grids []layout.RegionGrid) []overlay.PadRegion {
 	return regions
 }
 
-// regionRecessYield returns Y_cr for a resolved layout: the product of
-// per-region all-pads-pass probabilities, each at the region's Cu pattern
-// density (identical to the uniform term for a single full-die region).
+// regionRecessYield returns Y_cr (Eq. 14) for a resolved layout: the
+// product of per-region all-pads-pass probabilities, each at the region's
+// Cu pattern density.
 func (p Params) regionRecessYield(grids []layout.RegionGrid) float64 {
 	y := 1.0
 	for _, g := range grids {

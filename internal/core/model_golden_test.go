@@ -5,13 +5,14 @@ import (
 	"testing"
 
 	"yap/internal/layout"
+	"yap/internal/units"
 )
 
-// The bit patterns below were captured from the pre-layout analytic model.
-// The layout-aware evaluators dispatch on PadLayout == nil, so these pin
-// both that the legacy path is untouched and (together with
-// TestAnalyticUniformLayoutBitIdentical) that the region path degenerates
-// to it for a single full-die region.
+// The bit patterns below were captured from the single-array analytic
+// model that predates pad layouts. The evaluators resolve a nil PadLayout
+// to the paper's uniform pad grid as the one full-die region and run the
+// per-region terms, so these pin that the region path reproduces the
+// paper's model bit for bit.
 
 func checkBits(t *testing.T, name string, got float64, want uint64) {
 	t.Helper()
@@ -58,9 +59,34 @@ func TestAnalyticGoldenReplay(t *testing.T) {
 	checkBits(t, "D2W pitch4 Total", d4.Total, 0x3fec3ce5f39d213a)
 }
 
+// TestAnalyticGoldenReplayFinePitch pins the overlay term where it is
+// informative: at the baseline and 4 µm pitch it is exactly 1.0, while at
+// 0.8 µm the magnification field costs edge dies (W2W) and placement draws
+// (D2W). The D2W Overlay bits pin the placement quadrature.
+func TestAnalyticGoldenReplayFinePitch(t *testing.T) {
+	p := Baseline().WithPitch(0.8 * units.Micrometer)
+	w, err := p.EvaluateW2W()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBits(t, "W2W pitch0.8 Overlay", w.Overlay, 0x3fed5d569a7ef7dd)
+	checkBits(t, "W2W pitch0.8 Recess", w.Recess, 0x3fe7853b41f58d13)
+	checkBits(t, "W2W pitch0.8 Defect", w.Defect, 0x3fea0fe48f30a0b2)
+	checkBits(t, "W2W pitch0.8 Total", w.Total, 0x3fe194101edd3c31)
+
+	d, err := p.EvaluateD2W()
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkBits(t, "D2W pitch0.8 Overlay", d.Overlay, 0x3fd5511c90c70173)
+	checkBits(t, "D2W pitch0.8 Recess", d.Recess, 0x3fe7853b41f58d13)
+	checkBits(t, "D2W pitch0.8 Defect", d.Defect, 0x3fec96a2bfed2250)
+	checkBits(t, "D2W pitch0.8 Total", d.Total, 0x3fcbfed9f35faffd)
+}
+
 // TestAnalyticUniformLayoutBitIdentical: the analytic half of the YAP+
 // identity pin — an explicit single full-die uniform region evaluates to
-// the exact legacy Breakdown for both bonding styles.
+// the exact nil-layout Breakdown for both bonding styles.
 func TestAnalyticUniformLayoutBitIdentical(t *testing.T) {
 	for _, p := range []Params{Baseline(), Baseline().WithPitch(4e-6)} {
 		q := p
@@ -76,7 +102,7 @@ func TestAnalyticUniformLayoutBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if lw != rw {
-			t.Errorf("W2W uniform layout %+v != legacy %+v", rw, lw)
+			t.Errorf("W2W uniform layout %+v != nil layout %+v", rw, lw)
 		}
 
 		ld, err := p.EvaluateD2W()
@@ -88,7 +114,7 @@ func TestAnalyticUniformLayoutBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		if ld != rd {
-			t.Errorf("D2W uniform layout %+v != legacy %+v", rd, ld)
+			t.Errorf("D2W uniform layout %+v != nil layout %+v", rd, ld)
 		}
 	}
 }

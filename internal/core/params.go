@@ -113,7 +113,7 @@ type Params struct {
 	// above. nil — the default — keeps the paper's single uniform grid,
 	// and is equivalent to layout.Uniform over the die (pinned
 	// bit-identical by property tests). Serialized as "layout" on the
-	// wire; omitted when nil so legacy parameter JSON round-trips
+	// wire; omitted when nil so layout-free parameter JSON round-trips
 	// byte-stable. (The field is not named Layout because the wafer
 	// floorplan accessor below already claims that name.)
 	PadLayout *layout.Layout `json:"layout,omitempty"`
@@ -328,8 +328,8 @@ func (p Params) DefectParams() defect.Params {
 }
 
 // EffectiveLayout returns the pad layout in effect: the explicit PadLayout
-// when set, else the single full-die uniform region carrying the die-level
-// pad geometry — the layout.Uniform identity of the legacy grid.
+// when set, else the paper's uniform pad grid as the one full-die region
+// carrying the die-level pad geometry (layout.Uniform).
 func (p Params) EffectiveLayout() layout.Layout {
 	if p.PadLayout != nil {
 		return *p.PadLayout
@@ -343,13 +343,10 @@ func (p Params) RegionGrids() []layout.RegionGrid {
 	return p.EffectiveLayout().Grids(p.PadGeometry())
 }
 
-// TotalPads returns the pad count of the effective layout — PadArray's
-// count for the legacy uniform grid, the per-region sum otherwise.
+// TotalPads returns the pad count of the effective layout, summed over its
+// regions.
 func (p Params) TotalPads() int {
-	if p.PadLayout == nil {
-		return p.PadArray().Pads()
-	}
-	return p.PadLayout.TotalPads(p.PadGeometry())
+	return p.EffectiveLayout().TotalPads(p.PadGeometry())
 }
 
 // RegionRecessParams returns the Cu-recess submodel inputs for one region's

@@ -295,34 +295,14 @@ type Model struct {
 // Delta returns the survivable-misalignment bound δ for the model's pads.
 func (m Model) Delta() float64 { return m.Pads.MaxMisalignment() }
 
-// WaferYieldW2W returns Y_ovl,W2W (Eq. 8): the average die POS across all M
-// dies of the wafer layout, with each die's pad array evaluated against the
-// wafer-level distortion field.
+// WaferYieldW2W returns Y_ovl,W2W (Eq. 8) for the paper's uniform pad grid:
+// WaferYieldW2WRegions on the one full-die region.
 func (m Model) WaferYieldW2W(layout wafer.Layout) float64 {
-	dies := layout.Dies()
-	if len(dies) == 0 {
-		return 0
-	}
-	pads := wafer.PadArrayFor(layout.DieWidth, layout.DieHeight, m.Pads.Pitch)
-	delta := m.Delta()
-	var sum float64
-	for _, die := range dies {
-		rect := pads.PadArrayRectOn(die)
-		sum += DiePOS(m.Dist, rect, delta, m.Sigma1)
-	}
-	return sum / float64(len(dies))
+	return m.WaferYieldW2WRegions(layout, m.fullDie(layout.DieWidth, layout.DieHeight))
 }
 
-// DieYieldD2W returns Y_ovl,D2W (Eq. 23) for a single chiplet bonded
-// die-to-wafer. The die aligns on its own markers, so the wafer-level
-// rotation and magnification are rescaled by the reference-radius to
-// half-diagonal ratio, and the distortion field is evaluated in die-local
-// coordinates centered on the die.
-//
-// refRadius is the radius at which the distortion's rotation/magnification
-// were characterized (the wafer radius for Table I numbers).
+// DieYieldD2W returns Y_ovl,D2W (Eq. 23) for the paper's uniform pad grid:
+// DieYieldD2WRegions on the one full-die region.
 func (m Model) DieYieldD2W(dieW, dieH, refRadius float64) float64 {
-	pads := wafer.PadArrayFor(dieW, dieH, m.Pads.Pitch)
-	dist := m.Dist.ScaleToDie(refRadius, wafer.HalfDiagonal(dieW, dieH))
-	return DiePOS(dist, pads.Rect, m.Delta(), m.Sigma1)
+	return m.DieYieldD2WRegions(dieW, dieH, refRadius, m.fullDie(dieW, dieH))
 }

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"yap/internal/geom"
-	"yap/internal/num"
 	"yap/internal/wafer"
 )
 
@@ -18,26 +17,44 @@ type PadRegion struct {
 	Delta float64
 }
 
+// fullDie returns the paper's uniform pad grid as a layout: the one region
+// holding the pitch-aligned pad array of a dieW × dieH die, at the model's
+// δ.
+func (m Model) fullDie(dieW, dieH float64) []PadRegion {
+	return []PadRegion{{Rect: wafer.PadArrayFor(dieW, dieH, m.Pads.Pitch).Rect, Delta: m.Delta()}}
+}
+
 // DiePOSRegions returns the possibility of survival of a die whose pads
-// form heterogeneous regions under a shared distortion field (the YAP+
-// generalization of Eq. 7): each region survives as its worst pad does
-// (corner of the convex region rectangle), and the die POS is the product
-// of per-region pad survival. Rects are evaluated against dist directly,
-// so callers translate die-local rects into the distortion frame first
-// when needed. For a single region the product reduces bit-identically to
-// DiePOS (1·x == x).
+// form regions under a shared distortion field (the YAP+ generalization of
+// Eq. 7): each region survives as its worst pad does (DiePOS), and the die
+// POS is the product of per-region survival. Rects are evaluated against
+// dist directly, so callers translate die-local rects into the distortion
+// frame first when needed. For a single region the product is DiePOS bit
+// for bit (1·x == x).
 func DiePOSRegions(dist Distortion, regions []PadRegion, sigma1 float64) float64 {
 	pos := 1.0
 	for _, r := range regions {
-		pos *= PadPOS(dist.MaxOverRect(r.Rect), r.Delta, sigma1)
+		pos *= DiePOS(dist, r.Rect, r.Delta, sigma1)
 	}
 	return pos
 }
 
-// WaferYieldW2WRegions is WaferYieldW2W for a heterogeneous pad layout:
-// the average over all dies of the per-die region-product POS, with each
-// region's die-local rectangle translated to the die's wafer position. The
-// model's Pads field is not consulted — each region carries its own δ.
+// WaferDiePOS returns the POS of one die of a W2W-bonded wafer, the
+// summand of Eq. 8: the region product under the wafer-level distortion
+// field, with each region's die-local rectangle translated to the die's
+// wafer position.
+func (m Model) WaferDiePOS(die wafer.Die, regions []PadRegion) float64 {
+	c := die.Center()
+	pos := 1.0
+	for _, r := range regions {
+		pos *= DiePOS(m.Dist, r.Rect.Translate(c), r.Delta, m.Sigma1)
+	}
+	return pos
+}
+
+// WaferYieldW2WRegions returns Y_ovl,W2W (Eq. 8) for a pad layout: the
+// average of WaferDiePOS over all M dies of the wafer layout. The model's
+// Pads field is not consulted — each region carries its own δ.
 func (m Model) WaferYieldW2WRegions(layout wafer.Layout, regions []PadRegion) float64 {
 	dies := layout.Dies()
 	if len(dies) == 0 {
@@ -45,47 +62,20 @@ func (m Model) WaferYieldW2WRegions(layout wafer.Layout, regions []PadRegion) fl
 	}
 	var sum float64
 	for _, die := range dies {
-		c := die.Center()
-		pos := 1.0
-		for _, r := range regions {
-			pos *= PadPOS(m.Dist.MaxOverRect(r.Rect.Translate(c)), r.Delta, m.Sigma1)
-		}
-		sum += pos
+		sum += m.WaferDiePOS(die, regions)
 	}
 	return sum / float64(len(dies))
 }
 
-// DieYieldD2WRegions is DieYieldD2W for a heterogeneous pad layout: the
-// wafer-level rotation and magnification are rescaled to the die's
-// half-diagonal and the region-product POS is evaluated in die-local
-// coordinates.
+// DieYieldD2WRegions returns Y_ovl,D2W (Eq. 23) for a single chiplet of the
+// given pad layout bonded die-to-wafer. The die aligns on its own markers,
+// so the wafer-level rotation and magnification are rescaled by the
+// reference-radius to half-diagonal ratio, and the region-product POS is
+// evaluated in die-local coordinates centered on the die.
+//
+// refRadius is the radius at which the distortion's rotation/magnification
+// were characterized (the wafer radius for Table I numbers).
 func (m Model) DieYieldD2WRegions(dieW, dieH, refRadius float64, regions []PadRegion) float64 {
 	dist := m.Dist.ScaleToDie(refRadius, wafer.HalfDiagonal(dieW, dieH))
 	return DiePOSRegions(dist, regions, m.Sigma1)
-}
-
-// ExpectedDieYieldD2WRegions is ExpectedDieYieldD2W for a heterogeneous pad
-// layout: the region-product POS averaged over the die-to-die placement
-// variation with the same Gauss–Hermite × adaptive quadrature as the
-// uniform path.
-func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread PlacementSpread, regions []PadRegion) float64 {
-	if spread.Zero() {
-		return m.DieYieldD2WRegions(dieW, dieH, refRadius, regions)
-	}
-	halfDiag := wafer.HalfDiagonal(dieW, dieH)
-	muSmooth := []float64{m.Dist.TX, m.Dist.TY, m.Dist.Rotation}
-	sigmaSmooth := []float64{spread.TXSigma, spread.TYSigma, spread.RotationSigma}
-	pos := func(tx, ty, rot, mag float64) float64 {
-		dist := Distortion{TX: tx, TY: ty, Rotation: rot, Magnification: mag}.
-			ScaleToDie(refRadius, halfDiag)
-		return DiePOSRegions(dist, regions, m.Sigma1)
-	}
-	y := num.ExpectNormalAdaptive(func(mag float64) float64 {
-		return num.ExpectNormal(func(x []float64) float64 {
-			return pos(x[0], x[1], x[2], mag)
-		}, muSmooth, sigmaSmooth)
-	}, m.Dist.Magnification, spread.MagnificationSigma)
-	// Quadrature residue can push a saturated probability past its bounds
-	// by ~1e-10; a yield must stay in [0, 1].
-	return num.Clamp(y, 0, 1)
 }

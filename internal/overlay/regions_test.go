@@ -23,51 +23,59 @@ func stressedModel() Model {
 	}
 }
 
-// TestW2WRegionsSingleRegionBitIdentical pins the YAP+ identity for W2W:
-// one region carrying the legacy pad-array rectangle and δ must reproduce
-// WaferYieldW2W bit for bit (the region product starts at 1.0 and
-// 1.0·x == x exactly; the translated rect additions match PadArrayRectOn
-// term by term).
+// The bit patterns below were captured from the single-array overlay model
+// that predates pad layouts. WaferYieldW2W, DieYieldD2W and
+// ExpectedDieYieldD2W run their region forms on the one full-die region, so
+// these pin that the region path reproduces it bit for bit.
+
+// TestW2WRegionsSingleRegionBitIdentical pins Y_ovl,W2W = 0.126873 of the
+// 300 mm layout under stressedModel, through the uniform-grid name and
+// through the explicit one-region form.
 func TestW2WRegionsSingleRegionBitIdentical(t *testing.T) {
 	m := stressedModel()
 	lay := wafer.Layout{WaferRadius: 0.15, DieWidth: 0.01, DieHeight: 0.01}
 	pads := wafer.PadArrayFor(lay.DieWidth, lay.DieHeight, m.Pads.Pitch)
 	regions := []PadRegion{{Rect: pads.Rect, Delta: m.Delta()}}
-	legacy := m.WaferYieldW2W(lay)
-	region := m.WaferYieldW2WRegions(lay, regions)
-	if legacy != region {
-		t.Errorf("single-region W2W = %x, legacy = %x; must be bit-identical",
-			math.Float64bits(region), math.Float64bits(legacy))
-	}
-	if legacy <= 0 || legacy >= 1 {
-		t.Fatalf("test model not in the informative regime: y = %g", legacy)
+	const want = 0x3fc03d6355f671fb
+	for name, y := range map[string]float64{
+		"WaferYieldW2W":        m.WaferYieldW2W(lay),
+		"WaferYieldW2WRegions": m.WaferYieldW2WRegions(lay, regions),
+	} {
+		if math.Float64bits(y) != want {
+			t.Errorf("%s = %v (bits %016x), want bits %016x", name, y, math.Float64bits(y), uint64(want))
+		}
 	}
 }
 
-// TestD2WRegionsSingleRegionBitIdentical pins the same identity for the
-// D2W paths, deterministic and placement-averaged.
+// TestD2WRegionsSingleRegionBitIdentical pins the D2W overlay yields under
+// stressedModel: deterministic 0.701920 and placement-averaged 0.423291.
+// The reference radius puts the die's corner misalignment within a few σ₁
+// of δ; at the wafer radius both yields are exactly 0 and would pin
+// nothing.
 func TestD2WRegionsSingleRegionBitIdentical(t *testing.T) {
 	m := stressedModel()
 	const dieW, dieH = 0.01, 0.01
-	const refR = 0.15
+	const refR = 0.0575
 	pads := wafer.PadArrayFor(dieW, dieH, m.Pads.Pitch)
 	regions := []PadRegion{{Rect: pads.Rect, Delta: m.Delta()}}
-
-	if legacy, region := m.DieYieldD2W(dieW, dieH, refR),
-		m.DieYieldD2WRegions(dieW, dieH, refR, regions); legacy != region {
-		t.Errorf("single-region D2W = %x, legacy = %x", math.Float64bits(region), math.Float64bits(legacy))
-	}
-
 	spread := PlacementSpread{
 		TXSigma: 10 * units.Nanometer, TYSigma: 10 * units.Nanometer,
 		RotationSigma:      0.05 * units.Microradian,
 		MagnificationSigma: 0.27 * units.PPM,
 	}
-	legacy := m.ExpectedDieYieldD2W(dieW, dieH, refR, spread)
-	region := m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, spread, regions)
-	if legacy != region {
-		t.Errorf("single-region expected D2W = %x, legacy = %x",
-			math.Float64bits(region), math.Float64bits(legacy))
+	for _, tc := range []struct {
+		name string
+		y    float64
+		want uint64
+	}{
+		{"DieYieldD2W", m.DieYieldD2W(dieW, dieH, refR), 0x3fe6762128cab7a8},
+		{"DieYieldD2WRegions", m.DieYieldD2WRegions(dieW, dieH, refR, regions), 0x3fe6762128cab7a8},
+		{"ExpectedDieYieldD2W", m.ExpectedDieYieldD2W(dieW, dieH, refR, spread), 0x3fdb1732156a436b},
+		{"ExpectedDieYieldD2WRegions", m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, spread, regions), 0x3fdb1732156a436b},
+	} {
+		if math.Float64bits(tc.y) != tc.want {
+			t.Errorf("%s = %v (bits %016x), want bits %016x", tc.name, tc.y, math.Float64bits(tc.y), tc.want)
+		}
 	}
 	if zero := m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, PlacementSpread{}, regions); zero != m.DieYieldD2WRegions(dieW, dieH, refR, regions) {
 		t.Error("zero spread does not reduce to the deterministic region path")

@@ -135,9 +135,10 @@ func WithDefectDensity(p Params, density float64) Params {
 }
 
 // WithPadLayout returns p carrying the given heterogeneous pad layout.
-// An explicit layout equivalent to the uniform full-die grid (a single
-// region with zero overrides) yields bit-identical results — analytic and
-// Monte-Carlo — to the nil-layout legacy path.
+// A nil layout is the paper's uniform pad grid, which the analytic model
+// and the simulator both evaluate as the one full-die region, so an
+// explicit layout equivalent to it (a single full-die region with zero
+// overrides) yields bit-identical results, analytic and Monte-Carlo.
 func WithPadLayout(p Params, l PadLayout) Params {
 	p.PadLayout = &l
 	return p
