@@ -52,16 +52,26 @@ $(DRILL_TARGETS): drill-%:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Smoke run of the benchmark in traced mode (~10 s). Its traced mode
+# Smoke runs of the benchmark (~13 s warm). The traced sweep-cold run
 # re-composes core.Params.EvaluateW2W/D2W from the model calls they make
 # and, when that no longer matches core bit for bit, only warns on stderr
-# and exits 0. This target fails on that warning.
+# and exits 0; this target fails on that warning. The untraced mc-regions
+# run drives the Monte-Carlo kernels through the shipped daemon and prints
+# "correct":true only when every /v1/simulate answer bit-equals an
+# in-process sim.RunW2W/RunD2W and the daemon's sample counter agrees;
+# this target fails otherwise.
 bench-smoke:
 	@err=$$(bash perfbench/run.sh --workload sweep-cold --seed 1 --seconds 1 --trace 1 2>&1 >/dev/null) || \
 		{ printf '%s\n' "$$err"; exit 1; }; \
 	[ -z "$$err" ] || printf '%s\n' "$$err"; \
 	if printf '%s' "$$err" | grep -q 'model decompositions no longer reproduce'; then \
 		echo "bench-smoke: perfbench's traced model mirror drifted from internal/core"; exit 1; \
+	fi
+	@out=$$(bash perfbench/run.sh --workload mc-regions --seed 1 --seconds 1 --trace 0 2>&1) || \
+		{ printf '%s\n' "$$out"; exit 1; }; \
+	if ! printf '%s' "$$out" | grep -q '"correct":true'; then \
+		printf '%s\n' "$$out"; \
+		echo "bench-smoke: mc-regions simulate answers no longer match the in-process kernels"; exit 1; \
 	fi
 
 # Machine-readable benchmark records, one JSON event per line, all

@@ -4,7 +4,11 @@
 // uniform sampling over disks and rectangles.
 //
 // Every distribution draws from an explicit *Source so that simulations are
-// reproducible from a seed and can run one independent stream per worker.
+// reproducible from a seed. A Source is one stream of a family rooted at a
+// seed: Derive(seed, index) returns stream index, and Reset repositions an
+// existing Source at any stream of any family in place, so a simulation
+// worker draws sample k from stream (seed, k) through one Source it reuses
+// for every sample.
 package randx
 
 import (
@@ -15,33 +19,50 @@ import (
 )
 
 // Source is a seeded random stream. It wraps math/rand/v2's PCG generator.
+// The generator state lives inside the Source, and rand.Rand holds nothing
+// but the generator it reads (math/rand/v2 keeps no buffered state), so
+// reseeding the PCG in place restarts exactly the stream a fresh Source
+// with the same seed draws.
 type Source struct {
-	rng *rand.Rand
+	pcg rand.PCG
+	rng rand.Rand
 }
 
 // NewSource returns a Source seeded deterministically from seed.
 func NewSource(seed uint64) *Source {
-	// Mix the single word into two PCG seed words with splitmix64 so that
-	// nearby seeds give unrelated streams.
-	s1 := splitmix64(seed)
-	s2 := splitmix64(s1)
-	return &Source{rng: rand.New(rand.NewPCG(s1, s2))}
-}
-
-// Split returns a new independent Source derived from s. Streams produced
-// by successive Split calls are decorrelated, which lets a simulation fan
-// out one stream per wafer or per worker while staying reproducible.
-func (s *Source) Split() *Source {
-	return NewSource(s.rng.Uint64())
+	s := new(Source)
+	s.seed(seed)
+	return s
 }
 
 // Derive returns a Source for stream `index` of the family rooted at seed.
-// Unlike Split, it does not consume state from any other Source, so workers
-// processing items in any order (or in parallel) still draw identical
-// streams for identical (seed, index) pairs — the property that makes the
-// simulator's results independent of its worker count.
+// It does not consume state from any other Source, so workers processing
+// items in any order (or in parallel) still draw identical streams for
+// identical (seed, index) pairs — the property that makes the simulator's
+// results independent of its worker count.
 func Derive(seed, index uint64) *Source {
-	return NewSource(splitmix64(seed) ^ splitmix64(0x9e3779b97f4a7c15+index))
+	s := new(Source)
+	s.Reset(seed, index)
+	return s
+}
+
+// Reset repositions s at stream `index` of the family rooted at seed: its
+// draws from then on are exactly those of Derive(seed, index), whatever s
+// drew before. The zero Source is ready for Reset. A worker that resets
+// one Source per sample draws the same bits as one that derives a fresh
+// Source per sample, without allocating.
+func (s *Source) Reset(seed, index uint64) {
+	s.seed(splitmix64(seed) ^ splitmix64(0x9e3779b97f4a7c15+index))
+}
+
+// seed mixes the single word into two PCG seed words with splitmix64, so
+// that nearby seeds give unrelated streams, and points the distribution
+// methods at the reseeded generator.
+func (s *Source) seed(seed uint64) {
+	s1 := splitmix64(seed)
+	s2 := splitmix64(s1)
+	s.pcg.Seed(s1, s2)
+	s.rng = *rand.New(&s.pcg)
 }
 
 func splitmix64(x uint64) uint64 {

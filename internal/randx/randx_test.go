@@ -3,6 +3,8 @@ package randx
 import (
 	"errors"
 	"math"
+	"math/rand/v2"
+	"slices"
 	"testing"
 )
 
@@ -54,18 +56,123 @@ func TestDeriveDistinctStreams(t *testing.T) {
 	}
 }
 
-func TestSplitDecorrelates(t *testing.T) {
-	root := NewSource(1)
-	a := root.Split()
-	b := root.Split()
-	same := 0
-	for i := 0; i < 100; i++ {
-		if a.Float64() == b.Float64() {
-			same++
+// TestDeriveGolden pins the (seed, index) → stream mapping: the first
+// draws of a few derived streams, captured before Reset existed, when
+// Derive built a fresh PCG per call.
+func TestDeriveGolden(t *testing.T) {
+	cases := []struct {
+		seed, index   uint64
+		float, normal uint64 // Float64 bits, then Normal(0, 1) bits
+		poisson, intN int
+	}{
+		{0, 0, 0x3fc793f649916c28, 0x3ffe24ee9dd4277c, 6, 936},
+		{1, 0, 0x3fef0ac225a8b502, 0x3ff222407ec635d0, 6, 262},
+		{42, 7, 0x3fc49ae0b6e6582c, 0xbff2dcc5cf1e473e, 3, 778},
+		{7, math.MaxUint64, 0x3fed27678176e4ba, 0x3ff70952d4b68243, 1, 296},
+		{math.MaxUint64, 123456789, 0x3fe27a2c185aa810, 0x3fce2b59fd55d2a8, 4, 573},
+	}
+	for _, c := range cases {
+		s := Derive(c.seed, c.index)
+		f, n := math.Float64bits(s.Float64()), math.Float64bits(s.Normal(0, 1))
+		p, k := s.Poisson(3.5), s.IntN(1000)
+		if f != c.float || n != c.normal || p != c.poisson || k != c.intN {
+			t.Errorf("Derive(%d, %d) drew (%#x, %#x, %d, %d), want (%#x, %#x, %d, %d)",
+				c.seed, c.index, f, n, p, k, c.float, c.normal, c.poisson, c.intN)
 		}
 	}
-	if same > 2 {
-		t.Errorf("split streams overlap: %d identical draws", same)
+}
+
+// drawAll exercises every Source method once and records the bits of what
+// it drew, so two Sources on one stream must agree call for call.
+func drawAll(s *Source) []uint64 {
+	var out []uint64
+	f := func(v float64) { out = append(out, math.Float64bits(v)) }
+	i := func(v int) { out = append(out, uint64(v)) }
+	b := func(v bool) {
+		if v {
+			i(1)
+		} else {
+			i(0)
+		}
+	}
+	f(s.Float64())
+	f(s.Uniform(-2, 3))
+	f(s.Normal(1, 2))
+	v, err := s.PositiveNormal(1, 0.5)
+	if err != nil {
+		panic(err)
+	}
+	f(v)
+	i(s.Poisson(0.7))
+	i(s.Poisson(12))
+	i(s.Poisson(250))
+	f(s.ParticleThickness(1e-6, 2.5))
+	x, y := s.InDisk(2)
+	f(x)
+	f(y)
+	f(s.RadiusClustered(2, 0))
+	f(s.RadiusClustered(2, 1.5))
+	x, y = s.InDiskClustered(2, 0.8)
+	f(x)
+	f(y)
+	x, y = s.InRect(-1, -2, 3, 4)
+	f(x)
+	f(y)
+	f(s.Angle())
+	i(s.IntN(17))
+	i(s.IntN(1 << 40))
+	b(s.Bernoulli(0.3))
+	return out
+}
+
+// TestResetMatchesDerive: a Source reset in place to (seed, index) draws
+// exactly what Derive(seed, index) and the legacy construction (a fresh
+// PCG seeded from the splitmix64 mix) draw, through every Source method,
+// whatever stream the reused Source drew from before.
+func TestResetMatchesDerive(t *testing.T) {
+	var reused Source // the zero Source is ready for Reset
+	mix := NewSource(99)
+	pairs := [][2]uint64{{0, 0}, {0, math.MaxUint64}, {math.MaxUint64, 0}, {math.MaxUint64, math.MaxUint64}}
+	for len(pairs) < 10000 {
+		seed := mix.rng.Uint64()
+		var index uint64
+		switch len(pairs) % 4 {
+		case 0:
+			index = 0
+		case 1:
+			index = math.MaxUint64 - uint64(mix.IntN(3))
+		case 2:
+			index = uint64(mix.IntN(1 << 20))
+		default:
+			index = mix.rng.Uint64()
+		}
+		pairs = append(pairs, [2]uint64{seed, index})
+	}
+	for n, p := range pairs {
+		// Leave the reused Source mid-way through some other stream.
+		reused.Reset(p[0]^0x5555, p[1]+uint64(n))
+		for k := 0; k < n%5; k++ {
+			reused.Float64()
+		}
+		reused.Reset(p[0], p[1])
+		x := splitmix64(p[0]) ^ splitmix64(0x9e3779b97f4a7c15+p[1])
+		s1 := splitmix64(x)
+		legacy := &Source{rng: *rand.New(rand.NewPCG(s1, splitmix64(s1)))}
+		want := drawAll(Derive(p[0], p[1]))
+		if got := drawAll(&reused); !slices.Equal(got, want) {
+			t.Fatalf("pair %d (%d, %d): reset source drew %x, Derive drew %x", n, p[0], p[1], got, want)
+		}
+		if got := drawAll(legacy); !slices.Equal(got, want) {
+			t.Fatalf("pair %d (%d, %d): legacy construction drew %x, Derive drew %x", n, p[0], p[1], got, want)
+		}
+	}
+}
+
+func TestResetDoesNotAllocate(t *testing.T) {
+	var s Source
+	i := uint64(0)
+	if a := testing.AllocsPerRun(100, func() { s.Reset(3, i); i++; s.Float64() }); a != 0 {
+		t.Errorf("Reset allocated %v times per call, want 0", a)
 	}
 }
 

@@ -4,30 +4,35 @@ import (
 	"context"
 	"math"
 
+	"yap/internal/defect"
 	"yap/internal/faultinject"
 	"yap/internal/geom"
-	"yap/internal/overlay"
 	"yap/internal/randx"
 	"yap/internal/wafer"
 )
 
-// d2wEnv is the per-run immutable state shared by all D2W workers. Pad
-// state is per region (internal/layout): the legacy uniform grid is the
-// single full-die region, for which every loop below degenerates to the
-// pre-layout scalar arithmetic bit-for-bit.
+// d2wEnv is the per-run immutable state shared by all D2W workers: every
+// input of a die sample that does not depend on the sample, resolved from
+// Options once per run. Pad state is per region (internal/layout): the
+// paper's uniform grid is the single full-die region.
 type d2wEnv struct {
 	opts    Options
 	regions []simRegion
 
-	sigma1   float64
-	refR     float64 // rotation/magnification reference radius
-	halfDiag float64
+	sigma1    float64
+	placement placementLaw
+	// dieScale converts the drawn wafer-level rotation and magnification
+	// to the die's (Distortion.ScaleToDie): R_ref / r_d, or 1 when the
+	// half-diagonal is not positive.
+	dieScale float64
 
-	recessQ float64
+	recessQ          float64
+	recessWaferSigma float64
 
 	effR       float64 // effective die radius √(ab/π) of Eq. 24
 	extRect    geom.Rect
 	particleMu float64
+	defect     defect.Params
 }
 
 func newD2WEnv(opts Options) (*d2wEnv, error) {
@@ -46,16 +51,22 @@ func newD2WEnv(opts Options) (*d2wEnv, error) {
 	knee := dp.MainVoidRadius(effR, p.MinParticleThickness)
 	margin := 20*knee + maxPadHalf(regions)
 	ext := geom.RectAround(geom.Vec2{}, p.DieWidth, p.DieHeight).Expand(margin)
+	dieScale := 1.0
+	if halfDiag := wafer.HalfDiagonal(p.DieWidth, p.DieHeight); halfDiag > 0 {
+		dieScale = p.WaferRadius() / halfDiag
+	}
 	return &d2wEnv{
-		opts:       opts,
-		regions:    regions,
-		sigma1:     p.RandomMisalignmentSigma,
-		refR:       p.WaferRadius(),
-		halfDiag:   wafer.HalfDiagonal(p.DieWidth, p.DieHeight),
-		recessQ:    regionRecessProb(regions),
-		effR:       effR,
-		extRect:    ext,
-		particleMu: p.DefectDensity * ext.Area(),
+		opts:             opts,
+		regions:          regions,
+		sigma1:           p.RandomMisalignmentSigma,
+		placement:        newPlacementLaw(p),
+		dieScale:         dieScale,
+		recessQ:          regionRecessProb(regions),
+		recessWaferSigma: p.RecessWaferSigma,
+		effR:             effR,
+		extRect:          ext,
+		particleMu:       p.DefectDensity * ext.Area(),
+		defect:           dp,
 	}, nil
 }
 
@@ -83,10 +94,13 @@ func RunD2WContext(ctx context.Context, opts Options) (Result, error) {
 }
 
 // sampler returns the D2W kernel for the shared sample loop: one sample
-// is one bonded die.
+// is one bonded die. A die sample needs no scratch, so every worker shares
+// the environment.
 func (e *d2wEnv) sampler() sampler {
 	return sampler{mode: "D2W", unit: "die", hook: faultinject.HookSimD2WDie, stride: d2wCancelStride,
-		sample: func(rng *randx.Source, _ []Counts) Counts { return e.simulateDie(rng) }}
+		newWorker: func() sampleFunc {
+			return func(rng *randx.Source, _ []Counts) Counts { return e.simulateDie(rng) }
+		}}
 }
 
 // simulateDie runs one bonded-die sample through the three checks.
@@ -115,11 +129,10 @@ func (e *d2wEnv) simulateDie(rng *randx.Source) Counts {
 // requested. The common-mode CMP drift (if configured) is drawn per bond
 // event and shared by all regions.
 func (e *d2wEnv) recessCheck(rng *randx.Source) bool {
-	rp := e.opts.Params.RecessParams()
 	var shift float64
 	q := e.recessQ
-	if rp.WaferSigma > 0 {
-		shift = rng.Normal(0, rp.WaferSigma)
+	if e.recessWaferSigma > 0 {
+		shift = rng.Normal(0, e.recessWaferSigma)
 		q = regionRecessProbShifted(e.regions, shift)
 	}
 	if !e.opts.ExplicitRecessPads {
@@ -132,14 +145,9 @@ func (e *d2wEnv) recessCheck(rng *randx.Source) bool {
 // independently die-to-die, §III-E-1) plus the shared random error and
 // tests the worst pad.
 func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
-	p := e.opts.Params
-	dist := overlay.Distortion{
-		TX:       rng.Normal(p.TranslationX, p.PlacementTranslationSigma),
-		TY:       rng.Normal(p.TranslationY, p.PlacementTranslationSigma),
-		Rotation: rng.Normal(p.Rotation, p.PlacementRotationSigma),
-		Magnification: overlay.MagnificationFromWarpage(
-			p.KMag, rng.Normal(p.Warpage, p.PlacementWarpageSigma)),
-	}.ScaleToDie(e.refR, e.halfDiag)
+	dist := e.placement.draw(rng)
+	dist.Rotation *= e.dieScale
+	dist.Magnification *= e.dieScale
 
 	if e.opts.ExplicitOverlayPads {
 		u := rng.Normal(0, e.sigma1)
@@ -156,9 +164,10 @@ func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
 	}
 	if e.opts.TwoDRandomMisalignment {
 		u := geom.Vec2{X: rng.Normal(0, e.sigma1), Y: rng.Normal(0, e.sigma1)}
-		for _, reg := range e.regions {
+		for r := range e.regions {
+			reg := &e.regions[r]
 			worst := 0.0
-			for _, corner := range reg.rect.Corners() {
+			for _, corner := range reg.corners {
 				if m := dist.Displacement(corner).Add(u).Norm(); m > worst {
 					worst = m
 				}
@@ -170,13 +179,9 @@ func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
 		return true
 	}
 	u := rng.Normal(0, e.sigma1)
-	for _, reg := range e.regions {
-		sMax := dist.MaxOverRect(reg.rect)
-		if math.Abs(sMax+u) > reg.delta {
-			return false
-		}
-		sMin := dist.MinOverRect(reg.rect)
-		if math.Abs(sMin+u) > reg.delta {
+	for r := range e.regions {
+		reg := &e.regions[r]
+		if !d2wRegionPasses(dist, reg.rect, &reg.corners, u, reg.delta) {
 			return false
 		}
 	}
@@ -186,16 +191,14 @@ func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
 // defectCheck samples particles around the die and tests each main void
 // (a square of half-side r_mv, Eq. 15/25) against the pad grid.
 func (e *d2wEnv) defectCheck(rng *randx.Source) bool {
-	p := e.opts.Params
-	dp := p.DefectParams()
 	particles := rng.Poisson(e.particleMu)
 	for k := 0; k < particles; k++ {
 		x, y := rng.InRect(e.extRect.X0, e.extRect.Y0, e.extRect.X1, e.extRect.Y1)
 		// L is the distance from the die center, clamped to the effective
 		// radius to match Eq. 24's support (DESIGN.md §2.8).
 		l := math.Min(math.Hypot(x, y), e.effR)
-		t := rng.ParticleThickness(p.MinParticleThickness, p.DefectShape)
-		rv := dp.MainVoidRadius(l, t)
+		t := rng.ParticleThickness(e.defect.MinThickness, e.defect.Shape)
+		rv := e.defect.MainVoidRadius(l, t)
 		if e.voidKills(geom.Vec2{X: x, Y: y}, rv) {
 			return false
 		}

@@ -14,8 +14,10 @@ import (
 // bit-identically to the legacy scalar fields they replaced (uniform-grid
 // equivalence is property-tested in layout_test.go).
 type simRegion struct {
-	// rect is the region's pad-array rectangle, die-local.
-	rect geom.Rect
+	// rect is the region's pad-array rectangle, die-local, and corners
+	// are rect.Corners().
+	rect    geom.Rect
+	corners [4]geom.Vec2
 	// delta is the region geometry's survivable misalignment δ.
 	delta float64
 	// grid is the region's die-local pad grid.
@@ -35,6 +37,7 @@ func buildRegions(p core.Params) []simRegion {
 	for i, g := range grids {
 		regions[i] = simRegion{
 			rect:    g.Grid.Rect,
+			corners: g.Grid.Rect.Corners(),
 			delta:   g.Geometry.MaxMisalignment(),
 			grid:    g.Grid,
 			padHalf: g.Geometry.TopDiameter / 2,

@@ -146,10 +146,15 @@ type sampler struct {
 	stride int
 	// perDie is the length of the per-die-site tallies (0: none).
 	perDie int
-	// sample simulates one sample from its stream, accumulating per-site
-	// outcomes into perDie when that is non-nil.
-	sample func(rng *randx.Source, perDie []Counts) Counts
+	// newWorker returns the sample function of one worker, which owns
+	// whatever scratch its samples need: run builds one per worker and
+	// slice, so no sample allocates.
+	newWorker func() sampleFunc
 }
+
+// sampleFunc simulates one sample from its stream, accumulating per-site
+// outcomes into perDie when that is non-nil.
+type sampleFunc func(rng *randx.Source, perDie []Counts) Counts
 
 func newSampler(mode string, opts Options) (sampler, error) {
 	if mode == "d2w" {
@@ -169,12 +174,13 @@ func newSampler(mode string, opts Options) (sampler, error) {
 // run simulates samples [0, n) of the slice opts describes: workers take
 // the samples worker, worker+W, worker+2W, … and sample i draws from the
 // stream Derive(Seed, FirstSample+i), so the tallies are the same at any
-// worker count. Every stride samples a worker polls ctx and fires the
-// fault hook; it checkpoints its tallies per completed sample, so a
-// context that fires mid-run returns the samples that DID complete as a
-// Partial Result with nil error. Only a run aborted before any sample
-// completed, or one that hits an injected fault or panics, returns an
-// error.
+// worker count. Each worker owns one Source, reset in place to each of
+// its samples' streams, and the scratch its sample function owns. Every
+// stride samples a worker polls ctx and fires the fault hook; it
+// checkpoints its tallies per completed sample, so a context that fires
+// mid-run returns the samples that DID complete as a Partial Result with
+// nil error. Only a run aborted before any sample completed, or one that
+// hits an injected fault or panics, returns an error.
 func (s *sampler) run(ctx context.Context, opts Options, n int) (Result, error) {
 	start := time.Now() //yaplint:allow determinism runtime telemetry only; never feeds the sampled streams
 
@@ -200,6 +206,8 @@ func (s *sampler) run(ctx context.Context, opts Options, n int) (Result, error) 
 		go func(worker int) {
 			defer wg.Done()
 			var out workerOut
+			sample := s.newWorker()
+			var rng randx.Source
 			if s.perDie > 0 {
 				out.perDie = make([]Counts, s.perDie)
 			}
@@ -231,7 +239,8 @@ func (s *sampler) run(ctx context.Context, opts Options, n int) (Result, error) 
 					}
 				}
 				untilPoll--
-				out.counts.Add(s.sample(randx.Derive(opts.Seed, uint64(opts.FirstSample)+uint64(i)), out.perDie))
+				rng.Reset(opts.Seed, uint64(opts.FirstSample)+uint64(i))
+				out.counts.Add(sample(&rng, out.perDie))
 				out.completed++
 			}
 		}(w)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"yap/internal/defect"
 	"yap/internal/faultinject"
 	"yap/internal/geom"
 	"yap/internal/overlay"
@@ -11,10 +12,10 @@ import (
 	"yap/internal/wafer"
 )
 
-// w2wEnv is the per-run immutable state shared by all W2W workers. Pad
-// state is per region (internal/layout): the legacy uniform grid is the
-// single full-die region, for which every loop below degenerates to the
-// pre-layout scalar arithmetic bit-for-bit.
+// w2wEnv is the per-run immutable state shared by all W2W workers: every
+// input of a wafer sample that does not depend on the sample, resolved
+// from Options once per run. Pad state is per region (internal/layout):
+// the paper's uniform grid is the single full-die region.
 type w2wEnv struct {
 	opts    Options
 	dies    []wafer.Die
@@ -22,25 +23,34 @@ type w2wEnv struct {
 	// padRects holds each die's per-region pad-array rectangles in wafer
 	// coordinates, flattened as padRects[die*len(regions)+region].
 	padRects []geom.Rect
-	// dieIndex maps a grid cell (col, row keyed as col<<32|row, both offset
-	// to be non-negative) to the die slice index, for fast segment lookup.
-	dieIndex   map[uint64]int
-	gridOffset int
+	// cells indexes the die grid densely over its bounding cells: the die
+	// whose center lies in grid cell (col, row) is
+	// cells[(col-col0)*rows+(row-row0)]-1, and 0 marks a cell with no die.
+	cells      []int32
+	col0, row0 int
+	cols, rows int
 	dieW, dieH float64
 
-	sigma1   float64
-	baseDist overlay.Distortion
-	// sMin and sMax are the extreme systematic misalignments per die×region
-	// rectangle under baseDist (recomputed per wafer when systematics are
-	// redrawn), indexed like padRects.
-	sMin, sMax []float64
-	// corners are the pad-rect corner displacement vectors used by the 2-D
-	// random misalignment mode, indexed like padRects.
+	sigma1    float64
+	baseDist  overlay.Distortion
+	placement placementLaw
+	// pass is each die's exact pass set of the scalar random misalignment
+	// under baseDist (scalarPass intersected over its regions); corners are
+	// the pad-rect corner displacements under baseDist that the 2-D random
+	// misalignment mode tests, indexed like padRects. Each is built only
+	// for the overlay mode that reads it.
+	pass    []interval
 	corners [][4]geom.Vec2
 
-	recessQ     float64 // exact all-regions-all-pads-pass probability
-	waferRadius float64
-	particleMu  float64 // expected particles per wafer
+	recessQ          float64 // exact all-regions-all-pads-pass probability
+	recessWaferSigma float64
+	waferRadius      float64
+	particleMu       float64 // expected particles per wafer
+	defect           defect.Params
+	// modelField and modelMu are the particle field and its expected count
+	// under ModelConventionDefects.
+	modelField geom.Rect
+	modelMu    float64
 }
 
 func newW2WEnv(opts Options) (*w2wEnv, error) {
@@ -54,50 +64,103 @@ func newW2WEnv(opts Options) (*w2wEnv, error) {
 		return nil, ErrNoDies
 	}
 	regions := buildRegions(p)
+	dp := p.DefectParams()
+	fieldR := p.WaferRadius() + 3*dp.TailKnee()
+	field := geom.Rect{X0: -fieldR, Y0: -fieldR, X1: fieldR, Y1: fieldR}
 	env := &w2wEnv{
-		opts:        opts,
-		dies:        dies,
-		regions:     regions,
-		padRects:    make([]geom.Rect, len(dies)*len(regions)),
-		dieIndex:    make(map[uint64]int, len(dies)),
-		gridOffset:  1 << 16,
-		dieW:        p.DieWidth,
-		dieH:        p.DieHeight,
-		sigma1:      p.RandomMisalignmentSigma,
-		baseDist:    p.Distortion(),
-		recessQ:     regionRecessProb(regions),
-		waferRadius: p.WaferRadius(),
-		particleMu:  p.DefectDensity * math.Pi * p.WaferRadius() * p.WaferRadius(),
+		opts:             opts,
+		dies:             dies,
+		regions:          regions,
+		padRects:         make([]geom.Rect, len(dies)*len(regions)),
+		dieW:             p.DieWidth,
+		dieH:             p.DieHeight,
+		sigma1:           p.RandomMisalignmentSigma,
+		baseDist:         p.Distortion(),
+		placement:        newPlacementLaw(p),
+		recessQ:          regionRecessProb(regions),
+		recessWaferSigma: p.RecessWaferSigma,
+		waferRadius:      p.WaferRadius(),
+		particleMu:       p.DefectDensity * math.Pi * p.WaferRadius() * p.WaferRadius(),
+		defect:           dp,
+		modelField:       field,
+		modelMu:          p.DefectDensity * field.Area(),
 	}
 	for i, d := range dies {
 		c := d.Center()
 		for r, reg := range regions {
 			env.padRects[i*len(regions)+r] = reg.rect.Translate(c)
 		}
-		env.dieIndex[env.cellKeyFor(c)] = i
 	}
-	env.prepareOverlay(env.baseDist)
+	env.indexCells()
+	env.pass, env.corners = env.overlayBuffers()
+	env.prepareOverlay(env.baseDist, env.pass, env.corners)
 	return env, nil
 }
 
-// cellKeyFor returns the grid key of the die cell containing point p.
-func (e *w2wEnv) cellKeyFor(p geom.Vec2) uint64 {
-	i := int(math.Floor(p.X/e.dieW)) + e.gridOffset
-	j := int(math.Floor(p.Y/e.dieH)) + e.gridOffset
-	return uint64(i)<<32 | uint64(uint32(j))
+// cellOf returns the grid cell (col, row) holding point p.
+func (e *w2wEnv) cellOf(p geom.Vec2) (col, row int) {
+	return int(math.Floor(p.X / e.dieW)), int(math.Floor(p.Y / e.dieH))
 }
 
-// prepareOverlay precomputes per-die×region systematic extremes for dist.
-func (e *w2wEnv) prepareOverlay(dist overlay.Distortion) {
-	e.sMin = make([]float64, len(e.padRects))
-	e.sMax = make([]float64, len(e.padRects))
-	e.corners = make([][4]geom.Vec2, len(e.padRects))
-	for i, r := range e.padRects {
-		e.sMin[i] = dist.MinOverRect(r)
-		e.sMax[i] = dist.MaxOverRect(r)
-		for k, c := range r.Corners() {
-			e.corners[i][k] = dist.Displacement(c)
+// indexCells builds the dense die-cell index.
+func (e *w2wEnv) indexCells() {
+	col1, row1 := e.cellOf(e.dies[0].Center())
+	e.col0, e.row0 = col1, row1
+	for _, d := range e.dies {
+		col, row := e.cellOf(d.Center())
+		e.col0, col1 = min(e.col0, col), max(col1, col)
+		e.row0, row1 = min(e.row0, row), max(row1, row)
+	}
+	e.cols, e.rows = col1-e.col0+1, row1-e.row0+1
+	e.cells = make([]int32, e.cols*e.rows)
+	for i, d := range e.dies {
+		col, row := e.cellOf(d.Center())
+		e.cells[(col-e.col0)*e.rows+row-e.row0] = int32(i + 1)
+	}
+}
+
+// cellSpan returns the index offsets [first, end) of the grid cells
+// floor(lo/size) … floor(hi/size), clipped to the n cells of the index
+// starting at cell origin.
+func cellSpan(lo, hi, size float64, origin, n int) (first, end int) {
+	a := max(math.Floor(lo/size)-float64(origin), 0)
+	b := min(math.Floor(hi/size)-float64(origin)+1, float64(n))
+	if !(a < b) {
+		return 0, 0
+	}
+	return int(a), int(b)
+}
+
+// overlayBuffers allocates the per-die overlay inputs the run's overlay
+// mode reads: pass for the scalar check, corners for the 2-D one, neither
+// for the explicit per-pad check.
+func (e *w2wEnv) overlayBuffers() (pass []interval, corners [][4]geom.Vec2) {
+	switch {
+	case e.opts.ExplicitOverlayPads:
+	case e.opts.TwoDRandomMisalignment:
+		corners = make([][4]geom.Vec2, len(e.padRects))
+	default:
+		pass = make([]interval, len(e.dies))
+	}
+	return pass, corners
+}
+
+// prepareOverlay fills the overlay inputs allocated by overlayBuffers for
+// the distortion dist.
+func (e *w2wEnv) prepareOverlay(dist overlay.Distortion, pass []interval, corners [][4]geom.Vec2) {
+	for k := range corners {
+		for c, v := range e.padRects[k].Corners() {
+			corners[k][c] = dist.Displacement(v)
 		}
+	}
+	nR := len(e.regions)
+	for i := range pass {
+		iv := everything
+		for r, reg := range e.regions {
+			rect := e.padRects[i*nR+r]
+			iv = iv.intersect(scalarPass(dist.MinOverRect(rect), dist.MaxOverRect(rect), reg.delta))
+		}
+		pass[i] = iv
 	}
 }
 
@@ -128,40 +191,51 @@ func RunW2WContext(ctx context.Context, opts Options) (Result, error) {
 // is one bonded wafer, and the loop polls ctx and fires the wafer hook
 // before every one.
 func (e *w2wEnv) sampler() sampler {
-	s := sampler{mode: "W2W", unit: "wafer", hook: faultinject.HookSimW2WWafer, stride: 1, sample: e.simulateWafer}
+	s := sampler{mode: "W2W", unit: "wafer", hook: faultinject.HookSimW2WWafer, stride: 1, newWorker: e.newWorker}
 	if e.opts.CollectPerDie {
 		s.perDie = len(e.dies)
 	}
 	return s
 }
 
+// w2wWorker is one worker's scratch: per-die verdicts of the wafer in
+// flight and, under PerWaferSystematics, that wafer's overlay inputs.
+type w2wWorker struct {
+	*w2wEnv
+	overlayPass, killed []bool
+	pass                []interval
+	corners             [][4]geom.Vec2
+}
+
+func (e *w2wEnv) newWorker() sampleFunc {
+	w := &w2wWorker{w2wEnv: e, overlayPass: make([]bool, len(e.dies)), killed: make([]bool, len(e.dies))}
+	if e.opts.PerWaferSystematics {
+		w.pass, w.corners = e.overlayBuffers()
+	}
+	return w.simulateWafer
+}
+
 // simulateWafer runs one bonded-wafer sample: every die on the wafer is
 // subjected to the three checks. When perDie is non-nil the per-site
 // outcomes are accumulated into it (index-aligned with e.dies).
-func (e *w2wEnv) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
+func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
+	e := w.w2wEnv
 	n := len(e.dies)
 	c := Counts{Dies: n}
 
-	sMin, sMax, corners := e.sMin, e.sMax, e.corners
+	pass, corners := e.pass, e.corners
 	if e.opts.PerWaferSystematics {
-		p := e.opts.Params
-		dist := overlay.Distortion{
-			TX:       rng.Normal(p.TranslationX, p.PlacementTranslationSigma),
-			TY:       rng.Normal(p.TranslationY, p.PlacementTranslationSigma),
-			Rotation: rng.Normal(p.Rotation, p.PlacementRotationSigma),
-			Magnification: overlay.MagnificationFromWarpage(
-				p.KMag, rng.Normal(p.Warpage, p.PlacementWarpageSigma)),
-		}
-		local := &w2wEnv{dies: e.dies, regions: e.regions, padRects: e.padRects}
-		local.prepareOverlay(dist)
-		sMin, sMax, corners = local.sMin, local.sMax, local.corners
+		e.prepareOverlay(e.placement.draw(rng), w.pass, w.corners)
+		pass, corners = w.pass, w.corners
 	}
 
 	// Overlay Check. The random misalignment is drawn once per die (shared
 	// by all its regions' pads); a die passes when the worst pad of every
-	// region stays within that region's ±δ.
+	// region stays within that region's ±δ. In the scalar mode that is
+	// membership of u in the die's pass set, built per run (or per wafer)
+	// from every region's s_min and s_max.
 	nR := len(e.regions)
-	overlayPass := make([]bool, n)
+	overlayPass := w.overlayPass
 	for i := 0; i < n; i++ {
 		if e.opts.ExplicitOverlayPads {
 			u := rng.Normal(0, e.sigma1)
@@ -180,14 +254,7 @@ func (e *w2wEnv) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 			}
 			overlayPass[i] = pass
 		} else {
-			u := rng.Normal(0, e.sigma1)
-			pass := true
-			for r := 0; r < nR && pass; r++ {
-				k := i*nR + r
-				delta := e.regions[r].delta
-				pass = math.Abs(sMax[k]+u) <= delta && math.Abs(sMin[k]+u) <= delta
-			}
-			overlayPass[i] = pass
+			overlayPass[i] = pass[i].contains(rng.Normal(0, e.sigma1))
 		}
 		if overlayPass[i] {
 			c.OverlayPass++
@@ -196,21 +263,20 @@ func (e *w2wEnv) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 
 	// Defect Check: Poisson particles over the wafer, each sweeping a void
 	// tail radially outward with the bond wave (Fig. 3a / Fig. 6).
-	killed := make([]bool, n)
+	killed := w.killed
+	clear(killed)
 	if e.opts.ModelConventionDefects {
 		e.modelConventionDefects(rng, killed)
 	} else {
 		particles := rng.Poisson(e.particleMu)
 		for k := 0; k < particles; k++ {
-			x, y := rng.InDiskClustered(e.waferRadius, e.opts.Params.RadialDefectClustering)
-			t := rng.ParticleThickness(e.opts.Params.MinParticleThickness, e.opts.Params.DefectShape)
+			x, y := rng.InDiskClustered(e.waferRadius, e.defect.RadialClustering)
+			t := rng.ParticleThickness(e.defect.MinThickness, e.defect.Shape)
 			e.applyParticle(geom.Vec2{X: x, Y: y}, t, killed)
 		}
 	}
-	defectPass := make([]bool, n)
 	for i := 0; i < n; i++ {
-		defectPass[i] = !killed[i]
-		if defectPass[i] {
+		if !killed[i] {
 			c.DefectPass++
 		}
 	}
@@ -218,11 +284,10 @@ func (e *w2wEnv) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 	// Cu Recess Check: all N pad-height sums must stay inside (ζ₋, ζ₊).
 	// A common-mode CMP drift (if configured) is drawn once per wafer and
 	// shared by every die on it.
-	rp := e.opts.Params.RecessParams()
 	var waferShift float64
 	recessQ := e.recessQ
-	if rp.WaferSigma > 0 {
-		waferShift = rng.Normal(0, rp.WaferSigma)
+	if e.recessWaferSigma > 0 {
+		waferShift = rng.Normal(0, e.recessWaferSigma)
 		recessQ = regionRecessProbShifted(e.regions, waferShift)
 	}
 	for i := 0; i < n; i++ {
@@ -230,7 +295,8 @@ func (e *w2wEnv) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 		if recessPass {
 			c.RecessPass++
 		}
-		survived := recessPass && overlayPass[i] && defectPass[i]
+		defectPass := !killed[i]
+		survived := recessPass && overlayPass[i] && defectPass
 		if survived {
 			c.Survived++
 		}
@@ -239,7 +305,7 @@ func (e *w2wEnv) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 			if overlayPass[i] {
 				perDie[i].OverlayPass++
 			}
-			if defectPass[i] {
+			if defectPass {
 				perDie[i].DefectPass++
 			}
 			if recessPass {
@@ -290,19 +356,15 @@ func (e *w2wEnv) recessCheck(rng *randx.Source, q, shift float64) bool {
 // orientation uniform. The margin is three tail knees; the truncated tail
 // mass beyond it is O((1/3)⁴/3) of the tail term for z = 3.
 func (e *w2wEnv) modelConventionDefects(rng *randx.Source, killed []bool) {
-	p := e.opts.Params
-	dp := p.DefectParams()
-	margin := 3 * dp.TailKnee()
-	r := e.waferRadius + margin
-	field := geom.Rect{X0: -r, Y0: -r, X1: r, Y1: r}
-	particles := rng.Poisson(p.DefectDensity * field.Area())
+	field := e.modelField
+	particles := rng.Poisson(e.modelMu)
 	for k := 0; k < particles; k++ {
 		x, y := rng.InRect(field.X0, field.Y0, field.X1, field.Y1)
 		// Marginal tail law: virtual radius uniform over the wafer disk,
 		// thickness from the Glang law (exactly Eq. 18's generative form).
 		vx, vy := rng.InDisk(e.waferRadius)
-		t := rng.ParticleThickness(p.MinParticleThickness, p.DefectShape)
-		l := dp.TailLength(math.Hypot(vx, vy), t)
+		t := rng.ParticleThickness(e.defect.MinThickness, e.defect.Shape)
+		l := e.defect.TailLength(math.Hypot(vx, vy), t)
 		phi := rng.Angle()
 		seg := geom.Segment{
 			A: geom.Vec2{X: x, Y: y},
@@ -317,10 +379,8 @@ func (e *w2wEnv) modelConventionDefects(rng *randx.Source, killed []bool) {
 // direction (Eq. 16); with IncludeMainVoidW2W the main-void disk (Eq. 15)
 // also kills.
 func (e *w2wEnv) applyParticle(pos geom.Vec2, t float64, killed []bool) {
-	p := e.opts.Params
 	dist := pos.Norm()
-	dp := p.DefectParams()
-	tailLen := dp.TailLength(dist, t)
+	tailLen := e.defect.TailLength(dist, t)
 	var dir geom.Vec2
 	if dist > 0 {
 		dir = pos.Scale(1 / dist)
@@ -331,7 +391,7 @@ func (e *w2wEnv) applyParticle(pos geom.Vec2, t float64, killed []bool) {
 
 	var voidR float64
 	if e.opts.IncludeMainVoidW2W {
-		voidR = dp.MainVoidRadius(dist, t)
+		voidR = e.defect.MainVoidRadius(dist, t)
 	}
 	e.killAlongSegment(seg, voidR, killed)
 }
@@ -342,23 +402,16 @@ func (e *w2wEnv) applyParticle(pos geom.Vec2, t float64, killed []bool) {
 // overlapped by the defect's bounding box rather than a scan of all dies;
 // each candidate tests every region's pad-array rectangle.
 func (e *w2wEnv) killAlongSegment(seg geom.Segment, voidR float64, killed []bool) {
-	bx0 := math.Min(seg.A.X, seg.B.X) - voidR
-	bx1 := math.Max(seg.A.X, seg.B.X) + voidR
-	by0 := math.Min(seg.A.Y, seg.B.Y) - voidR
-	by1 := math.Max(seg.A.Y, seg.B.Y) + voidR
-	i0 := int(math.Floor(bx0/e.dieW)) + e.gridOffset
-	i1 := int(math.Floor(bx1/e.dieW)) + e.gridOffset
-	j0 := int(math.Floor(by0/e.dieH)) + e.gridOffset
-	j1 := int(math.Floor(by1/e.dieH)) + e.gridOffset
+	c0, c1 := cellSpan(math.Min(seg.A.X, seg.B.X)-voidR, math.Max(seg.A.X, seg.B.X)+voidR, e.dieW, e.col0, e.cols)
+	r0, r1 := cellSpan(math.Min(seg.A.Y, seg.B.Y)-voidR, math.Max(seg.A.Y, seg.B.Y)+voidR, e.dieH, e.row0, e.rows)
 	nR := len(e.regions)
-	for i := i0; i <= i1; i++ {
-		for j := j0; j <= j1; j++ {
-			idx, ok := e.dieIndex[uint64(i)<<32|uint64(uint32(j))]
-			if !ok || killed[idx] {
+	for col := c0; col < c1; col++ {
+		for _, cell := range e.cells[col*e.rows+r0 : col*e.rows+r1] {
+			idx := int(cell) - 1
+			if idx < 0 || killed[idx] {
 				continue
 			}
-			for r := 0; r < nR; r++ {
-				rect := e.padRects[idx*nR+r]
+			for _, rect := range e.padRects[idx*nR : (idx+1)*nR] {
 				if seg.IntersectsRect(rect) {
 					killed[idx] = true
 					break
