@@ -6,7 +6,7 @@
 //
 //	yapsim [-mode w2w|d2w] [-wafers n] [-dies n] [-seed n] [-workers n]
 //	       [-pitch um] [-die-area mm2] [-density cm-2]
-//	       [-2d-misalignment] [-main-void] [-per-wafer-systematics]
+//	       [-2d-misalignment] [-main-void]
 package main
 
 import (
@@ -31,8 +31,7 @@ func main() {
 		density = flag.Float64("density", 0, "defect density in cm^-2 (0 = baseline)")
 
 		twoD     = flag.Bool("2d-misalignment", false, "ablation: 2-D random overlay error instead of the paper's scalar convention")
-		mainVoid = flag.Bool("main-void", false, "ablation: W2W dies also killed by the main-void disk, not just the tail")
-		perWafer = flag.Bool("per-wafer-systematics", false, "extension: redraw Tx/Ty/rotation/warpage per wafer (W2W)")
+		mainVoid = flag.Bool("main-void", false, "ablation (w2w only): dies also killed by the main-void disk, not just the tail")
 	)
 	flag.Parse()
 
@@ -55,7 +54,6 @@ func main() {
 		Workers:                *workers,
 		TwoDRandomMisalignment: *twoD,
 		IncludeMainVoidW2W:     *mainVoid,
-		PerWaferSystematics:    *perWafer,
 	}
 
 	var (

@@ -207,8 +207,8 @@ type job struct {
 // opts.Faults is ignored: the coordinator's own hooks come from
 // Config.Faults, and workers arm their plans process-side (YAP_FAULTS).
 // Options that are not representable in the shard wire protocol
-// (CollectPerDie and the ablation switches) are rejected rather than
-// silently dropped.
+// (CollectPerDie and any fidelity switch, sim.Options.Ablated) are
+// rejected rather than silently dropped.
 func (c *Coordinator) Simulate(ctx context.Context, mode string, opts sim.Options) (sim.Result, service.DistInfo, error) {
 	if mode != "w2w" && mode != "d2w" {
 		return sim.Result{}, service.DistInfo{}, fmt.Errorf("dist: unknown mode %q (want w2w or d2w)", mode)
@@ -398,9 +398,8 @@ func unsupportedOptions(opts sim.Options) error {
 	switch {
 	case opts.CollectPerDie:
 		return errors.New("dist: CollectPerDie is not supported over the shard protocol; run locally")
-	case opts.TwoDRandomMisalignment, opts.IncludeMainVoidW2W, opts.PerWaferSystematics,
-		opts.ExplicitRecessPads, opts.ExplicitOverlayPads, opts.ModelConventionDefects:
-		return errors.New("dist: ablation options are not supported over the shard protocol; run locally")
+	case opts.Ablated():
+		return errors.New("dist: fidelity switches are not supported over the shard protocol; run locally")
 	}
 	return nil
 }

@@ -328,13 +328,23 @@ func TestCoordinatorValidation(t *testing.T) {
 	if _, _, err := c.Simulate(context.Background(), "wtw", sim.Options{Params: core.Baseline()}); err == nil {
 		t.Error("unknown mode accepted")
 	}
-	if _, _, err := c.Simulate(context.Background(), "w2w",
-		sim.Options{Params: core.Baseline(), Wafers: 4, CollectPerDie: true}); err == nil {
-		t.Error("CollectPerDie accepted over the wire protocol")
-	}
-	if _, _, err := c.Simulate(context.Background(), "w2w",
-		sim.Options{Params: core.Baseline(), Wafers: 4, ExplicitRecessPads: true}); err == nil {
-		t.Error("ablation option accepted over the wire protocol")
+	// The shard protocol carries no fidelity switch and no per-die tallies:
+	// each must be refused, never silently dropped.
+	for _, tc := range []struct {
+		name string
+		set  func(*sim.Options)
+	}{
+		{"TwoDRandomMisalignment", func(o *sim.Options) { o.TwoDRandomMisalignment = true }},
+		{"IncludeMainVoidW2W", func(o *sim.Options) { o.IncludeMainVoidW2W = true }},
+		{"ExplicitPads", func(o *sim.Options) { o.ExplicitPads = true }},
+		{"ModelConventionDefects", func(o *sim.Options) { o.ModelConventionDefects = true }},
+		{"CollectPerDie", func(o *sim.Options) { o.CollectPerDie = true }},
+	} {
+		opts := sim.Options{Params: core.Baseline(), Wafers: 4}
+		tc.set(&opts)
+		if _, _, err := c.Simulate(context.Background(), "w2w", opts); err == nil {
+			t.Errorf("%s accepted over the wire protocol", tc.name)
+		}
 	}
 	if _, _, err := c.Simulate(context.Background(), "w2w",
 		sim.Options{Params: core.Baseline(), Wafers: 4, FirstSample: -1}); err == nil {

@@ -116,19 +116,18 @@ func TestRadialClusteringSimMatchesModel(t *testing.T) {
 // convexity-based corner check are the same test up to the sub-pitch gap
 // between the outermost pad centers and the array corners, so their pass
 // rates must agree closely. Coarse pads keep the explicit walk affordable.
+// ExplicitPads also draws every pad's recess height; recess is drawn last
+// in every sample, so the overlay tallies are those of the walk alone.
 func TestExplicitOverlayMatchesCornerCheck(t *testing.T) {
 	// Small wafer and die keep the explicit O(N_pads·N_dies) walk cheap;
 	// a large rotation error puts the overlay cliff mid-wafer so the check
 	// actually discriminates (pass radius δ/α ≈ 8 mm inside R = 10 mm).
-	p := core.Baseline()
-	p.WaferDiameter = 20e-3
-	p.DieWidth, p.DieHeight = 0.5e-3, 0.5e-3
-	p.Rotation = 120e-6
+	p := rotationParams()
 	fast, err := RunW2W(Options{Params: p, Seed: 29, Wafers: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := RunW2W(Options{Params: p, Seed: 29, Wafers: 5, ExplicitOverlayPads: true})
+	explicit, err := RunW2W(Options{Params: p, Seed: 29, Wafers: 5, ExplicitPads: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -135,7 +135,7 @@ func (e *d2wEnv) recessCheck(rng *randx.Source) bool {
 		shift = rng.Normal(0, e.recessWaferSigma)
 		q = regionRecessProbShifted(e.regions, shift)
 	}
-	if !e.opts.ExplicitRecessPads {
+	if !e.opts.ExplicitPads {
 		return rng.Bernoulli(q)
 	}
 	return explicitRecessRegions(rng, e.regions, shift)
@@ -143,40 +143,18 @@ func (e *d2wEnv) recessCheck(rng *randx.Source) bool {
 
 // overlayCheck draws this die's placement (systematic terms vary
 // independently die-to-die, §III-E-1) plus the shared random error and
-// tests the worst pad.
+// tests the worst pad, in die-local coordinates.
 func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
 	dist := e.placement.draw(rng)
 	dist.Rotation *= e.dieScale
 	dist.Magnification *= e.dieScale
 
-	if e.opts.ExplicitOverlayPads {
-		u := rng.Normal(0, e.sigma1)
-		for _, reg := range e.regions {
-			for ix := 0; ix < reg.grid.NX; ix++ {
-				for iy := 0; iy < reg.grid.NY; iy++ {
-					if math.Abs(dist.Magnitude(reg.grid.PadCenter(ix, iy))+u) > reg.delta {
-						return false
-					}
-				}
-			}
-		}
-		return true
-	}
-	if e.opts.TwoDRandomMisalignment {
+	switch {
+	case e.opts.ExplicitPads:
+		return padsPass(dist, geom.Vec2{}, e.regions, rng.Normal(0, e.sigma1))
+	case e.opts.TwoDRandomMisalignment:
 		u := geom.Vec2{X: rng.Normal(0, e.sigma1), Y: rng.Normal(0, e.sigma1)}
-		for r := range e.regions {
-			reg := &e.regions[r]
-			worst := 0.0
-			for _, corner := range reg.corners {
-				if m := dist.Displacement(corner).Add(u).Norm(); m > worst {
-					worst = m
-				}
-			}
-			if worst > reg.delta {
-				return false
-			}
-		}
-		return true
+		return cornersPass2D(dist, geom.Vec2{}, e.regions, u)
 	}
 	u := rng.Normal(0, e.sigma1)
 	for r := range e.regions {

@@ -10,9 +10,9 @@ import (
 )
 
 // TestKernelsAllocateNothingPerSample: a run's allocations do not grow
-// with its sample count. The stream, the per-wafer verdicts and the
-// per-wafer overlay inputs belong to the worker, so a run of many samples
-// allocates exactly what a run of few does.
+// with its sample count, in every overlay, defect and recess mode. The
+// stream and the per-wafer verdicts belong to the worker, so a run of many
+// samples allocates exactly what a run of few does.
 func TestKernelsAllocateNothingPerSample(t *testing.T) {
 	cases := []struct {
 		name        string
@@ -22,14 +22,15 @@ func TestKernelsAllocateNothingPerSample(t *testing.T) {
 	}{
 		{"w2w r1", "w2w", Options{Params: core.Baseline()}, 1, 4},
 		{"w2w r8", "w2w", Options{Params: eightRegionFineParams()}, 1, 4},
-		{"w2w perWafer", "w2w", Options{Params: core.Baseline(), PerWaferSystematics: true}, 1, 4},
-		{"w2w r8 perWafer", "w2w", Options{Params: eightRegionFineParams(), PerWaferSystematics: true}, 1, 4},
-		{"w2w twoD perWafer mainVoid", "w2w", Options{Params: core.Baseline(), PerWaferSystematics: true,
+		{"w2w explicitPads", "w2w", Options{Params: smallParams(), ExplicitPads: true}, 1, 4},
+		{"w2w r8 twoD", "w2w", Options{Params: eightRegionFineParams(), TwoDRandomMisalignment: true}, 1, 4},
+		{"w2w twoD mainVoid", "w2w", Options{Params: core.Baseline(),
 			TwoDRandomMisalignment: true, IncludeMainVoidW2W: true}, 1, 4},
 		{"w2w modelConv", "w2w", Options{Params: core.Baseline(), ModelConventionDefects: true}, 1, 4},
 		{"d2w r1", "d2w", Options{Params: core.Baseline()}, 100, 2000},
 		{"d2w r8", "d2w", Options{Params: eightRegionFineParams()}, 100, 2000},
 		{"d2w twoD", "d2w", Options{Params: core.Baseline(), TwoDRandomMisalignment: true}, 100, 2000},
+		{"d2w explicitPads", "d2w", Options{Params: smallParams(), ExplicitPads: true}, 10, 200},
 	}
 	// The process's first collection starts the runtime's mark workers,
 	// which allocates; collect once so that cannot land in a measurement.
@@ -68,7 +69,7 @@ func TestConcurrentRunsMatchSequential(t *testing.T) {
 		opts Options
 	}{
 		{"w2w", Options{Params: core.Baseline(), Seed: 1, Wafers: 4, Workers: 2}},
-		{"w2w", Options{Params: finePitchParams(), Seed: 2, Wafers: 4, Workers: 3, PerWaferSystematics: true}},
+		{"w2w", Options{Params: finePitchParams(), Seed: 2, Wafers: 4, Workers: 3, IncludeMainVoidW2W: true}},
 		{"w2w", Options{Params: eightRegionFineParams(), Seed: 3, Wafers: 3, Workers: 2, CollectPerDie: true}},
 		{"w2w", Options{Params: wideSigmaParams(), Seed: 4, Wafers: 3, Workers: 2, TwoDRandomMisalignment: true}},
 		{"d2w", Options{Params: core.Baseline(), Seed: 5, Dies: 3000, Workers: 2}},

@@ -17,7 +17,9 @@ import (
 // kernels must reproduce them exactly: with no PadLayout set the single
 // full-die uniform region has to degenerate to the legacy arithmetic bit
 // for bit, so a changed tally here means the YAP+ refactor broke the
-// paper-baseline simulator.
+// paper-baseline simulator. The W2W modelConv case stands in for a
+// scenario whose per-wafer systematic switch was deleted; its tally was
+// captured from the kernels just before that deletion.
 
 // smallParams is a cheap die/wafer for the explicit per-pad paths.
 func smallParams() core.Params {
@@ -45,13 +47,13 @@ func TestLegacyGoldenReplayW2W(t *testing.T) {
 		{"twoD+mainVoid", Options{Params: core.Baseline(), Seed: 2, Wafers: 3, Workers: 2,
 			TwoDRandomMisalignment: true, IncludeMainVoidW2W: true},
 			Counts{1944, 1944, 1587, 1935, 1580}},
-		{"perWafer+modelConv", Options{Params: core.Baseline(), Seed: 3, Wafers: 3, Workers: 2,
-			PerWaferSystematics: true, ModelConventionDefects: true},
-			Counts{1944, 1944, 1568, 1928, 1556}},
+		{"modelConv", Options{Params: core.Baseline(), Seed: 3, Wafers: 3, Workers: 2,
+			ModelConventionDefects: true},
+			Counts{1944, 1944, 1577, 1927, 1562}},
 		{"waferSigma", Options{Params: waferSigmaParams(), Seed: 4, Wafers: 3, Workers: 2},
 			Counts{1944, 1944, 1602, 1925, 1590}},
 		{"explicitPads", Options{Params: smallParams(), Seed: 5, Wafers: 3, Workers: 2,
-			ExplicitOverlayPads: true, ExplicitRecessPads: true},
+			ExplicitPads: true},
 			Counts{180, 180, 179, 180, 179}},
 	}
 	for _, tc := range cases {
@@ -81,7 +83,7 @@ func TestLegacyGoldenReplayD2W(t *testing.T) {
 		{"waferSigma", Options{Params: waferSigmaParams(), Seed: 3, Dies: 3000, Workers: 2},
 			Counts{3000, 3000, 2698, 2978, 2677}},
 		{"explicitPads", Options{Params: smallParams(), Seed: 4, Dies: 1500, Workers: 2,
-			ExplicitOverlayPads: true, ExplicitRecessPads: true},
+			ExplicitPads: true},
 			Counts{1500, 1500, 1493, 1500, 1493}},
 	}
 	for _, tc := range cases {
@@ -132,9 +134,9 @@ func TestUniformLayoutBitIdenticalW2W(t *testing.T) {
 	base := []Options{
 		{Params: core.Baseline(), Seed: 11, Wafers: 3},
 		{Params: core.Baseline(), Seed: 12, Wafers: 2, TwoDRandomMisalignment: true, IncludeMainVoidW2W: true},
-		{Params: core.Baseline(), Seed: 13, Wafers: 2, PerWaferSystematics: true, ModelConventionDefects: true},
+		{Params: core.Baseline(), Seed: 13, Wafers: 2, TwoDRandomMisalignment: true, ModelConventionDefects: true},
 		{Params: waferSigmaParams(), Seed: 14, Wafers: 2},
-		{Params: smallParams(), Seed: 15, Wafers: 3, ExplicitOverlayPads: true, ExplicitRecessPads: true},
+		{Params: smallParams(), Seed: 15, Wafers: 3, ExplicitPads: true},
 	}
 	for _, opts := range base {
 		for _, workers := range []int{1, 2, 5} {
@@ -162,7 +164,7 @@ func TestUniformLayoutBitIdenticalD2W(t *testing.T) {
 		{Params: core.Baseline(), Seed: 21, Dies: 800},
 		{Params: core.Baseline(), Seed: 22, Dies: 600, TwoDRandomMisalignment: true},
 		{Params: waferSigmaParams(), Seed: 23, Dies: 600},
-		{Params: smallParams(), Seed: 24, Dies: 400, ExplicitOverlayPads: true, ExplicitRecessPads: true},
+		{Params: smallParams(), Seed: 24, Dies: 400, ExplicitPads: true},
 	}
 	for _, opts := range base {
 		for _, workers := range []int{1, 2, 5} {
@@ -310,11 +312,11 @@ func TestMultiRegionShardMerge(t *testing.T) {
 			[][]int{{600}, {200, 400}, {150, 150, 300}}},
 		{"w2w quadrants explicit", "w2w",
 			Options{Params: quadrantParams(), Seed: 53, Wafers: 4, Workers: 2,
-				ExplicitOverlayPads: true, ExplicitRecessPads: true},
+				ExplicitPads: true},
 			[][]int{{4}, {1, 3}}},
 		{"d2w quadrants explicit", "d2w",
 			Options{Params: quadrantParams(), Seed: 54, Dies: 400, Workers: 2,
-				ExplicitOverlayPads: true, ExplicitRecessPads: true},
+				ExplicitPads: true},
 			[][]int{{400}, {100, 300}}},
 	}
 	for _, tc := range cases {

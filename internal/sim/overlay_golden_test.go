@@ -15,7 +15,10 @@ import (
 // a fine pitch where it fails often. The tallies were captured from the
 // kernels that evaluated |s_max+u| ≤ δ and |s_min+u| ≤ δ per region and
 // per die directly, before the per-die pass interval (W2W) and the
-// certified s_min skip (D2W) replaced that loop.
+// certified s_min skip (D2W) replaced that loop. The explicitPads cases
+// pin the per-pad walk where it decides dies (the corner checks pass 787
+// and 605 dies there); they were captured from the kernels in which each
+// mode still walked the pads with its own loop.
 
 // finePitchParams is the baseline at 0.8 µm pitch, where overlay fails
 // a visible share of dies in both modes.
@@ -29,6 +32,17 @@ func finePitchParams() core.Params {
 func wideSigmaParams() core.Params {
 	p := finePitchParams()
 	p.RandomMisalignmentSigma = 60 * units.Nanometer
+	return p
+}
+
+// rotationParams is a 20 mm wafer of 0.5 mm dies under a 120 µrad
+// rotation: the overlay cliff lies mid-wafer, and the per-pad walk stays
+// cheap.
+func rotationParams() core.Params {
+	p := core.Baseline()
+	p.WaferDiameter = 20e-3
+	p.DieWidth, p.DieHeight = 0.5e-3, 0.5e-3
+	p.Rotation = 120e-6
 	return p
 }
 
@@ -65,23 +79,14 @@ func TestOverlayGoldenW2W(t *testing.T) {
 			Counts{6480, 5940, 5467, 4771, 3714}},
 		{"pitch0.8 sigma60nm", Options{Params: wideSigmaParams(), Seed: 7, Wafers: 10, Workers: 2},
 			Counts{6480, 4604, 5467, 4771, 2872}},
-		{"pitch0.8 perWafer", Options{Params: finePitchParams(), Seed: 8, Wafers: 10, Workers: 2,
-			PerWaferSystematics: true},
-			Counts{6480, 5259, 5369, 4759, 3225}},
-		{"pitch0.8 sigma60nm perWafer", Options{Params: wideSigmaParams(), Seed: 9, Wafers: 10, Workers: 2,
-			PerWaferSystematics: true},
-			Counts{6480, 4559, 5365, 4744, 2790}},
 		{"pitch0.8 twoD", Options{Params: finePitchParams(), Seed: 10, Wafers: 10, Workers: 2,
 			TwoDRandomMisalignment: true},
 			Counts{6480, 5931, 5380, 4782, 3642}},
-		{"pitch0.8 twoD perWafer", Options{Params: finePitchParams(), Seed: 11, Wafers: 10, Workers: 2,
-			TwoDRandomMisalignment: true, PerWaferSystematics: true},
-			Counts{6480, 5186, 5416, 4748, 3187}},
 		{"8 regions", Options{Params: eightRegionFineParams(), Seed: 12, Wafers: 10, Workers: 2},
 			Counts{6480, 6033, 5298, 5343, 4097}},
-		{"8 regions perWafer", Options{Params: eightRegionFineParams(), Seed: 13, Wafers: 10, Workers: 2,
-			PerWaferSystematics: true},
-			Counts{6480, 5758, 5384, 5349, 3944}},
+		{"rotation explicitPads", Options{Params: rotationParams(), Seed: 29, Wafers: 1, Workers: 2,
+			ExplicitPads: true},
+			Counts{1176, 788, 1176, 1176, 788}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -117,6 +122,12 @@ func TestOverlayGoldenD2W(t *testing.T) {
 			return p
 		}(), Seed: 14, Dies: 20000, Workers: 2},
 			Counts{20000, 8290, 17878, 16422, 6118}},
+		{"rotation explicitPads", Options{Params: func() core.Params {
+			p := rotationParams()
+			p.PlacementRotationSigma = 80e-6
+			return p
+		}(), Seed: 4, Dies: 1500, Workers: 2, ExplicitPads: true},
+			Counts{1500, 618, 1498, 1500, 617}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 )
 
 // placementLaw is the distribution of the systematic distortion terms that
-// D2W draws per die and W2W draws per wafer under PerWaferSystematics:
-// T_x, T_y and α normal around the parameter-set values, and E = k_mag·B
-// with the warpage B normal around its value (Eq. 2).
+// D2W draws per die (§III-E-1): T_x, T_y and α normal around the
+// parameter-set values, and E = k_mag·B with the warpage B normal around
+// its value (Eq. 2). W2W holds them at the parameter-set values.
 type placementLaw struct {
 	tx, ty, rot, warp           float64 // means
 	sigmaT, sigmaRot, sigmaWarp float64
@@ -196,4 +196,47 @@ func d2wRegionPasses(d overlay.Distortion, rect geom.Rect, corners *[4]geom.Vec2
 		return true
 	}
 	return !(math.Abs(d.MinOverRect(rect)+u) > delta)
+}
+
+// padsPass is the per-pad overlay check of one die under ExplicitPads,
+// shared by both kernels: the die passes when, at every pad center of
+// every region (the region's die-local pad grid shifted by center), the
+// systematic displacement under d plus the scalar random misalignment u
+// stays within the region's ±δ. It visits regions in layout order and
+// stops at the first failing pad — the O(N)-per-die walk the paper's
+// simulator takes.
+func padsPass(d overlay.Distortion, center geom.Vec2, regions []simRegion, u float64) bool {
+	for r := range regions {
+		reg := &regions[r]
+		for ix := 0; ix < reg.grid.NX; ix++ {
+			for iy := 0; iy < reg.grid.NY; iy++ {
+				if math.Abs(d.Magnitude(center.Add(reg.grid.PadCenter(ix, iy)))+u) > reg.delta {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// cornersPass2D is the overlay check of one die under
+// TwoDRandomMisalignment, shared by both kernels: the die passes when, for
+// every region, the largest |D(c) + u| over the corners c of the region's
+// pad rectangle shifted by center stays within the region's δ. D is
+// affine, so |D + u| is convex and its maximum over the rectangle lies at
+// a corner.
+func cornersPass2D(d overlay.Distortion, center geom.Vec2, regions []simRegion, u geom.Vec2) bool {
+	for r := range regions {
+		reg := &regions[r]
+		worst := 0.0
+		for _, c := range reg.corners {
+			if m := d.Displacement(center.Add(c)).Add(u).Norm(); m > worst {
+				worst = m
+			}
+		}
+		if worst > reg.delta {
+			return false
+		}
+	}
+	return true
 }

@@ -157,6 +157,9 @@ type sampler struct {
 type sampleFunc func(rng *randx.Source, perDie []Counts) Counts
 
 func newSampler(mode string, opts Options) (sampler, error) {
+	if err := opts.check(mode); err != nil {
+		return sampler{}, err
+	}
 	if mode == "d2w" {
 		env, err := newD2WEnv(opts)
 		if err != nil {

@@ -9,8 +9,7 @@
 // The simulator makes fewer approximations than the model:
 //
 //   - the overlay check tests every die against the exact distortion field,
-//     including the s_min side of the shared random error that Eq. 7 drops,
-//     and can optionally use a 2-D random misalignment vector;
+//     including the s_min side of the shared random error that Eq. 7 drops;
 //   - void tails are placed at sampled particle positions and swept
 //     radially (the bond-wave direction), rather than orientation-averaged;
 //   - D2W main voids are square regions tested against the actual pad grid,
@@ -21,7 +20,11 @@
 // indicator is exactly Bernoulli((1−p_fail)^N); the simulator samples that
 // indicator directly instead of drawing 10⁸ heights. The equivalence is
 // distributional, not approximate, and is verified in tests against the
-// explicit per-pad path (which remains available via ExplicitRecessPads).
+// explicit per-pad path.
+//
+// The default run is the paper's simulator. Each of the four fidelity
+// switches in Options departs from it for one documented study, and a run
+// that combines them in a way no kernel implements is refused.
 package sim
 
 import (
@@ -74,28 +77,25 @@ type Options struct {
 	FirstSample int
 
 	// TwoDRandomMisalignment switches the random overlay error from the
-	// paper's scalar convention to a 2-D vector (u_x, u_y), each N(0, σ₁)
-	// — the ablation quantifying the scalar approximation (DESIGN.md §2.1).
+	// paper's scalar convention to a 2-D vector (u_x, u_y), each N(0, σ₁),
+	// tested against the worst pad-rectangle corner of every region — the
+	// ablation quantifying the scalar approximation (DESIGN.md A1). It
+	// cannot be combined with ExplicitPads, whose walk is scalar.
 	TwoDRandomMisalignment bool
 	// IncludeMainVoidW2W additionally kills W2W dies overlapped by the
 	// main-void disk, not just the tail segment (ablation of the
-	// line-defect simplification, DESIGN.md §2.7).
+	// line-defect simplification, DESIGN.md A2). W2W only; it cannot be
+	// combined with ModelConventionDefects, whose defects are tails alone.
 	IncludeMainVoidW2W bool
-	// PerWaferSystematics draws T_x, T_y, α and B per bonded wafer from
-	// the placement spreads instead of holding them at the parameter-set
-	// values (extension; W2W only — D2W always draws per die).
-	PerWaferSystematics bool
-	// ExplicitRecessPads forces per-pad recess sampling instead of the
-	// exact Bernoulli shortcut. Only sensible for small pad counts; runs
-	// at O(N) per die.
-	ExplicitRecessPads bool
-	// ExplicitOverlayPads forces the overlay check to visit every pad
-	// center instead of exploiting the convexity of the distortion field
-	// (which reduces the die check to its corners). Distributionally
-	// identical up to the sub-pitch gap between the outermost pad centers
-	// and the array corners; exists so the runtime study can price the
-	// paper's O(N)-per-die simulation faithfully.
-	ExplicitOverlayPads bool
+	// ExplicitPads makes both per-pad checks visit every pad, as the
+	// paper's simulator does: the recess check draws every pad height
+	// instead of the exact Bernoulli shortcut, and the overlay check walks
+	// every pad center instead of the pad-rectangle corners the convexity
+	// of the distortion field reduces it to. Distributionally identical up
+	// to the sub-pitch gap between the outermost pad centers and the
+	// corners, it runs at O(N) per die and exists so the runtime study can
+	// price the paper's simulation faithfully.
+	ExplicitPads bool
 	// ModelConventionDefects switches the W2W defect generator to the
 	// analytic model's idealization: defect anchors uniform over an
 	// extended field (so edge dies see the same defect flux as center
@@ -103,7 +103,7 @@ type Options struct {
 	// independent of position, and tail orientation uniform in [0, 2π)
 	// instead of radial. Comparing a run with this flag against the
 	// default isolates the wafer-edge and orientation approximations in
-	// the closed-form Λ of Eq. 20 (ablation; DESIGN.md §2.7).
+	// the closed-form Λ of Eq. 20 (ablation; DESIGN.md A4). W2W only.
 	ModelConventionDefects bool
 	// CollectPerDie (W2W only) additionally accumulates per-die-site
 	// survival statistics into Result.PerDie, index-aligned with the
@@ -117,6 +117,26 @@ type Options struct {
 	// results; injected errors and panics abort the run with an error.
 	// nil — the production default — disables injection entirely.
 	Faults *faultinject.Injector
+}
+
+// Ablated reports whether any fidelity switch is set, so the run is not
+// the paper's simulator.
+func (o Options) Ablated() bool {
+	return o.TwoDRandomMisalignment || o.IncludeMainVoidW2W || o.ExplicitPads || o.ModelConventionDefects
+}
+
+// check refuses the switch combinations no kernel implements for mode
+// "w2w" or "d2w", rather than letting one switch silently win.
+func (o Options) check(mode string) error {
+	switch {
+	case o.ExplicitPads && o.TwoDRandomMisalignment:
+		return errors.New("sim: ExplicitPads walks a scalar random misalignment; it cannot be combined with TwoDRandomMisalignment")
+	case o.ModelConventionDefects && o.IncludeMainVoidW2W:
+		return errors.New("sim: ModelConventionDefects draws void tails alone; it cannot be combined with IncludeMainVoidW2W")
+	case mode == "d2w" && (o.IncludeMainVoidW2W || o.ModelConventionDefects || o.CollectPerDie):
+		return errors.New("sim: IncludeMainVoidW2W, ModelConventionDefects and CollectPerDie apply to W2W runs only")
+	}
+	return nil
 }
 
 func (o Options) workers() int {

@@ -189,9 +189,11 @@ func TestResultYieldConsistency(t *testing.T) {
 	}
 }
 
-func TestExplicitRecessPadsMatchesBernoulliShortcut(t *testing.T) {
+func TestExplicitPadsRecessMatchesBernoulliShortcut(t *testing.T) {
 	// Use a small pad count (coarse die) so the explicit path is feasible,
-	// and a stressed recess process so failures actually occur.
+	// and a stressed recess process so failures actually occur. The
+	// per-pad overlay walk draws what the scalar check draws, so the
+	// recess draws are those of the explicit recess path alone.
 	p := core.Baseline()
 	p.DieWidth, p.DieHeight = 0.6*units.Millimeter, 0.6*units.Millimeter
 	p.ExpansionRate = 0.046 * units.NanometerPerK // per-pad fail ~ 1e-4
@@ -204,7 +206,7 @@ func TestExplicitRecessPadsMatchesBernoulliShortcut(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	explicit, err := RunD2W(Options{Params: p, Seed: 10, Dies: 4000, ExplicitRecessPads: true})
+	explicit, err := RunD2W(Options{Params: p, Seed: 10, Dies: 4000, ExplicitPads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +233,7 @@ func TestW2WExplicitRecessPath(t *testing.T) {
 	p.DieWidth, p.DieHeight = 0.6*units.Millimeter, 0.6*units.Millimeter
 	p.WaferDiameter = 20 * units.Millimeter
 	p.ExpansionRate = 0.046 * units.NanometerPerK
-	res, err := RunW2W(Options{Params: p, Seed: 11, Wafers: 30, ExplicitRecessPads: true})
+	res, err := RunW2W(Options{Params: p, Seed: 11, Wafers: 30, ExplicitPads: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,23 +278,39 @@ func TestIncludeMainVoidW2WReducesDefectYield(t *testing.T) {
 	}
 }
 
-func TestPerWaferSystematicsSpreadsYield(t *testing.T) {
-	// Per-wafer systematic draws add variance; in the overlay-sensitive
-	// fine-pitch W2W regime the average yield should drop versus the
-	// deterministic field (Jensen: POS is concave near its plateau).
-	p := core.Baseline().WithPitch(1 * units.Micrometer)
-	p.Warpage = 15 * units.Micrometer // push edge dies toward the cliff
-	det, err := RunW2W(Options{Params: p, Seed: 41, Wafers: 80})
-	if err != nil {
-		t.Fatal(err)
+// TestRunRefusesUnimplementedCombinations: a switch combination that no
+// kernel implements fails the run. Run anyway, each would silently reduce
+// to fewer switches: the per-pad walk ignores the 2-D draw, the
+// model-convention generator has no main void, and a D2W run has no
+// W2W-only check.
+func TestRunRefusesUnimplementedCombinations(t *testing.T) {
+	cases := []struct {
+		name string
+		mode string
+		opts Options
+	}{
+		{"w2w explicitPads+twoD", "w2w", Options{Params: smallParams(), Wafers: 1,
+			ExplicitPads: true, TwoDRandomMisalignment: true}},
+		{"d2w explicitPads+twoD", "d2w", Options{Params: smallParams(), Dies: 10,
+			ExplicitPads: true, TwoDRandomMisalignment: true}},
+		{"w2w modelConv+mainVoid", "w2w", Options{Params: core.Baseline(), Wafers: 1,
+			ModelConventionDefects: true, IncludeMainVoidW2W: true}},
+		{"d2w mainVoid", "d2w", Options{Params: core.Baseline(), Dies: 10, IncludeMainVoidW2W: true}},
+		{"d2w modelConv", "d2w", Options{Params: core.Baseline(), Dies: 10, ModelConventionDefects: true}},
+		{"d2w collectPerDie", "d2w", Options{Params: core.Baseline(), Dies: 10, CollectPerDie: true}},
 	}
-	rnd, err := RunW2W(Options{Params: p, Seed: 41, Wafers: 80, PerWaferSystematics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rnd.OverlayYield > det.OverlayYield+0.02 {
-		t.Errorf("per-wafer systematics should not raise overlay yield: %g vs %g",
-			rnd.OverlayYield, det.OverlayYield)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var err error
+			if tc.mode == "w2w" {
+				_, err = RunW2W(tc.opts)
+			} else {
+				_, err = RunD2W(tc.opts)
+			}
+			if err == nil {
+				t.Error("run accepted a switch combination no kernel implements")
+			}
+		})
 	}
 }
 

@@ -27,13 +27,15 @@ type Void struct {
 type VoidMap struct {
 	// WaferRadius is the wafer radius (m).
 	WaferRadius float64
-	// Dies and PadRects describe the floorplan.
+	// Dies and PadRects describe the floorplan: PadRects holds the pad-region
+	// rectangles of every die in wafer coordinates, R per die and flattened
+	// as PadRects[die*R+region] — one per die for the paper's uniform grid.
 	Dies     []wafer.Die
 	PadRects []geom.Rect
 	// Voids are the simulated defects.
 	Voids []Void
-	// Killed marks dies whose pad array is overlapped by a void tail or
-	// main void.
+	// Killed marks dies any of whose pad regions is overlapped by a void
+	// tail or main void.
 	Killed []bool
 }
 
@@ -51,55 +53,38 @@ func (m *VoidMap) KilledCount() int {
 // GenerateVoidMap simulates the particle defects of one W2W bonded wafer
 // and returns the resulting void geometry and die kill map. particles > 0
 // forces an exact particle count (useful for illustration); particles = 0
-// draws the count from the process Poisson law.
+// draws the count from the process Poisson law. Dies are killed as the
+// W2W kernel kills them with IncludeMainVoidW2W set: by a void tail or
+// main void touching any of their pad regions.
 func GenerateVoidMap(p core.Params, seed uint64, particles int) (*VoidMap, error) {
-	if err := p.Validate(); err != nil {
+	env, err := newW2WEnv(Options{Params: p})
+	if err != nil {
 		return nil, err
 	}
 	rng := randx.NewSource(seed)
-	layout := p.Layout()
-	dies := layout.Dies()
-	pads := p.PadArray()
-	dp := p.DefectParams()
-	r := p.WaferRadius()
-
+	r, dp := env.waferRadius, env.defect
 	m := &VoidMap{
 		WaferRadius: r,
-		Dies:        dies,
-		PadRects:    make([]geom.Rect, len(dies)),
-		Killed:      make([]bool, len(dies)),
-	}
-	for i, d := range dies {
-		m.PadRects[i] = pads.PadArrayRectOn(d)
+		Dies:        env.dies,
+		PadRects:    env.padRects,
+		Killed:      make([]bool, len(env.dies)),
 	}
 	if particles <= 0 {
-		particles = rng.Poisson(p.DefectDensity * math.Pi * r * r)
+		particles = rng.Poisson(env.particleMu)
 	}
 	for k := 0; k < particles; k++ {
-		x, y := rng.InDiskClustered(r, p.RadialDefectClustering)
+		x, y := rng.InDiskClustered(r, dp.RadialClustering)
 		pos := geom.Vec2{X: x, Y: y}
-		t := rng.ParticleThickness(p.MinParticleThickness, p.DefectShape)
+		t := rng.ParticleThickness(dp.MinThickness, dp.Shape)
 		dist := pos.Norm()
-		dir := geom.Vec2{X: 1}
-		if dist > 0 {
-			dir = pos.Scale(1 / dist)
-		}
 		v := Void{
 			Particle:   pos,
 			Thickness:  t,
 			MainRadius: dp.MainVoidRadius(dist, t),
-			Tail:       geom.Segment{A: pos, B: pos.Add(dir.Scale(dp.TailLength(dist, t)))},
+			Tail:       radialTail(pos, dist, dp.TailLength(dist, t)),
 		}
 		m.Voids = append(m.Voids, v)
-		for i := range dies {
-			if m.Killed[i] {
-				continue
-			}
-			if v.Tail.IntersectsRect(m.PadRects[i]) ||
-				geom.CircleOverlapsRect(pos, v.MainRadius, m.PadRects[i]) {
-				m.Killed[i] = true
-			}
-		}
+		env.killAlongSegment(v.Tail, v.MainRadius, m.Killed)
 	}
 	return m, nil
 }

@@ -6,6 +6,7 @@ import (
 
 	"yap/internal/core"
 	"yap/internal/geom"
+	"yap/internal/layout"
 	"yap/internal/num"
 )
 
@@ -57,27 +58,51 @@ func TestGenerateVoidMapPoissonCount(t *testing.T) {
 	}
 }
 
+// TestGenerateVoidMapKillConsistency recomputes every die's kill flag
+// from the voids and the pad regions of the params' layout, independently
+// of the map's own rects: a map that ignored the layout would kill the
+// dies under the full-die pad array (268 rather than 189 of the left-half
+// layout's dies at seed 9, 200 particles).
 func TestGenerateVoidMapKillConsistency(t *testing.T) {
-	p := core.Baseline()
-	m, err := GenerateVoidMap(p, 9, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Recompute kills independently and compare.
-	for i, rect := range m.PadRects {
-		want := false
-		for _, v := range m.Voids {
-			if v.Tail.IntersectsRect(rect) || geom.CircleOverlapsRect(v.Particle, v.MainRadius, rect) {
-				want = true
-				break
+	leftHalf := core.Baseline()
+	w, h := leftHalf.DieWidth, leftHalf.DieHeight
+	leftHalf.PadLayout = &layout.Layout{Regions: []layout.Region{
+		{Name: "left", X0: -w / 2, Y0: -h / 2, X1: 0, Y1: h / 2},
+	}}
+	for _, tc := range []struct {
+		name string
+		p    core.Params
+	}{{"uniform", core.Baseline()}, {"left half", leftHalf}} {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := GenerateVoidMap(tc.p, 9, 200)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		if m.Killed[i] != want {
-			t.Errorf("die %d kill flag %v, recomputed %v", i, m.Killed[i], want)
-		}
-	}
-	if m.KilledCount() == 0 {
-		t.Error("200 particles killed no dies — implausible at baseline")
+			grids := tc.p.RegionGrids()
+			if len(m.PadRects) != len(m.Dies)*len(grids) {
+				t.Fatalf("%d pad rects for %d dies of %d regions", len(m.PadRects), len(m.Dies), len(grids))
+			}
+			for i, d := range m.Dies {
+				want := false
+				for r, g := range grids {
+					rect := g.Grid.Rect.Translate(d.Center())
+					if m.PadRects[i*len(grids)+r] != rect {
+						t.Fatalf("die %d region %d rect %+v, want %+v", i, r, m.PadRects[i*len(grids)+r], rect)
+					}
+					for _, v := range m.Voids {
+						if v.Tail.IntersectsRect(rect) || geom.CircleOverlapsRect(v.Particle, v.MainRadius, rect) {
+							want = true
+						}
+					}
+				}
+				if m.Killed[i] != want {
+					t.Errorf("die %d kill flag %v, recomputed %v", i, m.Killed[i], want)
+				}
+			}
+			if m.KilledCount() == 0 {
+				t.Error("200 particles killed no dies — implausible at baseline")
+			}
+		})
 	}
 }
 

@@ -31,16 +31,12 @@ type w2wEnv struct {
 	cols, rows int
 	dieW, dieH float64
 
-	sigma1    float64
-	baseDist  overlay.Distortion
-	placement placementLaw
+	sigma1   float64
+	baseDist overlay.Distortion
 	// pass is each die's exact pass set of the scalar random misalignment
-	// under baseDist (scalarPass intersected over its regions); corners are
-	// the pad-rect corner displacements under baseDist that the 2-D random
-	// misalignment mode tests, indexed like padRects. Each is built only
-	// for the overlay mode that reads it.
-	pass    []interval
-	corners [][4]geom.Vec2
+	// under baseDist (scalarPass intersected over its regions), built only
+	// when the run takes the scalar overlay check.
+	pass []interval
 
 	recessQ          float64 // exact all-regions-all-pads-pass probability
 	recessWaferSigma float64
@@ -76,7 +72,6 @@ func newW2WEnv(opts Options) (*w2wEnv, error) {
 		dieH:             p.DieHeight,
 		sigma1:           p.RandomMisalignmentSigma,
 		baseDist:         p.Distortion(),
-		placement:        newPlacementLaw(p),
 		recessQ:          regionRecessProb(regions),
 		recessWaferSigma: p.RecessWaferSigma,
 		waferRadius:      p.WaferRadius(),
@@ -92,8 +87,9 @@ func newW2WEnv(opts Options) (*w2wEnv, error) {
 		}
 	}
 	env.indexCells()
-	env.pass, env.corners = env.overlayBuffers()
-	env.prepareOverlay(env.baseDist, env.pass, env.corners)
+	if !opts.ExplicitPads && !opts.TwoDRandomMisalignment {
+		env.pass = env.passSets()
+	}
 	return env, nil
 }
 
@@ -131,37 +127,21 @@ func cellSpan(lo, hi, size float64, origin, n int) (first, end int) {
 	return int(a), int(b)
 }
 
-// overlayBuffers allocates the per-die overlay inputs the run's overlay
-// mode reads: pass for the scalar check, corners for the 2-D one, neither
-// for the explicit per-pad check.
-func (e *w2wEnv) overlayBuffers() (pass []interval, corners [][4]geom.Vec2) {
-	switch {
-	case e.opts.ExplicitOverlayPads:
-	case e.opts.TwoDRandomMisalignment:
-		corners = make([][4]geom.Vec2, len(e.padRects))
-	default:
-		pass = make([]interval, len(e.dies))
-	}
-	return pass, corners
-}
-
-// prepareOverlay fills the overlay inputs allocated by overlayBuffers for
-// the distortion dist.
-func (e *w2wEnv) prepareOverlay(dist overlay.Distortion, pass []interval, corners [][4]geom.Vec2) {
-	for k := range corners {
-		for c, v := range e.padRects[k].Corners() {
-			corners[k][c] = dist.Displacement(v)
-		}
-	}
+// passSets returns each die's pass set of the scalar random misalignment
+// under baseDist: scalarPass of every region's s_min and s_max,
+// intersected.
+func (e *w2wEnv) passSets() []interval {
+	pass := make([]interval, len(e.dies))
 	nR := len(e.regions)
 	for i := range pass {
 		iv := everything
 		for r, reg := range e.regions {
 			rect := e.padRects[i*nR+r]
-			iv = iv.intersect(scalarPass(dist.MinOverRect(rect), dist.MaxOverRect(rect), reg.delta))
+			iv = iv.intersect(scalarPass(e.baseDist.MinOverRect(rect), e.baseDist.MaxOverRect(rect), reg.delta))
 		}
 		pass[i] = iv
 	}
+	return pass
 }
 
 // RunW2W simulates opts.Wafers bonded wafer pairs and returns the
@@ -198,20 +178,15 @@ func (e *w2wEnv) sampler() sampler {
 	return s
 }
 
-// w2wWorker is one worker's scratch: per-die verdicts of the wafer in
-// flight and, under PerWaferSystematics, that wafer's overlay inputs.
+// w2wWorker is one worker's scratch: the per-die verdicts of the wafer in
+// flight.
 type w2wWorker struct {
 	*w2wEnv
 	overlayPass, killed []bool
-	pass                []interval
-	corners             [][4]geom.Vec2
 }
 
 func (e *w2wEnv) newWorker() sampleFunc {
 	w := &w2wWorker{w2wEnv: e, overlayPass: make([]bool, len(e.dies)), killed: make([]bool, len(e.dies))}
-	if e.opts.PerWaferSystematics {
-		w.pass, w.corners = e.overlayBuffers()
-	}
 	return w.simulateWafer
 }
 
@@ -223,37 +198,21 @@ func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 	n := len(e.dies)
 	c := Counts{Dies: n}
 
-	pass, corners := e.pass, e.corners
-	if e.opts.PerWaferSystematics {
-		e.prepareOverlay(e.placement.draw(rng), w.pass, w.corners)
-		pass, corners = w.pass, w.corners
-	}
-
-	// Overlay Check. The random misalignment is drawn once per die (shared
-	// by all its regions' pads); a die passes when the worst pad of every
-	// region stays within that region's ±δ. In the scalar mode that is
-	// membership of u in the die's pass set, built per run (or per wafer)
-	// from every region's s_min and s_max.
-	nR := len(e.regions)
-	overlayPass := w.overlayPass
+	// Overlay Check. The systematic distortion is the parameter set's,
+	// shared by every wafer; the random misalignment is drawn once per die
+	// (shared by all its regions' pads). A die passes when the worst pad of
+	// every region stays within that region's ±δ. In the scalar mode that
+	// is membership of u in the die's pass set, built per run from every
+	// region's s_min and s_max.
+	overlayPass, pass := w.overlayPass, e.pass
 	for i := 0; i < n; i++ {
-		if e.opts.ExplicitOverlayPads {
-			u := rng.Normal(0, e.sigma1)
-			overlayPass[i] = e.explicitOverlayCheck(i, u)
-		} else if e.opts.TwoDRandomMisalignment {
+		switch {
+		case e.opts.ExplicitPads:
+			overlayPass[i] = padsPass(e.baseDist, e.dies[i].Center(), e.regions, rng.Normal(0, e.sigma1))
+		case e.opts.TwoDRandomMisalignment:
 			u := geom.Vec2{X: rng.Normal(0, e.sigma1), Y: rng.Normal(0, e.sigma1)}
-			pass := true
-			for r := 0; r < nR && pass; r++ {
-				worst := 0.0
-				for _, v := range corners[i*nR+r] {
-					if m := v.Add(u).Norm(); m > worst {
-						worst = m
-					}
-				}
-				pass = worst <= e.regions[r].delta
-			}
-			overlayPass[i] = pass
-		} else {
+			overlayPass[i] = cornersPass2D(e.baseDist, e.dies[i].Center(), e.regions, u)
+		default:
 			overlayPass[i] = pass[i].contains(rng.Normal(0, e.sigma1))
 		}
 		if overlayPass[i] {
@@ -319,31 +278,11 @@ func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 	return c
 }
 
-// explicitOverlayCheck walks every pad of every region of die i, evaluating
-// the systematic displacement at the pad center plus the shared random
-// error — the O(N)-per-die path the paper's simulator takes.
-func (e *w2wEnv) explicitOverlayCheck(i int, u float64) bool {
-	center := e.dies[i].Rect.Center()
-	dist := e.baseDist
-	for _, reg := range e.regions {
-		for ix := 0; ix < reg.grid.NX; ix++ {
-			for iy := 0; iy < reg.grid.NY; iy++ {
-				local := reg.grid.PadCenter(ix, iy)
-				s := dist.Magnitude(geom.Vec2{X: center.X + local.X, Y: center.Y + local.Y})
-				if math.Abs(s+u) > reg.delta {
-					return false
-				}
-			}
-		}
-	}
-	return true
-}
-
 // recessCheck performs one die's Cu recess check at the given wafer-level
 // survival probability (exact Bernoulli path) or mean shift (explicit
 // per-pad path over every region).
 func (e *w2wEnv) recessCheck(rng *randx.Source, q, shift float64) bool {
-	if !e.opts.ExplicitRecessPads {
+	if !e.opts.ExplicitPads {
 		return rng.Bernoulli(q)
 	}
 	return explicitRecessRegions(rng, e.regions, shift)
@@ -380,20 +319,23 @@ func (e *w2wEnv) modelConventionDefects(rng *randx.Source, killed []bool) {
 // also kills.
 func (e *w2wEnv) applyParticle(pos geom.Vec2, t float64, killed []bool) {
 	dist := pos.Norm()
-	tailLen := e.defect.TailLength(dist, t)
-	var dir geom.Vec2
-	if dist > 0 {
-		dir = pos.Scale(1 / dist)
-	} else {
-		dir = geom.Vec2{X: 1} // center particle: degenerate radial direction
-	}
-	seg := geom.Segment{A: pos, B: pos.Add(dir.Scale(tailLen))}
-
 	var voidR float64
 	if e.opts.IncludeMainVoidW2W {
 		voidR = e.defect.MainVoidRadius(dist, t)
 	}
-	e.killAlongSegment(seg, voidR, killed)
+	e.killAlongSegment(radialTail(pos, dist, e.defect.TailLength(dist, t)), voidR, killed)
+}
+
+// radialTail is the void tail of a particle at pos, dist = |pos| from the
+// wafer center: the segment of length l from the particle outward along
+// the bond wave's radial direction (Eq. 16). A particle at the center
+// takes the +x direction.
+func radialTail(pos geom.Vec2, dist, l float64) geom.Segment {
+	dir := geom.Vec2{X: 1}
+	if dist > 0 {
+		dir = pos.Scale(1 / dist)
+	}
+	return geom.Segment{A: pos, B: pos.Add(dir.Scale(l))}
 }
 
 // killAlongSegment marks the dies whose pad regions are touched by the

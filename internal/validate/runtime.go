@@ -16,10 +16,10 @@ import (
 //   - SimTime: this repository's optimized simulator (exact per-die
 //     Bernoulli recess sampling, corner-based overlay checks), run at the
 //     paper's sample counts;
-//   - ExplicitSimTime: the paper-fidelity simulator that draws every pad's
-//     recess height individually (what makes the authors' runs take
-//     hours), measured on a small sample and extrapolated linearly to the
-//     paper's counts.
+//   - ExplicitSimTime: the paper-fidelity simulator (sim.Options.ExplicitPads)
+//     that draws every pad's recess height individually and visits every
+//     pad's overlay (what makes the authors' runs take hours), measured on a
+//     small sample and extrapolated linearly to the paper's counts.
 type RuntimeComparison struct {
 	Mode       string
 	ModelTime  time.Duration
@@ -61,8 +61,7 @@ func MeasureRuntimeW2W(p core.Params, wafers int) (RuntimeComparison, error) {
 	// height drawn and every pad's overlay visited, then scale.
 	const explicitWafers = 1
 	exp, err := sim.RunW2W(sim.Options{
-		Params: p, Seed: 1, Wafers: explicitWafers,
-		ExplicitRecessPads: true, ExplicitOverlayPads: true,
+		Params: p, Seed: 1, Wafers: explicitWafers, ExplicitPads: true,
 	})
 	if err != nil {
 		return RuntimeComparison{}, err
@@ -102,8 +101,7 @@ func MeasureRuntimeD2W(p core.Params, dies int) (RuntimeComparison, error) {
 		explicitDies = dies
 	}
 	exp, err := sim.RunD2W(sim.Options{
-		Params: p, Seed: 1, Dies: explicitDies,
-		ExplicitRecessPads: true, ExplicitOverlayPads: true,
+		Params: p, Seed: 1, Dies: explicitDies, ExplicitPads: true,
 	})
 	if err != nil {
 		return RuntimeComparison{}, err

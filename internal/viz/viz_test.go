@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"yap/internal/core"
+	"yap/internal/layout"
 	"yap/internal/num"
 	"yap/internal/sim"
 )
@@ -273,6 +274,42 @@ func TestWaferMapRendering(t *testing.T) {
 	}
 	if !blue || !red {
 		t.Errorf("wafer map missing voids: blue=%v red=%v", blue, red)
+	}
+}
+
+// TestWaferMapShadesLayoutRegions: with a two-region pad layout every
+// region of a killed die is shaded and no region of a surviving die is.
+func TestWaferMapShadesLayoutRegions(t *testing.T) {
+	p := core.Baseline()
+	w, h := p.DieWidth, p.DieHeight
+	p.PadLayout = &layout.Layout{Regions: []layout.Region{
+		{Name: "west", X0: -w / 2, Y0: -h / 2, X1: -w / 6, Y1: h / 2},
+		{Name: "east", X0: w / 6, Y0: -h / 2, X1: w / 2, Y1: h / 2},
+	}}
+	m, err := sim.GenerateVoidMap(p, 2, 40)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(m.PadRects) != 2*len(m.Dies) {
+		t.Fatalf("%d pad rects for %d dies of 2 regions", len(m.PadRects), len(m.Dies))
+	}
+	if k := m.KilledCount(); k == 0 || k == len(m.Dies) {
+		t.Fatalf("%d of %d dies killed; the map does not exercise both verdicts", k, len(m.Dies))
+	}
+	const size = 700 // WaferMap's canvas geometry
+	c := WaferMap(m, "layout map")
+	cx, cy := size/2, 30+(size-30)/2
+	scale := float64(size-60) / (2 * m.WaferRadius)
+	killedFill := color.RGBA{245, 160, 160, 255}
+	for k, rect := range m.PadRects {
+		mid := rect.Center()
+		got := c.Img.RGBAAt(cx+int(mid.X*scale), cy-int(mid.Y*scale))
+		if got == Blue || got == Red { // a void drawn over the region
+			continue
+		}
+		if killed := m.Killed[k/2]; (got == killedFill) != killed {
+			t.Errorf("rect %d of die %d (killed %v) has center pixel %v", k%2, k/2, killed, got)
+		}
 	}
 }
 

@@ -8,8 +8,9 @@ import (
 )
 
 // WaferMap renders a simulated void map (Fig. 6 of the paper): the wafer
-// outline, the die grid with defect-killed dies shaded, each particle with
-// its main void disk, and the radially swept void tails.
+// outline, every die's pad regions with those of defect-killed dies
+// shaded, each particle with its main void disk, and the radially swept
+// void tails.
 func WaferMap(m *sim.VoidMap, title string) *Canvas {
 	const size = 700
 	c := NewCanvas(size, size+30)
@@ -24,13 +25,14 @@ func WaferMap(m *sim.VoidMap, title string) *Canvas {
 	// Wafer outline.
 	c.Circle(cx, cy, int(m.WaferRadius*scale), Black)
 
-	// Dies: killed dies shaded red, survivors light gray outline.
+	// Pad regions: a killed die's shaded red, a survivor's light gray
+	// outline. PadRects holds the same number of rects for every die.
 	killedFill := color.RGBA{245, 160, 160, 255}
-	for i, rect := range m.PadRects {
+	for k, rect := range m.PadRects {
 		x0, y0 := px(rect.X0), py(rect.Y1)
 		w := px(rect.X1) - px(rect.X0)
 		h := py(rect.Y0) - py(rect.Y1)
-		if m.Killed[i] {
+		if m.Killed[k*len(m.Dies)/len(m.PadRects)] {
 			c.FillRect(x0, y0, w, h, killedFill)
 		}
 		c.StrokeRect(x0, y0, w, h, Gray)
