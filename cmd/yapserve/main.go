@@ -64,6 +64,8 @@
 // every unfinished job from its last replicated checkpoint —
 // bit-identically. Job mutations on a follower answer 409 "not_leader"
 // with the leader's URL; the Go client follows it automatically.
+// POST /v1/replica bodies are bounded by the largest record the job
+// store accepts, not by -max-body.
 //
 // Fleet cache (internal/fleetcache): -cache-peers names the OTHER
 // members of a fleet-wide evaluate cache (it defaults to reusing -peers,

@@ -207,9 +207,9 @@ func Run(ctx context.Context, args []string) error {
 	}
 	// closeStore runs after HTTP has drained. The replica node owns the
 	// manager: closing it stops the election loop and peer senders, then
-	// snapshots the store, and a surviving peer takes over leadership one
-	// lease later. A plain manager snapshots and stops its runners; mid-run
-	// jobs stay durably running and resume at the next start.
+	// closes the store, and a surviving peer takes over leadership one
+	// lease later. A plain manager stops its runners; mid-run jobs stay
+	// durably running and resume at the next start.
 	closeStore := func() {
 		switch {
 		case node != nil:

@@ -30,6 +30,9 @@ var ErrShardFailed = errors.New("dist: shard failed on every attempt")
 // the run instead of being reassigned into silence.
 var errWorkerSkew = errors.New("dist: worker disagrees with coordinator")
 
+// heartbeatProbeTimeout bounds one /healthz probe of the liveness sweep.
+const heartbeatProbeTimeout = time.Second
+
 // Config tunes a Coordinator. Workers is required; every other field has
 // a usable zero value.
 type Config struct {
@@ -52,8 +55,6 @@ type Config struct {
 	// recovered workers to rotation; 0 means 2s, negative disables the
 	// loop (dispatch outcomes still update liveness).
 	HeartbeatInterval time.Duration
-	// HeartbeatProbeTimeout bounds one /healthz probe; 0 means 1s.
-	HeartbeatProbeTimeout time.Duration
 	// DownBackoff is how long an idle dispatcher waits between liveness
 	// polls while its worker is down; 0 means 50ms.
 	DownBackoff time.Duration
@@ -82,9 +83,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.HeartbeatInterval == 0 {
 		c.HeartbeatInterval = 2 * time.Second
-	}
-	if c.HeartbeatProbeTimeout <= 0 {
-		c.HeartbeatProbeTimeout = time.Second
 	}
 	if c.DownBackoff <= 0 {
 		c.DownBackoff = 50 * time.Millisecond
@@ -170,7 +168,7 @@ func (c *Coordinator) heartbeatLoop(ctx context.Context) {
 			return
 		case <-t.C:
 			before := c.reg.Up()
-			c.reg.Heartbeat(ctx, c.cfg.HeartbeatProbeTimeout)
+			c.reg.Heartbeat(ctx, heartbeatProbeTimeout)
 			if after := c.reg.Up(); after != before && c.cfg.Logger != nil {
 				c.cfg.Logger.Printf("dist: heartbeat: %d/%d workers up", after, c.reg.Known())
 			}

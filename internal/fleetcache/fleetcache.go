@@ -58,6 +58,9 @@ const (
 // request that happened to coalesce onto it.
 var ErrFlightPanic = errors.New("fleetcache: panic during coalesced evaluation")
 
+// fetchTimeout bounds each peer exchange.
+const fetchTimeout = 150 * time.Millisecond
+
 // Config tunes a Cache. The zero value is a single-member, peer-less
 // cache with a 1024-entry LRU — the drop-in replacement for the old
 // per-daemon resultCache.
@@ -75,8 +78,6 @@ type Config struct {
 	// Transport performs the peer HTTP exchanges. nil disables peer
 	// fetch and push even when Members is populated.
 	Transport Transport
-	// FetchTimeout bounds each peer exchange; 0 means 150ms.
-	FetchTimeout time.Duration
 	// BreakerThreshold is the consecutive-failure count that opens a
 	// peer's circuit breaker; 0 means 3, negative disables breakers.
 	BreakerThreshold int
@@ -94,9 +95,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.CacheSize == 0 {
 		c.CacheSize = 1024
-	}
-	if c.FetchTimeout <= 0 {
-		c.FetchTimeout = 150 * time.Millisecond
 	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 3
@@ -345,7 +343,7 @@ func (c *Cache) fetchFromOwner(ctx context.Context, mode string, hash uint64, p 
 		c.peerErrors.Add(1)
 		return core.Breakdown{}, false
 	}
-	fctx, cancel := context.WithTimeout(ctx, c.cfg.FetchTimeout)
+	fctx, cancel := context.WithTimeout(ctx, fetchTimeout)
 	defer cancel()
 	e, err := c.cfg.Transport.FetchCached(fctx, owner, mode, hash)
 	if err != nil {
@@ -424,7 +422,7 @@ func (c *Cache) push(req pushReq) {
 		c.pushDrops.Add(1)
 		return
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.FetchTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), fetchTimeout)
 	defer cancel()
 	if err := c.cfg.Faults.Fire(ctx, faultinject.HookFleetFetch); err != nil {
 		br.Record(false)

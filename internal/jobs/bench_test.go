@@ -23,7 +23,7 @@ func checkpointPayload(b *testing.B) []byte {
 // frame, CRC, write, fsync. This bounds how small CheckpointEvery can be
 // pushed before durability dominates simulation.
 func BenchmarkJobsCheckpointWrite(b *testing.B) {
-	w, err := openWAL(b.TempDir(), 0, walPos{})
+	w, err := openWAL(b.TempDir(), 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func BenchmarkJobsCheckpointWrite(b *testing.B) {
 // pays before the daemon can serve.
 func BenchmarkJobsWALReplay(b *testing.B) {
 	dir := b.TempDir()
-	w, err := openWAL(dir, 0, walPos{})
+	w, err := openWAL(dir, 0)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func BenchmarkJobsWALReplay(b *testing.B) {
 	b.SetBytes(int64(1000 * (walHeaderSize + len(payload))))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		records, _, truncated, err := replayWAL(dir)
+		records, _, truncated, err := readLog(dir)
 		if err != nil || truncated || len(records) != 1000 {
 			b.Fatalf("replay: %d records truncated=%v err=%v", len(records), truncated, err)
 		}

@@ -2,7 +2,6 @@ package jobs
 
 import (
 	"bytes"
-	"encoding/binary"
 	"testing"
 )
 
@@ -12,23 +11,12 @@ import (
 // panic, must return records that re-frame to a clean prefix of the
 // input, and must report truncation exactly when bytes were dropped.
 func FuzzReplaySegment(f *testing.F) {
-	frame := func(payloads ...[]byte) []byte {
-		var buf bytes.Buffer
-		for _, p := range payloads {
-			var hdr [walHeaderSize]byte
-			binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
-			binary.LittleEndian.PutUint32(hdr[4:8], RecordCRC(p))
-			buf.Write(hdr[:])
-			buf.Write(p)
-		}
-		return buf.Bytes()
-	}
 	f.Add([]byte{})
-	f.Add(frame([]byte(`{"t":"submit","id":"job-000001"}`)))
-	f.Add(frame([]byte("a"), []byte("bb"), []byte("ccc")))
-	f.Add(frame([]byte("intact"))[:10]) // torn mid-record
-	f.Add(append(frame([]byte("ok")), 0xde, 0xad, 0xbe, 0xef, 9, 9, 9, 9, 9))
-	corrupt := frame([]byte("flip-me"))
+	f.Add(frames([]byte(`{"t":"submit","id":"job-000001"}`)))
+	f.Add(frames([]byte("a"), []byte("bb"), []byte("ccc")))
+	f.Add(frames([]byte("intact"))[:10]) // torn mid-record
+	f.Add(append(frames([]byte("ok")), 0xde, 0xad, 0xbe, 0xef, 9, 9, 9, 9, 9))
+	corrupt := frames([]byte("flip-me"))
 	corrupt[len(corrupt)-1] ^= 0xff
 	f.Add(corrupt)
 
@@ -42,12 +30,12 @@ func FuzzReplaySegment(f *testing.F) {
 		}
 		// Re-framing the recovered records must reproduce data[:off] bit
 		// for bit — replay never invents or reorders records.
-		reframed := frame(records...)
+		reframed := frames(records...)
 		if !bytes.Equal(reframed, data[:off]) {
 			t.Fatalf("records do not re-frame to the clean prefix: %d records, offset %d", len(records), off)
 		}
 		for _, rec := range records {
-			if len(rec) == 0 || len(rec) > maxRecordBytes {
+			if len(rec) == 0 || len(rec) > MaxRecordBytes {
 				t.Fatalf("replayed record of %d bytes escaped the frame bounds", len(rec))
 			}
 		}

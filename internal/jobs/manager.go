@@ -44,8 +44,9 @@ type Replicator interface {
 // Config configures a Manager. The zero value of every field is usable;
 // only Dir is required.
 type Config struct {
-	// Dir is the durability directory (jobs.wal + jobs.snap live here);
-	// created if absent. Two managers must not share a directory.
+	// Dir is the durability directory (jobs.log, jobs.snap and jobs.seq
+	// live here); created if absent. Two managers must not share a
+	// directory.
 	Dir string
 	// Run executes job slices; nil runs the in-process simulator
 	// (sim.LocalRunner). yapserve substitutes the dist coordinator when a
@@ -61,8 +62,6 @@ type Config struct {
 	// ResultTTL is how long terminal jobs stay queryable after finishing
 	// before the GC pass drops them (default 1h; negative disables GC).
 	ResultTTL time.Duration
-	// GCInterval is the GC pass cadence (default 1m).
-	GCInterval time.Duration
 	// MaxQueued bounds jobs admitted but not yet terminal (default 64).
 	// Submit beyond it fails with ErrQueueFull. Jobs recovered from disk
 	// are always re-admitted, even past the bound — durability outranks
@@ -82,8 +81,6 @@ type Config struct {
 	// simulation results, so an injected clock exists for tests, not for
 	// determinism of the physics.
 	Clock func() time.Time
-	// WALSegmentBytes caps each WAL segment before rotation (default 4 MiB).
-	WALSegmentBytes int64
 	// PriorityAging is how long a queued job waits to gain one effective
 	// priority level (default 30s). Aging is unbounded, so any job
 	// eventually outranks a steady stream of higher-priority submissions —
@@ -131,12 +128,8 @@ func (c Config) resultTTL() time.Duration {
 	return time.Hour
 }
 
-func (c Config) gcInterval() time.Duration {
-	if c.GCInterval > 0 {
-		return c.GCInterval
-	}
-	return time.Minute
-}
+// gcInterval is the GC pass cadence.
+const gcInterval = time.Minute
 
 func (c Config) maxQueued() int {
 	if c.MaxQueued > 0 {
@@ -244,13 +237,16 @@ type Manager struct {
 	active bool //yaplint:guardedby mu
 	// replSeq/replTerm identify the log tip: the sequence number and RTerm
 	// of the last durable record. replBase/replBaseTerm identify the
-	// compaction horizon — the (seq, term) the current segments append
-	// after; records at or below replBase exist only folded into the
-	// snapshot and can no longer be truncated record by record.
+	// compaction horizon: records at or below replBase are folded into the
+	// snapshot and can no longer be truncated record by record. logBase is
+	// the sequence the log's first record follows (jobs.seq); it trails
+	// replBase only while the log still holds records a snapshot folded
+	// (see foldLocked).
 	replSeq      uint64               //yaplint:guardedby mu
 	replTerm     uint64               //yaplint:guardedby mu
 	replBase     uint64               //yaplint:guardedby mu
 	replBaseTerm uint64               //yaplint:guardedby mu
+	logBase      uint64               //yaplint:guardedby mu
 	nextID       uint64               //yaplint:guardedby mu
 	jobs         map[string]*jobState //yaplint:guardedby mu
 	// queue carries one wake token per entry of pending; runners pop the
@@ -262,10 +258,9 @@ type Manager struct {
 }
 
 // Open recovers the directory's durable state and — unless Config.Follower
-// is set — starts the runner pool. Recovery loads the snapshot, replays
-// the WAL segments over it (truncating a corrupt or torn tail rather than
-// failing), compacts the folded state into a fresh snapshot, reconstructs
-// terminal results from their raw tallies, and re-enqueues every
+// is set — starts the runner pool. Recovery migrates a log in the older
+// segmented layout, folds the log over the snapshot (truncating a corrupt
+// or torn tail rather than failing), compacts, and re-enqueues every
 // non-terminal job — running jobs resume from their last durable
 // checkpoint. A follower stays passive after recovery: it applies
 // replicated records until Promote runs the same activation.
@@ -280,47 +275,23 @@ func Open(cfg Config) (*Manager, error) {
 		cfg:   cfg,
 		clock: cfg.Clock,
 		snap:  filepath.Join(cfg.Dir, snapName),
-		jobs:  make(map[string]*jobState),
 	}
 	if m.clock == nil {
 		m.clock = time.Now
 	}
-	m.nextID = 1
-
-	if err := m.loadSnapshot(); err != nil {
-		return nil, err
-	}
-	records, pos, truncated, err := replayWAL(cfg.Dir)
+	migrationTruncated, err := migrateLog(cfg.Dir)
 	if err != nil {
 		return nil, err
 	}
-	if truncated {
+	off, truncated, err := m.foldLocked()
+	if err != nil {
+		return nil, err
+	}
+	if truncated || migrationTruncated {
 		m.stats.WALTruncated++
-		m.logf("recovery: discarding corrupt/torn wal tail after segment %d offset %d", pos.seg, pos.offset)
+		m.logf("recovery: discarding corrupt/torn wal tail after offset %d", off)
 	}
-	for _, payload := range records {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			// An intact frame with unreadable JSON: skip it, keep folding.
-			m.logf("recovery: skipping undecodable wal record: %v", err)
-			continue
-		}
-		m.apply(rec)
-		m.replTerm = rec.RTerm
-	}
-	// Every intact frame consumed one replication sequence number when it
-	// was appended, decodable or not: the records in the segments carry
-	// base+1 … base+count. The snapshot's own sequence covers the window
-	// where a crash landed between a snapshot write and the WAL reset that
-	// normally follows it.
-	m.replBase, m.replBaseTerm = readBaseSeq(cfg.Dir)
-	if s := m.replBase + uint64(len(records)); s > m.replSeq {
-		m.replSeq = s
-	}
-	if len(records) == 0 && m.replBaseTerm > m.replTerm {
-		m.replTerm = m.replBaseTerm
-	}
-	m.wal, err = openWAL(cfg.Dir, cfg.WALSegmentBytes, pos)
+	m.wal, err = openWAL(cfg.Dir, off)
 	if err != nil {
 		return nil, err
 	}
@@ -328,47 +299,23 @@ func Open(cfg Config) (*Manager, error) {
 	// Compact: the snapshot now carries the fold of everything replayed,
 	// so the log restarts empty. A follower skips this — its tail may hold
 	// records a new leader's history overrides, and truncating a conflict
-	// is only possible while the records are physically present. Followers
-	// compact on the leader's commit signal instead (CompactReplicated).
-	if !cfg.Follower {
-		if err := m.writeSnapshotLocked(); err != nil {
-			m.wal.Close()
-			return nil, err
-		}
-		if err := m.resetWALLocked(); err != nil {
-			m.wal.Close()
-			return nil, err
-		}
+	// is only possible while the records are physically present; it
+	// compacts on the leader's commit signal instead (CompactReplicated).
+	// Here it only finishes a compaction cut short after its snapshot:
+	// once the snapshot covers every record the log holds, emptying the
+	// log and recording the base are the steps that did not happen.
+	switch {
+	case !cfg.Follower:
+		err = m.compactLocked()
+	case m.logBase < m.replBase && m.replSeq == m.replBase:
+		err = m.resetLogLocked()
 	}
-
-	// Reconstruct terminal results (yields, Wilson CI) from durable
-	// tallies for done jobs recovered from disk. Iterate in ID order so
-	// any reconstruction log lines replay identically run to run.
-	for _, js := range m.ordered() {
-		if js.job.State == StateDone && js.job.Result == nil {
-			if js.job.Spec.Mode == ModeSweep {
-				continue // sweep results live in Job.Sweep, nothing to rebuild
-			}
-			res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed)
-			if err != nil {
-				m.logf("recovery: job %s result reconstruction: %v", js.job.ID, err)
-				continue
-			}
-			// A done job short of its cap can only have stopped early; the
-			// flag is reconstructible from durable state alone.
-			if js.job.Completed < js.job.Spec.Samples {
-				res.Requested = js.job.Spec.Samples
-				res.StoppedEarly = true
-			}
-			js.job.Result = &res
-		}
+	if err == nil && !cfg.Follower {
+		err = m.activateLocked()
 	}
-
-	if !cfg.Follower {
-		if err := m.activateLocked(); err != nil {
-			m.wal.Close()
-			return nil, err
-		}
+	if err != nil {
+		m.wal.Close()
+		return nil, err
 	}
 	return m, nil
 }
@@ -511,7 +458,7 @@ func (m *Manager) Active() bool {
 }
 
 // ApplyReplicated lands one shipped record in a follower store: the exact
-// leader bytes are CRC-checked, appended to the local segments and folded
+// leader bytes are CRC-checked, appended to the local log and folded
 // into memory, so follower state machines stay bit-identical to the
 // leader's. It returns the follower's resulting (sequence, term) tip.
 // seq must be exactly the follower's next sequence number — otherwise
@@ -566,18 +513,9 @@ func (m *Manager) ApplyReplicated(seq, prevTerm uint64, payload []byte, sum uint
 	}
 	m.apply(rec)
 	if js, ok := m.jobs[rec.ID]; ok {
-		// Reconstruct the final Result from the terminal tallies the record
-		// carried — same arithmetic as recovery, so a client asking this
-		// follower (or this store once promoted) sees the leader's bits.
-		if js.job.State == StateDone && js.job.Result == nil && js.job.Spec.Mode != ModeSweep {
-			if res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed); err == nil {
-				if js.job.Completed < js.job.Spec.Samples {
-					res.Requested = js.job.Spec.Samples
-					res.StoppedEarly = true
-				}
-				js.job.Result = &res
-			}
-		}
+		// Same reconstruction as recovery, so a client asking this follower
+		// (or this store once promoted) sees the leader's bits.
+		m.rebuildResult(js)
 		m.publishLocked(js) // convergence streams work on followers too
 	}
 	return m.replSeq, m.replTerm, nil
@@ -591,28 +529,28 @@ type TailRecord struct {
 	Term    uint64
 }
 
-// TailRecords returns a copy of every WAL record still physically present
-// — appended or applied since the last compaction — together with the
-// replication sequence number of the first one and the term of the record
-// just below it (the compaction horizon's term, which PrevTerm of the
-// first shipped record must carry). A newly promoted leader seeds its
-// ship backlog from this tail so followers that lag by less than a
-// compaction window catch up record by record; a follower whose cursor
-// predates the compaction horizon cannot be served from it and needs a
-// full resync.
+// TailRecords returns a copy of every WAL record above the compaction
+// horizon — appended or applied since the last compaction — together with
+// the replication sequence number of the first one and the term of the
+// record just below it (the horizon's term, which PrevTerm of the first
+// shipped record must carry). A newly promoted leader seeds its ship
+// backlog from this tail so followers that lag by less than a compaction
+// window catch up record by record; a follower whose cursor predates the
+// compaction horizon cannot be served from it and needs a full resync.
 func (m *Manager) TailRecords() ([]TailRecord, uint64, uint64, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, 0, 0, ErrClosed
 	}
-	records, _, _, err := replayWAL(m.cfg.Dir)
+	records, _, _, err := readLog(m.cfg.Dir)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	if uint64(len(records)) > m.replSeq {
-		return nil, 0, 0, fmt.Errorf("jobs: WAL holds %d records beyond sequence %d", len(records), m.replSeq)
+	if m.logBase+uint64(len(records)) != m.replSeq {
+		return nil, 0, 0, fmt.Errorf("jobs: WAL holds %d records after sequence %d, tip is %d", len(records), m.logBase, m.replSeq)
 	}
+	records = records[m.replBase-m.logBase:]
 	out := make([]TailRecord, len(records))
 	term := m.replBaseTerm
 	for i, payload := range records {
@@ -622,16 +560,16 @@ func (m *Manager) TailRecords() ([]TailRecord, uint64, uint64, error) {
 		}
 		out[i] = TailRecord{Payload: payload, Term: term}
 	}
-	return out, m.replSeq - uint64(len(records)) + 1, m.replBaseTerm, nil
+	return out, m.replBase + 1, m.replBaseTerm, nil
 }
 
 // TruncateReplicated discards every record above toSeq from a follower
 // store — the repair step after ErrReplicaConflict, removing a suffix
 // appended under a deposed leader so the elected one's history can land
 // in its place. The WAL is physically truncated at a record boundary and
-// the in-memory state rebuilt from the snapshot plus the surviving
-// records; live convergence-stream subscriptions carry over. Returns the
-// resulting (sequence, term) tip. ErrNeedsResync means toSeq predates the
+// the in-memory state refolded from disk, exactly as Open folds it; live
+// convergence-stream subscriptions carry over. Returns the resulting
+// (sequence, term) tip. ErrNeedsResync means toSeq predates the
 // compaction horizon: the conflicting records are already folded into the
 // snapshot and the replica must be rebuilt from a full copy instead.
 func (m *Manager) TruncateReplicated(toSeq uint64) (uint64, uint64, error) {
@@ -649,69 +587,19 @@ func (m *Manager) TruncateReplicated(toSeq uint64) (uint64, uint64, error) {
 	if toSeq < m.replBase {
 		return m.replSeq, m.replTerm, fmt.Errorf("%w: truncate to %d, horizon %d", ErrNeedsResync, toSeq, m.replBase)
 	}
-	if err := m.wal.TruncateTail(int(toSeq - m.replBase)); err != nil {
+	if err := m.wal.TruncateTail(int(toSeq - m.logBase)); err != nil {
 		return m.replSeq, m.replTerm, err
 	}
-
-	// Rebuild the state fold from scratch: snapshot, then the records that
-	// survived. Live subscriber sets (and their event sequence counters)
-	// are carried over by job ID so open convergence streams see the
-	// post-truncation state instead of going dark.
-	type subState struct {
-		seq  int
-		subs map[chan Event]struct{}
-	}
-	carried := make(map[string]subState, len(m.jobs))
-	for id, js := range m.jobs { //yaplint:allow determinism map rebuild; per-ID carry-over is order-independent
-		if len(js.subs) > 0 {
-			carried[id] = subState{seq: js.seq, subs: js.subs}
-		}
-	}
-	m.jobs = make(map[string]*jobState)
-	m.nextID = 1
-	m.replSeq = 0
-	m.replTerm = 0
-	if err := m.loadSnapshot(); err != nil {
+	prev := m.jobs
+	if _, _, err := m.foldLocked(); err != nil {
 		return m.replSeq, m.replTerm, err
 	}
-	records, _, _, err := replayWAL(m.cfg.Dir)
-	if err != nil {
-		return m.replSeq, m.replTerm, err
-	}
-	term := m.replBaseTerm
-	for _, payload := range records {
-		var rec walRecord
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			m.logf("truncation: skipping undecodable wal record: %v", err)
-			continue
-		}
-		m.apply(rec)
-		term = rec.RTerm
-	}
-	if s := m.replBase + uint64(len(records)); s > m.replSeq {
-		m.replSeq = s
-	}
-	m.replTerm = term
 	m.stats.Truncations++
-
-	// Same terminal-result reconstruction as recovery, so a client reading
-	// this follower keeps seeing full results for jobs that stayed done.
-	for _, js := range m.ordered() {
-		if js.job.State == StateDone && js.job.Result == nil && js.job.Spec.Mode != ModeSweep {
-			res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed)
-			if err != nil {
-				continue
-			}
-			if js.job.Completed < js.job.Spec.Samples {
-				res.Requested = js.job.Spec.Samples
-				res.StoppedEarly = true
-			}
-			js.job.Result = &res
-		}
-	}
-	for id, cs := range carried { //yaplint:allow determinism per-ID reattachment is order-independent
-		if js, ok := m.jobs[id]; ok {
-			js.seq, js.subs = cs.seq, cs.subs
+	// Open convergence streams see the post-truncation state instead of
+	// going dark: subscriber sets and their event counters carry over by ID.
+	for id, old := range prev { //yaplint:allow determinism per-ID reattachment is order-independent
+		if js, ok := m.jobs[id]; ok && len(old.subs) > 0 {
+			js.seq, js.subs = old.seq, old.subs
 			m.publishLocked(js)
 		}
 	}
@@ -721,52 +609,111 @@ func (m *Manager) TruncateReplicated(toSeq uint64) (uint64, uint64, error) {
 // CompactReplicated folds a follower's WAL into its snapshot once the
 // leader has advertised a commit sequence covering everything this store
 // holds — the point past which no record can be truncated away, so
-// folding is safe. Keeps a follower's segments bounded during a long
+// folding is safe. Keeps a follower's log bounded during a long
 // leadership; errors are logged, not returned, since compaction is pure
 // housekeeping.
 func (m *Manager) CompactReplicated(commit uint64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.closed || m.active || m.replSeq == m.replBase || commit < m.replSeq {
+	if m.closed || m.active || m.replSeq == m.replBase || commit < m.replSeq || m.wal.Size() <= compactBytes {
 		return
 	}
-	segBytes := m.cfg.WALSegmentBytes
-	if segBytes <= 0 {
-		segBytes = defaultSegmentBytes
-	}
-	if m.wal.Size() <= 4*segBytes {
-		return
-	}
-	if err := m.writeSnapshotLocked(); err != nil {
-		m.logf("follower compaction: snapshot: %v", err)
-		return
-	}
-	if err := m.resetWALLocked(); err != nil {
-		m.logf("follower compaction: wal reset: %v", err)
+	if err := m.compactLocked(); err != nil {
+		m.logf("follower compaction: %v", err)
 	}
 }
 
-// loadSnapshot reads jobs.snap into the state map. A missing snapshot is
-// an empty store; an unreadable one is logged and treated as empty (the
-// WAL replay still applies whatever it holds).
-func (m *Manager) loadSnapshot() error {
+// foldLocked rebuilds the in-memory state from the directory — the one
+// fold Open and TruncateReplicated share: the snapshot, every intact log
+// record over it, the (seq, term) tip and the compaction horizon, then
+// each done job's Result from its durable tallies. It returns the offset
+// past the last intact record and whether bytes after it were dropped.
+// Callers hold m.mu (or have exclusive access during Open).
+func (m *Manager) foldLocked() (int64, bool, error) {
+	m.jobs = make(map[string]*jobState)
+	m.nextID = 1
+	snapSeq, snapTerm, err := m.loadSnapshot()
+	if err != nil {
+		return 0, false, err
+	}
+	records, off, truncated, err := readLog(m.cfg.Dir)
+	if err != nil {
+		return 0, false, err
+	}
+	base, baseTerm := readBaseSeq(m.cfg.Dir)
+	term := baseTerm
+	for _, payload := range records {
+		var rec walRecord
+		if err := json.Unmarshal(payload, &rec); err != nil {
+			// An intact frame with unreadable JSON: skip it, keep folding.
+			m.logf("recovery: skipping undecodable wal record: %v", err)
+			continue
+		}
+		m.apply(rec)
+		term = rec.RTerm
+	}
+	// Every intact frame consumed one sequence number when it was
+	// appended, decodable or not: the log holds base+1 … base+len(records).
+	// A snapshot ahead of the base was written without the log reset that
+	// follows it — a compaction a crash cut short, or a close by an earlier
+	// version of this package, which snapshotted there — and the records
+	// it covers are folded, so it is the horizon.
+	m.logBase = base
+	m.replBase, m.replBaseTerm = base, baseTerm
+	if snapSeq >= base {
+		m.replBase, m.replBaseTerm = snapSeq, max(snapTerm, baseTerm)
+	}
+	m.replSeq, m.replTerm = m.replBase, m.replBaseTerm
+	if tip := base + uint64(len(records)); tip > m.replBase {
+		m.replSeq, m.replTerm = tip, term
+	}
+	// ID order, so any reconstruction log lines replay identically.
+	for _, js := range m.ordered() {
+		m.rebuildResult(js)
+	}
+	return off, truncated, nil
+}
+
+// rebuildResult reconstructs a done simulate job's final Result (yields,
+// Wilson CI) from its durable tallies. A done job short of its cap can
+// only have stopped early; the flag is reconstructible from durable state
+// alone. Sweep results live in Job.Sweep; nothing to rebuild.
+func (m *Manager) rebuildResult(js *jobState) {
+	if js.job.State != StateDone || js.job.Result != nil || js.job.Spec.Mode == ModeSweep {
+		return
+	}
+	res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed)
+	if err != nil {
+		m.logf("recovery: job %s result reconstruction: %v", js.job.ID, err)
+		return
+	}
+	if js.job.Completed < js.job.Spec.Samples {
+		res.Requested = js.job.Spec.Samples
+		res.StoppedEarly = true
+	}
+	js.job.Result = &res
+}
+
+// loadSnapshot reads jobs.snap into the state map and returns the
+// (sequence, term) it covers. A missing snapshot is an empty store; an
+// unreadable one is logged and treated as empty (the log replay still
+// applies whatever it holds).
+func (m *Manager) loadSnapshot() (seq, term uint64, err error) {
 	data, err := os.ReadFile(m.snap)
 	if errors.Is(err, os.ErrNotExist) {
-		return nil
+		return 0, 0, nil
 	}
 	if err != nil {
-		return fmt.Errorf("jobs: read snapshot: %w", err)
+		return 0, 0, fmt.Errorf("jobs: read snapshot: %w", err)
 	}
 	var st persistedState
 	if err := json.Unmarshal(data, &st); err != nil {
 		m.logf("recovery: snapshot unreadable, starting from wal alone: %v", err)
-		return nil
+		return 0, 0, nil
 	}
 	if st.NextID > m.nextID {
 		m.nextID = st.NextID
 	}
-	m.replSeq = st.ReplicaSeq
-	m.replTerm = st.ReplicaTerm
 	for _, pj := range st.Jobs {
 		js := &jobState{
 			wire: pj.Spec,
@@ -793,7 +740,7 @@ func (m *Manager) loadSnapshot() error {
 		m.jobs[pj.ID] = js
 		m.noteID(pj.ID)
 	}
-	return nil
+	return st.ReplicaSeq, st.ReplicaTerm, nil
 }
 
 // apply folds one WAL record into the state map. Application is
@@ -1235,10 +1182,10 @@ func (m *Manager) publishLocked(js *jobState) {
 	}
 }
 
-// Close stops the runner pool and the GC loop, waits for them, syncs the
-// final snapshot and closes the log. Jobs interrupted mid-run stay
-// durably running — indistinguishable from a crash — and resume from
-// their last checkpoint at the next Open.
+// Close stops the runner pool and the GC loop, waits for them and closes
+// the log; every record is already durable, so nothing is written. Jobs
+// interrupted mid-run stay durably running — indistinguishable from a
+// crash — and resume from their last checkpoint at the next Open.
 func (m *Manager) Close() error {
 	m.lifeMu.Lock()
 	defer m.lifeMu.Unlock()
@@ -1260,11 +1207,7 @@ func (m *Manager) Close() error {
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	err := m.writeSnapshotLocked()
-	if cerr := m.wal.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return m.wal.Close()
 }
 
 // appendLocked durably logs one record. Callers hold m.mu (or have
@@ -1304,17 +1247,30 @@ func (m *Manager) appendLocked(rec walRecord) error {
 	return nil
 }
 
-// resetWALLocked empties the log after a snapshot has folded it away and
-// durably records the new base sequence, so recovery keeps numbering
+// compactLocked folds the log into the snapshot and is the only writer of
+// jobs.snap: the snapshot of the tip first, then the log reset, then the
+// base. A crash between two steps leaves a directory foldLocked reads
+// back to the same state. Callers hold m.mu (or have exclusive access
+// during Open).
+func (m *Manager) compactLocked() error {
+	if err := m.writeSnapshotLocked(); err != nil {
+		return err
+	}
+	return m.resetLogLocked()
+}
+
+// resetLogLocked empties the log once the snapshot covers the tip and
+// durably records the tip as the new base, so recovery keeps numbering
 // replicated records correctly. Callers hold m.mu (or have exclusive
-// access during recovery) and have just written the snapshot.
-func (m *Manager) resetWALLocked() error {
-	if err := m.wal.Reset(); err != nil {
+// access during Open).
+func (m *Manager) resetLogLocked() error {
+	if err := m.wal.TruncateTail(0); err != nil {
 		return err
 	}
 	if err := writeBaseSeq(m.cfg.Dir, m.replSeq, m.replTerm); err != nil {
 		return fmt.Errorf("jobs: record wal base sequence: %w", err)
 	}
+	m.logBase = m.replSeq
 	m.replBase, m.replBaseTerm = m.replSeq, m.replTerm
 	return nil
 }
@@ -1663,7 +1619,7 @@ func (m *Manager) evalSweepPoint(ctx context.Context, index int, p core.Params, 
 // gcLoop drops terminal jobs whose results have outlived ResultTTL.
 func (m *Manager) gcLoop(ctx context.Context) {
 	defer m.wg.Done()
-	ticker := time.NewTicker(m.cfg.gcInterval())
+	ticker := time.NewTicker(gcInterval)
 	defer ticker.Stop()
 	for {
 		select {
@@ -1701,26 +1657,17 @@ func (m *Manager) gcPass() {
 		m.stats.GCRemoved++
 		removed++
 	}
-	segBytes := m.cfg.WALSegmentBytes
-	if segBytes <= 0 {
-		segBytes = defaultSegmentBytes
-	}
-	// Compact when jobs were dropped, or when the accumulated segments
-	// outgrew their budget — the snapshot folds them away, and Reset
-	// deletes every fully-compacted segment file.
-	if removed > 0 || m.wal.Size() > 4*segBytes {
-		if err := m.writeSnapshotLocked(); err != nil {
-			m.logf("gc: snapshot: %v", err)
-			return
-		}
-		if err := m.resetWALLocked(); err != nil {
-			m.logf("gc: wal reset: %v", err)
+	// Compact when jobs were dropped, or when the log outgrew its budget.
+	if removed > 0 || m.wal.Size() > compactBytes {
+		if err := m.compactLocked(); err != nil {
+			m.logf("gc: compaction: %v", err)
 		}
 	}
 }
 
-// writeSnapshotLocked persists the full state atomically. Callers hold
-// m.mu (or have exclusive access during recovery).
+// writeSnapshotLocked persists the full state atomically; compactLocked
+// is its one caller. Callers hold m.mu (or have exclusive access during
+// Open).
 func (m *Manager) writeSnapshotLocked() error {
 	st := persistedState{NextID: m.nextID, ReplicaSeq: m.replSeq, ReplicaTerm: m.replTerm}
 	ordered := m.ordered()

@@ -333,9 +333,8 @@ func TestCorruptWALTailRecovered(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Tear the log: half a record of garbage lands after the intact tail
-	// of the active segment.
-	walPath := segPath(dir, 1)
+	// Tear the log: half a record of garbage lands after its intact tail.
+	walPath := filepath.Join(dir, logName)
 	f, err := os.OpenFile(walPath, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)

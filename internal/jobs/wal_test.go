@@ -3,15 +3,60 @@ package jobs
 import (
 	"bytes"
 	"encoding/binary"
-	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 )
 
+// frames encodes payloads in the on-disk record framing.
+func frames(payloads ...[]byte) []byte {
+	var buf bytes.Buffer
+	for _, p := range payloads {
+		var hdr [walHeaderSize]byte
+		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(p)))
+		binary.LittleEndian.PutUint32(hdr[4:8], RecordCRC(p))
+		buf.Write(hdr[:])
+		buf.Write(p)
+	}
+	return buf.Bytes()
+}
+
+func writeFile(t *testing.T, path string, data []byte) {
+	t.Helper()
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// payloads returns n distinct test records.
+func payloads(n int) [][]byte {
+	out := make([][]byte, n)
+	for i := range out {
+		out[i] = bytes.Repeat([]byte{byte('a' + i)}, 16+i)
+	}
+	return out
+}
+
+// assertOnlyLog fails unless dir holds jobs.log and none of the older
+// layout's files.
+func assertOnlyLog(t *testing.T, dir string) {
+	t.Helper()
+	old, err := oldLogFiles(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(old) != 0 {
+		t.Errorf("old wal files left behind: %v", old)
+	}
+	if _, err := os.Stat(filepath.Join(dir, logName)); err != nil {
+		t.Errorf("no %s after migration: %v", logName, err)
+	}
+}
+
 func TestWALAppendReplayRoundtrip(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 0, walPos{})
+	w, err := openWAL(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -24,199 +69,124 @@ func TestWALAppendReplayRoundtrip(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	got, pos, truncated, err := replayWAL(dir)
+	got, off, truncated, err := readLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if truncated {
 		t.Error("clean log reported truncated")
 	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d records, want %d", len(got), len(want))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("replayed %d records, want %d identical ones", len(got), len(want))
 	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Errorf("record %d mismatch", i)
-		}
-	}
-	fi, err := os.Stat(segPath(dir, pos.seg))
+	fi, err := os.Stat(filepath.Join(dir, logName))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pos.offset != fi.Size() {
-		t.Errorf("clean offset %d != file size %d", pos.offset, fi.Size())
+	if off != fi.Size() {
+		t.Errorf("clean offset %d != file size %d", off, fi.Size())
 	}
 }
 
 func TestWALReplayMissingDirIsEmpty(t *testing.T) {
-	recs, pos, truncated, err := replayWAL(filepath.Join(t.TempDir(), "nonexistent"))
-	if err != nil || len(recs) != 0 || pos.offset != 0 || truncated {
-		t.Fatalf("missing dir: recs=%d off=%d truncated=%v err=%v", len(recs), pos.offset, truncated, err)
+	recs, off, truncated, err := readLog(filepath.Join(t.TempDir(), "nonexistent"))
+	if err != nil || len(recs) != 0 || off != 0 || truncated {
+		t.Fatalf("missing dir: recs=%d off=%d truncated=%v err=%v", len(recs), off, truncated, err)
 	}
 }
 
 // TestWALLegacySingleFileReplay covers stores written before segment
-// rotation: a bare jobs.wal must replay first and keep accepting appends,
-// and the first Reset must remove it.
+// rotation: a bare jobs.wal migrates into jobs.log, keeps accepting
+// appends after its records, and is removed.
 func TestWALLegacySingleFileReplay(t *testing.T) {
 	dir := t.TempDir()
-	frame := func(payload []byte) []byte {
-		buf := make([]byte, walHeaderSize+len(payload))
-		binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-		binary.LittleEndian.PutUint32(buf[4:8], RecordCRC(payload))
-		copy(buf[walHeaderSize:], payload)
-		return buf
+	writeFile(t, filepath.Join(dir, "jobs.wal"), frames([]byte("old-one"), []byte("old-two")))
+	if truncated, err := migrateLog(dir); err != nil || truncated {
+		t.Fatalf("legacy migration: truncated=%v err=%v", truncated, err)
 	}
-	legacy := append(frame([]byte("old-one")), frame([]byte("old-two"))...)
-	if err := os.WriteFile(filepath.Join(dir, legacyWALName), legacy, 0o644); err != nil {
-		t.Fatal(err)
+	assertOnlyLog(t, dir)
+	recs, off, truncated, err := readLog(dir)
+	if err != nil || truncated || len(recs) != 2 {
+		t.Fatalf("legacy replay: %d records truncated=%v err=%v", len(recs), truncated, err)
 	}
-	recs, pos, truncated, err := replayWAL(dir)
-	if err != nil || truncated {
-		t.Fatalf("legacy replay: truncated=%v err=%v", truncated, err)
-	}
-	if len(recs) != 2 || !pos.legacy {
-		t.Fatalf("legacy replay: %d records, legacy=%v", len(recs), pos.legacy)
-	}
-	w, err := openWAL(dir, 0, pos)
+	w, err := openWAL(dir, off)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := w.Append([]byte("new-three")); err != nil {
 		t.Fatal(err)
 	}
-	recsMid, _, _, err := replayWAL(dir)
-	if err != nil || len(recsMid) != 3 {
-		t.Fatalf("legacy+append replay: %d records err=%v", len(recsMid), err)
-	}
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
 	w.Close()
-	if _, err := os.Stat(filepath.Join(dir, legacyWALName)); !os.IsNotExist(err) {
-		t.Errorf("legacy wal not removed by reset: %v", err)
+	recs, _, _, err = readLog(dir)
+	want := [][]byte{[]byte("old-one"), []byte("old-two"), []byte("new-three")}
+	if err != nil || !reflect.DeepEqual(recs, want) {
+		t.Fatalf("legacy+append replay: %q err=%v", recs, err)
 	}
 }
 
-// TestWALSegmentRotation drives the log past its segment cap and checks
-// that records land across multiple numbered segments, that replay folds
-// them back in order across the boundaries, and that appending resumes in
-// the last segment.
-func TestWALSegmentRotation(t *testing.T) {
+// TestWALMigratesSegmentsInOrder is the older layout's replay order: the
+// single jobs.wal first, then the numbered segments by number (not by
+// name: jobs-1000000.wal follows jobs-999999.wal), each record once. A
+// torn frame at the end of the last segment is dropped and reported.
+func TestWALMigratesSegmentsInOrder(t *testing.T) {
 	dir := t.TempDir()
-	// Each record is 64 payload bytes + 8 framing; cap at 200 so roughly
-	// two records fit per segment.
-	w, err := openWAL(dir, 200, walPos{})
+	p := payloads(7)
+	writeFile(t, filepath.Join(dir, "jobs.wal"), frames(p[0], p[1]))
+	writeFile(t, filepath.Join(dir, "jobs-000001.wal"), frames(p[2], p[3]))
+	writeFile(t, filepath.Join(dir, "jobs-999999.wal"), frames(p[4]))
+	torn := frames(p[6])
+	writeFile(t, filepath.Join(dir, "jobs-1000000.wal"), append(frames(p[5]), torn[:len(torn)-3]...))
+	truncated, err := migrateLog(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var want [][]byte
-	for i := 0; i < 9; i++ {
-		p := bytes.Repeat([]byte{byte('a' + i)}, 64)
-		want = append(want, p)
-		if err := w.Append(p); err != nil {
-			t.Fatal(err)
-		}
+	if !truncated {
+		t.Error("torn last segment not reported")
 	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("expected rotation into >=3 segments, got %d", len(segs))
-	}
-	got, pos, truncated, err := replayWAL(dir)
+	assertOnlyLog(t, dir)
+	recs, _, truncated, err := readLog(dir)
 	if err != nil || truncated {
-		t.Fatalf("replay: truncated=%v err=%v", truncated, err)
+		t.Fatalf("migrated replay: truncated=%v err=%v", truncated, err)
 	}
-	if len(got) != len(want) {
-		t.Fatalf("replayed %d records across segments, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if !bytes.Equal(got[i], want[i]) {
-			t.Fatalf("record %d mismatch after segment-boundary replay", i)
-		}
-	}
-	if pos.seg != segs[len(segs)-1] {
-		t.Errorf("replay position segment %d, want last segment %d", pos.seg, segs[len(segs)-1])
-	}
-	w2, err := openWAL(dir, 200, pos)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w2.Append([]byte("after-reopen")); err != nil {
-		t.Fatal(err)
-	}
-	w2.Close()
-	got2, _, _, err := replayWAL(dir)
-	if err != nil || len(got2) != len(want)+1 {
-		t.Fatalf("post-reopen replay: %d records err=%v", len(got2), err)
+	if !reflect.DeepEqual(recs, p[:6]) {
+		t.Fatalf("migrated %d records, want the 6 intact ones in segment order", len(recs))
 	}
 }
 
-// TestWALCorruptionDiscardsLaterSegments checks the ordering rule: a
-// corrupt record in an earlier segment invalidates everything after it,
-// including whole later segments, which openWAL then deletes.
+// TestWALCorruptionDiscardsLaterSegments checks the ordering rule the
+// migration keeps: a corrupt record in an earlier segment invalidates
+// everything after it, including whole later segments.
 func TestWALCorruptionDiscardsLaterSegments(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 100, walPos{})
+	p := payloads(6)
+	writeFile(t, filepath.Join(dir, "jobs-000001.wal"), frames(p[0], p[1]))
+	second := frames(p[2], p[3], p[4])
+	second[2*walHeaderSize+len(p[2])+len(p[3])-1] ^= 0xff // last byte of p[3]
+	writeFile(t, filepath.Join(dir, "jobs-000002.wal"), second)
+	writeFile(t, filepath.Join(dir, "jobs-000003.wal"), frames(p[5]))
+	truncated, err := migrateLog(dir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		if err := w.Append(bytes.Repeat([]byte{byte('0' + i)}, 64)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	w.Close()
-	segs, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segs) < 3 {
-		t.Fatalf("need >=3 segments for this test, got %d", len(segs))
-	}
-	// Flip a payload byte in the SECOND segment: records in the first stay
-	// good, the second truncates at the corruption, the rest are stale.
-	second := segPath(dir, segs[1])
-	data, err := os.ReadFile(second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)-1] ^= 0xff
-	if err := os.WriteFile(second, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, pos, truncated, err := replayWAL(dir)
-	if err != nil {
-		t.Fatalf("replay must not fail on corruption: %v", err)
+		t.Fatalf("migration must not fail on corruption: %v", err)
 	}
 	if !truncated {
 		t.Fatal("corruption not reported")
 	}
-	if pos.seg != segs[1] {
-		t.Errorf("replay stopped in segment %d, want %d", pos.seg, segs[1])
+	assertOnlyLog(t, dir)
+	recs, off, _, err := readLog(dir)
+	if err != nil || !reflect.DeepEqual(recs, p[:3]) {
+		t.Fatalf("migrated %d records (err %v), want the 3 before the corruption", len(recs), err)
 	}
-	if len(pos.stale) != len(segs)-2 {
-		t.Errorf("stale segments %d, want %d", len(pos.stale), len(segs)-2)
-	}
-	w2, err := openWAL(dir, 100, pos)
+	w, err := openWAL(dir, off)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := w2.Append([]byte("healed")); err != nil {
+	if err := w.Append([]byte("healed")); err != nil {
 		t.Fatal(err)
 	}
-	w2.Close()
-	recs2, _, truncated2, err := replayWAL(dir)
-	if err != nil || truncated2 {
-		t.Fatalf("post-heal replay: truncated=%v err=%v", truncated2, err)
-	}
-	if len(recs2) != len(recs)+1 {
-		t.Errorf("post-heal records %d, want %d", len(recs2), len(recs)+1)
+	w.Close()
+	recs2, _, truncated2, err := readLog(dir)
+	if err != nil || truncated2 || len(recs2) != 4 {
+		t.Fatalf("post-heal replay: %d records truncated=%v err=%v", len(recs2), truncated2, err)
 	}
 }
 
@@ -236,7 +206,7 @@ func TestWALReplayTruncatesCorruptTail(t *testing.T) {
 		{"insane length", func(data []byte) []byte {
 			// Corrupt the second record's length field far past the bound.
 			off := walHeaderSize + len(a)
-			binary.LittleEndian.PutUint32(data[off:off+4], maxRecordBytes+1)
+			binary.LittleEndian.PutUint32(data[off:off+4], MaxRecordBytes+1)
 			return data
 		}},
 		{"trailing garbage header", func(data []byte) []byte {
@@ -246,25 +216,8 @@ func TestWALReplayTruncatesCorruptTail(t *testing.T) {
 	for _, tc := range tamper {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
-			w, err := openWAL(dir, 0, walPos{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, p := range [][]byte{a, b} {
-				if err := w.Append(p); err != nil {
-					t.Fatal(err)
-				}
-			}
-			w.Close()
-			path := segPath(dir, 1)
-			data, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, tc.mangle(data), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			recs, pos, truncated, err := replayWAL(dir)
+			writeFile(t, filepath.Join(dir, logName), tc.mangle(frames(a, b)))
+			recs, off, truncated, err := readLog(dir)
 			if err != nil {
 				t.Fatalf("replay must not fail on corruption: %v", err)
 			}
@@ -276,15 +229,15 @@ func TestWALReplayTruncatesCorruptTail(t *testing.T) {
 			}
 			// Appending after reopening at the clean position must yield a
 			// fully intact log again.
-			w2, err := openWAL(dir, 0, pos)
+			w, err := openWAL(dir, off)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := w2.Append([]byte("record-three")); err != nil {
+			if err := w.Append([]byte("record-three")); err != nil {
 				t.Fatal(err)
 			}
-			w2.Close()
-			recs2, _, truncated2, err := replayWAL(dir)
+			w.Close()
+			recs2, _, truncated2, err := readLog(dir)
 			if err != nil || truncated2 {
 				t.Fatalf("post-heal replay: truncated=%v err=%v", truncated2, err)
 			}
@@ -296,7 +249,7 @@ func TestWALReplayTruncatesCorruptTail(t *testing.T) {
 }
 
 func TestWALRejectsOversizedAndEmptyRecords(t *testing.T) {
-	w, err := openWAL(t.TempDir(), 0, walPos{})
+	w, err := openWAL(t.TempDir(), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,97 +257,107 @@ func TestWALRejectsOversizedAndEmptyRecords(t *testing.T) {
 	if err := w.Append(nil); err == nil {
 		t.Error("empty record accepted")
 	}
-	if err := w.Append(make([]byte, maxRecordBytes+1)); err == nil {
+	if err := w.Append(make([]byte, MaxRecordBytes+1)); err == nil {
 		t.Error("oversized record accepted")
+	}
+	if err := w.Append(make([]byte, MaxRecordBytes)); err != nil {
+		t.Errorf("record at the bound refused: %v", err)
 	}
 }
 
-// TestWALResetRemovesCompactedSegments is the segment-GC property: after
-// rotation has left several fully-compacted segments behind, Reset must
-// delete every one of them and restart appending in a fresh first segment.
-func TestWALResetRemovesCompactedSegments(t *testing.T) {
+// TestWALResetEmptiesLog is compaction's log reset: TruncateTail(0)
+// drops every record and appending restarts at the front of the file.
+func TestWALResetEmptiesLog(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 100, walPos{})
+	w, err := openWAL(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 6; i++ {
-		if err := w.Append(bytes.Repeat([]byte{'r'}, 64)); err != nil {
+	for _, p := range payloads(6) {
+		if err := w.Append(p); err != nil {
 			t.Fatal(err)
 		}
 	}
-	segsBefore, err := listSegments(dir)
-	if err != nil {
+	if err := w.TruncateTail(0); err != nil {
 		t.Fatal(err)
-	}
-	if len(segsBefore) < 3 {
-		t.Fatalf("need >=3 segments before reset, got %d", len(segsBefore))
-	}
-	if err := w.Reset(); err != nil {
-		t.Fatal(err)
-	}
-	segsAfter, err := listSegments(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(segsAfter) != 1 || segsAfter[0] != 1 {
-		t.Fatalf("after reset: segments %v, want just [1]", segsAfter)
 	}
 	if err := w.Append([]byte("kept")); err != nil {
 		t.Fatal(err)
 	}
 	w.Close()
-	recs, _, _, err := replayWAL(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || string(recs[0]) != "kept" {
-		t.Fatalf("after reset: %d records", len(recs))
+	recs, _, _, err := readLog(dir)
+	if err != nil || len(recs) != 1 || string(recs[0]) != "kept" {
+		t.Fatalf("after reset: %q err=%v", recs, err)
 	}
 }
 
-func TestWALSizeSpansSegments(t *testing.T) {
+// TestWALSizeTracksLog: Size is the log's byte length through appends,
+// a tail truncation and a reopen — the figure compaction triggers on.
+func TestWALSizeTracksLog(t *testing.T) {
 	dir := t.TempDir()
-	w, err := openWAL(dir, 100, walPos{})
+	w, err := openWAL(dir, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer w.Close()
-	var want int64
-	for i := 0; i < 6; i++ {
-		p := bytes.Repeat([]byte{'s'}, 64)
-		if err := w.Append(p); err != nil {
+	p := payloads(6)
+	var sizes []int64
+	var total int64
+	for _, rec := range p {
+		if err := w.Append(rec); err != nil {
 			t.Fatal(err)
 		}
-		want += int64(walHeaderSize + len(p))
+		total += int64(walHeaderSize + len(rec))
+		sizes = append(sizes, total)
 	}
-	if got := w.Size(); got != want {
-		t.Errorf("Size() = %d, want %d across all segments", got, want)
+	if got := w.Size(); got != total {
+		t.Errorf("Size() = %d after appends, want %d", got, total)
+	}
+	if err := w.TruncateTail(2); err != nil {
+		t.Fatal(err)
+	}
+	if got := w.Size(); got != sizes[1] {
+		t.Errorf("Size() = %d after keeping 2 records, want %d", got, sizes[1])
+	}
+	if err := w.TruncateTail(3); err == nil {
+		t.Error("truncation keeping more records than the log holds accepted")
+	}
+	w.Close()
+	recs, off, _, err := readLog(dir)
+	if err != nil || !reflect.DeepEqual(recs, p[:2]) {
+		t.Fatalf("after truncation: %d records err=%v", len(recs), err)
+	}
+	w2, err := openWAL(dir, off)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if got := w2.Size(); got != sizes[1] {
+		t.Errorf("Size() = %d after reopen, want %d", got, sizes[1])
 	}
 }
 
+// TestParseSegName pins which names the migration treats as the older
+// layout's log files, and their replay order.
 func TestParseSegName(t *testing.T) {
-	cases := []struct {
-		name string
-		num  uint64
-		ok   bool
-	}{
-		{"jobs-000001.wal", 1, true},
-		{"jobs-123456.wal", 123456, true},
-		{"jobs.wal", 0, false},
-		{"jobs-.wal", 0, false},
-		{"jobs-xyz.wal", 0, false},
-		{"other-000001.wal", 0, false},
-		{"jobs-000001.snap", 0, false},
+	dir := t.TempDir()
+	for _, name := range []string{
+		"jobs-000002.wal", "jobs-000001.wal", "jobs.wal", "jobs-123456.wal",
+		"jobs-.wal", "jobs-xyz.wal", "jobs-+1.wal", "000003.wal", "other-000001.wal",
+		"jobs-000001.snap", logName, snapName,
+	} {
+		writeFile(t, filepath.Join(dir, name), nil)
 	}
-	for _, tc := range cases {
-		n, ok := parseSegName(tc.name)
-		if n != tc.num || ok != tc.ok {
-			t.Errorf("parseSegName(%q) = (%d, %v), want (%d, %v)", tc.name, n, ok, tc.num, tc.ok)
-		}
+	got, err := oldLogFiles(dir)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := filepath.Base(segPath("d", 42)); got != fmt.Sprintf("%s%06d%s", segPrefix, 42, segSuffix) {
-		t.Errorf("segPath name %q", got)
+	var names []string
+	for _, path := range got {
+		names = append(names, filepath.Base(path))
+	}
+	want := []string{"jobs.wal", "jobs-000001.wal", "jobs-000002.wal", "jobs-123456.wal"}
+	if !reflect.DeepEqual(names, want) {
+		t.Errorf("old log files %q, want %q", names, want)
 	}
 }
 

@@ -44,13 +44,6 @@ func (n *cgNode) body() *ast.BlockStmt {
 	return n.lit.Body
 }
 
-func (n *cgNode) astNode() ast.Node {
-	if n.decl != nil {
-		return n.decl
-	}
-	return n.lit
-}
-
 // cgEdge is one call site from caller to a resolved module-local callee.
 type cgEdge struct {
 	caller *cgNode

@@ -17,7 +17,6 @@ import (
 	"go/token"
 	"go/types"
 	"path"
-	"sort"
 	"strings"
 )
 
@@ -790,28 +789,6 @@ func (fc *flowCore) visitFlow(n *cgNode, entry *flowState, visit func(ev flowEve
 			fc.transfer(n, cur, ev)
 		}
 	}
-}
-
-// heldMode reports the mode of cls in a state (0 when not held).
-func heldMode(st *flowState, id string) int {
-	if st == nil {
-		return 0
-	}
-	return st.held[id]
-}
-
-// sortedClassIDs renders a held set deterministically for messages.
-func sortedClassIDs(held map[string]int, classes map[string]lockClass) []string {
-	out := make([]string, 0, len(held))
-	for id := range held {
-		if c, ok := classes[id]; ok {
-			out = append(out, c.display)
-		} else {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // displayOf renders one class id.

@@ -5,10 +5,7 @@
 // model packages stay readable.
 package num
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // invSqrt2 is 1/√2, used to map the normal CDF onto math.Erf.
 const invSqrt2 = 0.7071067811865476
@@ -106,11 +103,3 @@ func StdNormalQuantile(p float64) float64 {
 	z -= u / (1 + z*u/2)
 	return z
 }
-
-// ErrNoBracket is returned by root finders when the supplied interval does
-// not bracket a sign change.
-var ErrNoBracket = errors.New("num: interval does not bracket a root")
-
-// ErrNoConverge is returned when an iterative routine exhausts its iteration
-// budget without meeting its tolerance.
-var ErrNoConverge = errors.New("num: iteration did not converge")

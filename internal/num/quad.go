@@ -54,38 +54,6 @@ func adaptiveSimpson(f func(float64) float64, a, b, fa, fm, fb, whole, tol float
 		adaptiveSimpson(f, m, b, fm, frm, fb, right, tol/2, depth-1, budget)
 }
 
-// gl20Nodes and gl20Weights are the 20-point Gauss–Legendre nodes and
-// weights on [-1, 1] (positive half; the rule is symmetric).
-var gl20Nodes = [10]float64{
-	0.0765265211334973, 0.2277858511416451, 0.3737060887154195,
-	0.5108670019508271, 0.6360536807265150, 0.7463319064601508,
-	0.8391169718222188, 0.9122344282513259, 0.9639719272779138,
-	0.9931285991850949,
-}
-
-var gl20Weights = [10]float64{
-	0.1527533871307258, 0.1491729864726037, 0.1420961093183820,
-	0.1316886384491766, 0.1181945319615184, 0.1019301198172404,
-	0.0832767415767048, 0.0626720483341091, 0.0406014298003869,
-	0.0176140071391521,
-}
-
-// GaussLegendre20 computes ∫_a^b f(x) dx with a single 20-point
-// Gauss–Legendre rule. It is exact for polynomials up to degree 39 and is
-// used where the integrand is known to be smooth and speed matters (the
-// model is timed against the simulator, so the quadrature inside it should
-// not be adaptive unless necessary).
-func GaussLegendre20(f func(float64) float64, a, b float64) float64 {
-	c := 0.5 * (a + b)
-	h := 0.5 * (b - a)
-	var sum float64
-	for i := 0; i < 10; i++ {
-		x := h * gl20Nodes[i]
-		sum += gl20Weights[i] * (f(c+x) + f(c-x))
-	}
-	return sum * h
-}
-
 // IntegrateToInfinity computes ∫_a^∞ f(x) dx for an integrand with
 // power-law or faster decay by mapping x = a + s·t/(1-t) onto t ∈ [0,1)
 // and integrating adaptively. Used for the tail portions of the
@@ -108,76 +76,6 @@ func IntegrateToInfinity(f func(float64) float64, a, scale, tol float64) float64
 		return f(x) * scale / (den * den)
 	}
 	return Integrate(g, 0, 1, tol)
-}
-
-// Brent finds a root of f in [a, b] using Brent's method. f(a) and f(b)
-// must have opposite signs; otherwise ErrNoBracket is returned. tol is the
-// absolute tolerance on the root location.
-func Brent(f func(float64) float64, a, b, tol float64) (float64, error) {
-	if tol <= 0 {
-		tol = 1e-14
-	}
-	fa, fb := f(a), f(b)
-	if fa == 0 {
-		return a, nil
-	}
-	if fb == 0 {
-		return b, nil
-	}
-	if (fa > 0) == (fb > 0) {
-		return 0, ErrNoBracket
-	}
-	c, fc := a, fa
-	d, e := b-a, b-a
-	const maxIter = 200
-	for i := 0; i < maxIter; i++ {
-		if (fb > 0) == (fc > 0) {
-			c, fc = a, fa
-			d, e = b-a, b-a
-		}
-		if math.Abs(fc) < math.Abs(fb) {
-			a, b, c = b, c, b
-			fa, fb, fc = fb, fc, fb
-		}
-		tol1 := 2*math.SmallestNonzeroFloat64*math.Abs(b) + 0.5*tol
-		xm := 0.5 * (c - b)
-		if math.Abs(xm) <= tol1 || fb == 0 {
-			return b, nil
-		}
-		if math.Abs(e) >= tol1 && math.Abs(fa) > math.Abs(fb) {
-			// Attempt inverse quadratic interpolation.
-			s := fb / fa
-			var p, q float64
-			if a == c {
-				p = 2 * xm * s
-				q = 1 - s
-			} else {
-				q = fa / fc
-				r := fb / fc
-				p = s * (2*xm*q*(q-r) - (b-a)*(r-1))
-				q = (q - 1) * (r - 1) * (s - 1)
-			}
-			if p > 0 {
-				q = -q
-			}
-			p = math.Abs(p)
-			if 2*p < math.Min(3*xm*q-math.Abs(tol1*q), math.Abs(e*q)) {
-				e, d = d, p/q
-			} else {
-				d, e = xm, xm
-			}
-		} else {
-			d, e = xm, xm
-		}
-		a, fa = b, fb
-		if math.Abs(d) > tol1 {
-			b += d
-		} else {
-			b += math.Copysign(tol1, xm)
-		}
-		fb = f(b)
-	}
-	return b, ErrNoConverge
 }
 
 // BisectMonotone finds x ∈ [a,b] with f(x) = target for a monotone f, by

@@ -61,24 +61,6 @@ func TestIntegrateSharpFeature(t *testing.T) {
 	}
 }
 
-func TestGaussLegendre20Polynomial(t *testing.T) {
-	// Exact for degree ≤ 39: check x^10 over [0, 2] = 2^11/11.
-	got := GaussLegendre20(func(x float64) float64 { return math.Pow(x, 10) }, 0, 2)
-	want := math.Pow(2, 11) / 11
-	if !almostEqual(got, want, 1e-12) {
-		t.Errorf("GL20 x^10 = %.15g, want %.15g", got, want)
-	}
-}
-
-func TestGaussLegendre20MatchesAdaptive(t *testing.T) {
-	f := func(x float64) float64 { return math.Exp(-x) * math.Cos(3*x) }
-	gl := GaussLegendre20(f, 0, 2)
-	ad := Integrate(f, 0, 2, 1e-13)
-	if !almostEqual(gl, ad, 1e-10) {
-		t.Errorf("GL20 = %.15g, adaptive = %.15g", gl, ad)
-	}
-}
-
 func TestIntegrateToInfinityPowerLaw(t *testing.T) {
 	// ∫₁^∞ x⁻³ dx = 1/2.
 	got := IntegrateToInfinity(func(x float64) float64 { return math.Pow(x, -3) }, 1, 1, 1e-12)
@@ -119,45 +101,6 @@ func TestIntegrateToInfinitySmallScale(t *testing.T) {
 	got := IntegrateToInfinity(f, a, s, 1e-16)
 	if !almostEqual(got, s, 1e-8) {
 		t.Errorf("small-scale tail integral = %g, want %g", got, s)
-	}
-}
-
-func TestBrentFindsRoots(t *testing.T) {
-	cases := []struct {
-		f        func(float64) float64
-		a, b     float64
-		wantRoot float64
-	}{
-		{func(x float64) float64 { return x*x - 2 }, 0, 2, math.Sqrt2},
-		{math.Cos, 1, 2, math.Pi / 2},
-		{func(x float64) float64 { return math.Exp(x) - 3 }, 0, 2, math.Log(3)},
-		{func(x float64) float64 { return x }, -1, 1, 0},
-	}
-	for i, c := range cases {
-		got, err := Brent(c.f, c.a, c.b, 1e-13)
-		if err != nil {
-			t.Errorf("case %d: %v", i, err)
-			continue
-		}
-		if !almostEqual(got, c.wantRoot, 1e-9) {
-			t.Errorf("case %d: root = %.15g, want %.15g", i, got, c.wantRoot)
-		}
-	}
-}
-
-func TestBrentEndpointRoots(t *testing.T) {
-	f := func(x float64) float64 { return x - 1 }
-	if r, err := Brent(f, 1, 2, 1e-12); err != nil || r != 1 {
-		t.Errorf("root at left endpoint: r=%g err=%v", r, err)
-	}
-	if r, err := Brent(f, 0, 1, 1e-12); err != nil || r != 1 {
-		t.Errorf("root at right endpoint: r=%g err=%v", r, err)
-	}
-}
-
-func TestBrentNoBracket(t *testing.T) {
-	if _, err := Brent(func(x float64) float64 { return x*x + 1 }, -1, 1, 1e-12); err != ErrNoBracket {
-		t.Errorf("expected ErrNoBracket, got %v", err)
 	}
 }
 

@@ -408,8 +408,7 @@ func (n *Node) Stats() Stats {
 }
 
 // Close shuts the node down: pending quorum waits fail, sender and
-// election goroutines join, then the store closes (snapshotting as
-// usual).
+// election goroutines join, then the store closes.
 func (n *Node) Close() error {
 	n.mu.Lock()
 	if n.closed {

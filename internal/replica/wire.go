@@ -1,5 +1,13 @@
 package replica
 
+import "yap/internal/jobs"
+
+// MaxMessageBytes bounds one encoded Message, and with it the body of
+// POST /v1/replica: the largest record the WAL accepts, base64-encoded as
+// JSON encodes Payload, plus room for the envelope's other fields and the
+// sender's URL.
+const MaxMessageBytes = (jobs.MaxRecordBytes+2)/3*4 + 64<<10
+
 // Message kinds carried over POST /v1/replica. The wire surface is two
 // verbs: "append" ships one durable WAL record (or, with Seq 0, a bare
 // heartbeat renewing the leader's lease), and "vote" solicits a ballot

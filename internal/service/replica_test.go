@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -118,6 +119,38 @@ func TestReplicaEndpointAndNotLeaderRedirect(t *testing.T) {
 		if !strings.Contains(w.Body.String(), metric) {
 			t.Errorf("metrics missing %q", metric)
 		}
+	}
+}
+
+// TestReplicaAcceptsRecordAtWALBound: /v1/replica bodies are bounded by
+// the largest record the WAL accepts, not by the 1 MiB client request
+// limit, so an append whose record sits exactly at the bound lands on the
+// follower.
+func TestReplicaAcceptsRecordAtWALBound(t *testing.T) {
+	s, node := newFollowerServer(t)
+	payload := []byte(`{"t":"noop"`)
+	payload = append(payload, bytes.Repeat([]byte(" "), jobs.MaxRecordBytes-len(payload)-1)...)
+	payload = append(payload, '}')
+	body, err := json.Marshal(replica.Message{
+		Kind: replica.KindAppend, Term: 1, From: "http://leader.test",
+		Seq: 1, CRC: jobs.RecordCRC(payload), Payload: payload,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := post(t, s, "/v1/replica", string(body))
+	if w.Code != http.StatusOK {
+		t.Fatalf("append of a %d-byte record (%d-byte body): status %d: %.200s", len(payload), len(body), w.Code, w.Body)
+	}
+	var rep replica.Reply
+	if err := json.Unmarshal(w.Body.Bytes(), &rep); err != nil {
+		t.Fatal(err)
+	}
+	if !rep.OK || rep.Seq != 1 {
+		t.Fatalf("append reply %+v, want OK at seq 1", rep)
+	}
+	if seq := node.Jobs().ReplSeq(); seq != 1 {
+		t.Fatalf("follower store at seq %d, want 1", seq)
 	}
 }
 

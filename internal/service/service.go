@@ -278,6 +278,12 @@ func (w *statusWriter) Flush() {
 // have been written yet) with the stack logged — one bad request must
 // never take the daemon down.
 func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.HandlerFunc {
+	limit := s.cfg.MaxBodyBytes
+	if endpoint == "replica" {
+		// A peer append carries a whole WAL record: its bound comes from the
+		// record bound, not from the client request limit.
+		limit = replica.MaxMessageBytes
+	}
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.metrics.inflight.Add(1)
 		defer s.metrics.inflight.Add(-1)
@@ -305,7 +311,7 @@ func (s *Server) instrument(endpoint, method string, h http.HandlerFunc) http.Ha
 				fmt.Sprintf("%s requires %s", r.URL.Path, method))
 			return
 		}
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(sw, r.Body, limit)
 		h(sw, r)
 	}
 }

@@ -30,7 +30,6 @@ package sim
 import (
 	"errors"
 	"fmt"
-	"math"
 	"runtime"
 	"time"
 
@@ -248,11 +247,3 @@ func resultFrom(mode string, c Counts, elapsed time.Duration) Result {
 
 // ErrNoDies is returned when the wafer layout holds no complete die.
 var ErrNoDies = errors.New("sim: wafer layout holds no complete die")
-
-// chebyshevDistToRect returns the L∞ distance from point (x, y) to the
-// rectangle, zero inside. The square-void kill test is an L∞ ball test.
-func chebyshevDistToRect(x, y, x0, y0, x1, y1 float64) float64 {
-	dx := math.Max(math.Max(x0-x, 0), x-x1)
-	dy := math.Max(math.Max(y0-y, 0), y-y1)
-	return math.Max(dx, dy)
-}

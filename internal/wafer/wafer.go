@@ -156,16 +156,6 @@ func (p PadArray) PadCenter(i, j int) geom.Vec2 {
 	}
 }
 
-// PadArrayRectOn translates the pad-array rectangle into wafer coordinates
-// for the given die.
-func (p PadArray) PadArrayRectOn(d Die) geom.Rect {
-	c := d.Center()
-	return geom.Rect{
-		X0: c.X + p.Rect.X0, Y0: c.Y + p.Rect.Y0,
-		X1: c.X + p.Rect.X1, Y1: c.Y + p.Rect.Y1,
-	}
-}
-
 // EffectiveDieRadius returns R = sqrt(a·b/π), the radius of the disk with
 // the same area as the die — the paper's choice of effective radius for the
 // D2W defect model (Eq. 24), preserving the expected particle count per die.

@@ -184,17 +184,6 @@ func TestPadCentersInsideArray(t *testing.T) {
 	}
 }
 
-func TestPadArrayRectOn(t *testing.T) {
-	p := PadArrayFor(10e-3, 10e-3, 6e-6)
-	die := Die{Rect: geom.Rect{X0: 0.02, Y0: 0.03, X1: 0.03, Y1: 0.04}}
-	r := p.PadArrayRectOn(die)
-	c := r.Center()
-	dc := die.Center()
-	if !almostEq(c.X, dc.X, 1e-12) || !almostEq(c.Y, dc.Y, 1e-12) {
-		t.Errorf("translated array center %v, want %v", c, dc)
-	}
-}
-
 func TestEffectiveDieRadius(t *testing.T) {
 	// √(ab/π) preserves area: π·R² = a·b.
 	r := EffectiveDieRadius(10e-3, 10e-3)
