@@ -80,7 +80,7 @@ func runDistDrill(d *drill, seed uint64, wafers, dies int) int {
 	urls := make([]string, distWorkers)
 	for i := range workers {
 		workers[i] = d.spawn("", faultsEnv(distWorkerFaults),
-			"-worker", "-max-sims", "2", "-timeout", "30s", "-breaker-threshold", "-1")
+			"-max-sims", "2", "-timeout", "30s", "-breaker-threshold", "-1")
 		urls[i] = workers[i].url
 	}
 	coord := d.spawn("", faultsEnv(distCoordFaults), "-workers", strings.Join(urls, ","), "-heartbeat", "500ms")

@@ -1,7 +1,7 @@
 // Command yapload drives yapserve and checks its guarantees. Without
 // -drill it is a chaos-capable load generator: it drives a workload mix
-// (analytic evaluates, Monte-Carlo simulates, sweeps, plus deliberately
-// invalid requests) through the retrying client and asserts the
+// (analytic evaluates, Monte-Carlo simulates, batch evaluations, plus
+// deliberately invalid requests) through the retrying client and asserts the
 // resilience invariants on every outcome:
 //
 //   - every request is accounted for — success (possibly partial), a
@@ -45,6 +45,7 @@ import (
 	"log"
 	"os"
 	"os/signal"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -57,17 +58,6 @@ import (
 	"yap/internal/resilience"
 	"yap/internal/service"
 )
-
-// knownErrorCodes are the documented ErrorDetail codes (types.go); any
-// other code on the wire is an invariant violation.
-var knownErrorCodes = map[string]bool{
-	"method_not_allowed": true, "invalid_json": true, "invalid_params": true,
-	"invalid_mode": true, "too_many_points": true, "body_too_large": true,
-	"deadline_exceeded": true, "canceled": true, "overloaded": true,
-	"internal": true, "not_found": true, "jobs_disabled": true,
-	"job_terminal": true, "not_leader": true, "replica_disabled": true,
-	"no_quorum": true, "cache_miss": true, "hash_mismatch": true,
-}
 
 // tally aggregates outcomes across workers.
 type tally struct {
@@ -155,7 +145,6 @@ func main() {
 				BaseURL:     base,
 				MaxAttempts: *attempts,
 				Backoff:     resilience.Backoff{Base: 2 * time.Millisecond, Max: 250 * time.Millisecond, Seed: *seed + uint64(w)},
-				Breaker:     resilience.NewBreaker(resilience.BreakerConfig{Threshold: 1 << 30}),
 			})
 			if err != nil {
 				d.violation("worker %d: %v", w, err)
@@ -204,7 +193,7 @@ func serve(args []string) {
 
 // runOne issues the n-th request from the workload mix and folds its
 // outcome into the tally. Roughly: 5% deliberately invalid, then 55%
-// evaluate / 30% simulate / 10% sweep.
+// evaluate / 30% simulate / 10% batch.
 func runOne(ctx context.Context, c *client.Client, t *tally, rng *randx.Source, n, wafers, dies int) {
 	roll := rng.Float64()
 	switch {
@@ -230,7 +219,7 @@ func runOne(ctx context.Context, c *client.Client, t *tally, rng *randx.Source, 
 		resp, err := c.Simulate(ctx, service.SimulateRequest{Mode: "d2w", Seed: 42, Dies: dies, Workers: 2})
 		t.checkSimulate(resp, err, n)
 	default:
-		_, err := c.Sweep(ctx, service.SweepRequest{Mode: "w2w", Points: []json.RawMessage{
+		_, err := c.EvaluateBatch(ctx, service.BatchEvaluateRequest{Mode: "w2w", Points: []json.RawMessage{
 			[]byte(`{}`), []byte(`{"Pitch": 3e-6}`), []byte(`{"Pitch": 4e-6}`),
 		}})
 		t.record(err)
@@ -275,7 +264,8 @@ func (t *tally) record(err error) {
 	default:
 		var apiErr *client.APIError
 		if errors.As(err, &apiErr) {
-			if !knownErrorCodes[apiErr.Code] {
+			// Any code outside service.ErrorCodes is an invariant violation.
+			if !slices.Contains(service.ErrorCodes, apiErr.Code) {
 				t.d.violation("undocumented error code %q: %v", apiErr.Code, err)
 			}
 			if errors.Is(err, client.ErrAttemptsExhausted) {

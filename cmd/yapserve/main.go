@@ -1,7 +1,7 @@
 // Command yapserve runs the YAP yield model as a resident HTTP service:
 // analytic evaluations (cached, microseconds), Monte-Carlo simulations
 // (bounded worker pool, per-request deadlines, cooperative cancellation)
-// and concurrent parameter sweeps, with Prometheus-format metrics.
+// and concurrent batch parameter sweeps, with Prometheus-format metrics.
 //
 // Usage:
 //
@@ -10,7 +10,7 @@
 //	         [-max-body bytes] [-max-sweep-points n]
 //	         [-max-queued n] [-retry-after 1s]
 //	         [-breaker-threshold n] [-breaker-cooldown 5s]
-//	         [-worker | -workers url1,url2,...]
+//	         [-workers url1,url2,...]
 //	         [-shards-per-worker 2] [-heartbeat 2s] [-shard-timeout d]
 //	         [-jobs-dir dir] [-checkpoint-every n] [-job-ttl d]
 //	         [-job-runners n] [-stream-heartbeat 15s]
@@ -18,21 +18,21 @@
 //	         [-election-heartbeat d] [-quorum-timeout d]
 //	         [-cache-peers url1,url2] [-version]
 //
-// Resilience: simulate admission beyond -max-queued waiting requests is
-// shed with 503 "overloaded" plus a Retry-After hint; a deadline that
-// fires mid-simulation returns the completed samples as a 200 with
-// "partial": true; repeated internal simulation failures trip a circuit
-// breaker. Setting YAP_FAULTS (see internal/faultinject) arms
-// deterministic fault injection for chaos drills.
+// Resilience: simulate and shard admission beyond -max-queued waiting
+// requests is shed with 503 "overloaded" plus a Retry-After hint; a
+// deadline that fires mid-simulation returns the completed samples as a
+// 200 with "partial": true, and one that fires mid-batch becomes
+// per-point errors under a 200; repeated internal simulation failures
+// trip a circuit breaker. Setting YAP_FAULTS (see internal/faultinject)
+// arms deterministic fault injection for chaos drills.
 //
 // Distributed simulation (internal/dist): -workers turns the daemon into
 // a coordinator that shards each /v1/simulate run across the listed
 // worker daemons and merges their integer tallies into a result
 // bit-identical to the single-node run for the same seed. Workers are
-// plain yapserve processes — -worker is the same daemon with a label;
-// the shard protocol (/v1/shard) is always served. Shards from dead or
-// slow workers are reassigned automatically; reassignment and fleet
-// counters appear on /metrics.
+// plain yapserve processes: every daemon serves the shard protocol
+// (/v1/shard). Shards from dead or slow workers are reassigned
+// automatically; reassignment and fleet counters appear on /metrics.
 //
 // Durable jobs (internal/jobs): -jobs-dir enables POST /v1/jobs, an
 // asynchronous alternative to /v1/simulate. Submissions answer 202
@@ -87,7 +87,7 @@
 //	PUT    /v1/cache/{mode}/{hash}  owner-warming offer (hash re-verified)
 //	POST   /v1/simulate   Monte-Carlo yield simulation (sharded when -workers is set)
 //	POST   /v1/shard      one slice of a distributed run (worker protocol)
-//	POST   /v1/sweep      batch evaluation with partial-failure reporting
+//	POST   /v1/sweep      /v1/evaluate/batch under its own metrics label
 //	POST   /v1/jobs       submit a durable asynchronous simulation (needs -jobs-dir)
 //	GET    /v1/jobs       list jobs
 //	GET    /v1/jobs/{id}  poll one job (terminal jobs carry the result)

@@ -1,11 +1,11 @@
 // Package client is the resilient Go client for the yapserve HTTP API:
-// typed wrappers over /v1/evaluate, /v1/simulate, /v1/sweep, /v1/jobs
-// and /healthz that retry transient failures with capped exponential backoff and
-// deterministic jitter, honor the server's Retry-After hints (both the
-// whole-second header and the sub-second retry_after_ms body field), and
-// optionally stop hammering a struggling server through a client-side
-// circuit breaker. Permanent failures (4xx) surface immediately as typed
-// *APIError values carrying the machine-readable error code.
+// typed wrappers over /v1/evaluate, /v1/evaluate/batch, /v1/simulate,
+// /v1/shard, /v1/jobs, /v1/cache and /healthz that retry transient
+// failures with capped exponential backoff and deterministic jitter and
+// honor the server's Retry-After hints (both the whole-second header and
+// the sub-second retry_after_ms body field). Permanent failures (4xx)
+// surface immediately as typed *APIError values carrying the
+// machine-readable error code.
 package client
 
 import (
@@ -38,9 +38,6 @@ type Config struct {
 	// cap, factor 2, ±10% jitter). Give concurrent clients distinct Seeds
 	// so their retries decorrelate.
 	Backoff resilience.Backoff
-	// Breaker optionally sheds calls client-side after repeated transport
-	// or server failures; nil disables.
-	Breaker *resilience.Breaker
 	// MaxBodyBytes caps response bodies read into memory; 0 means 8 MiB.
 	MaxBodyBytes int64
 }
@@ -148,15 +145,6 @@ func (c *Client) Shard(ctx context.Context, req service.ShardRequest) (*service.
 	return &resp, nil
 }
 
-// Sweep calls POST /v1/sweep.
-func (c *Client) Sweep(ctx context.Context, req service.SweepRequest) (*service.SweepResponse, error) {
-	var resp service.SweepResponse
-	if err := c.do(ctx, "/v1/sweep", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
 // Health calls GET /healthz.
 func (c *Client) Health(ctx context.Context) (*service.HealthResponse, error) {
 	var resp service.HealthResponse
@@ -250,7 +238,7 @@ func (c *Client) do(ctx context.Context, path string, body, out any) error {
 
 // doMethod runs the retry loop around one logical call: permanent
 // failures and context expiry return immediately, transient ones
-// (connection errors, 429, 5xx, an open client breaker) back off —
+// (connection errors, 429, 5xx) back off —
 // honoring the larger of the backoff schedule and the server's
 // Retry-After hint — and try again.
 func (c *Client) doMethod(ctx context.Context, method, path string, body, out any) error {
@@ -287,14 +275,8 @@ func (c *Client) doMethod(ctx context.Context, method, path string, body, out an
 	return fmt.Errorf("client: %d attempts failed: %w", c.cfg.MaxAttempts, errors.Join(ErrAttemptsExhausted, lastErr))
 }
 
-// once performs a single HTTP exchange, consulting the client-side
-// breaker. Outcome recording: transport errors and 5xx count as failures;
-// any parseable HTTP response below 500 counts as success (the server is
-// reachable and judging requests, which is what the breaker protects).
+// once performs a single HTTP exchange.
 func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) error {
-	if err := c.cfg.Breaker.Allow(); err != nil {
-		return err
-	}
 	var body io.Reader
 	if payload != nil {
 		body = bytes.NewReader(payload)
@@ -302,7 +284,6 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	base := c.baseURL()
 	req, err := http.NewRequestWithContext(ctx, method, base+path, body)
 	if err != nil {
-		c.cfg.Breaker.Record(true) // construction failure says nothing about the server
 		return fmt.Errorf("client: building request: %w", err)
 	}
 	if payload != nil {
@@ -310,11 +291,6 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	}
 	resp, err := c.cfg.HTTPClient.Do(req)
 	if err != nil {
-		if ctx.Err() == nil {
-			// A transport-level failure with a live context indicts the
-			// server side; a context-killed exchange is neutral.
-			c.cfg.Breaker.Record(false)
-		}
 		// A learned leader that stopped answering is stale (it may be the
 		// member that just died); fall back to the configured base URL,
 		// whose member will name the new leader.
@@ -324,18 +300,15 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 	defer resp.Body.Close() //nolint:errcheck
 	data, err := io.ReadAll(io.LimitReader(resp.Body, c.cfg.MaxBodyBytes))
 	if err != nil {
-		c.cfg.Breaker.Record(false)
 		return fmt.Errorf("client: reading %s response: %w", path, err)
 	}
 	if resp.StatusCode >= 300 {
 		apiErr := decodeAPIError(resp, data)
-		c.cfg.Breaker.Record(resp.StatusCode < 500)
 		if apiErr.Code == "not_leader" {
 			c.learnLeader(apiErr.LeaderURL)
 		}
 		return apiErr
 	}
-	c.cfg.Breaker.Record(true)
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)
 	}
@@ -409,9 +382,6 @@ func temporary(err error) bool {
 	if errors.As(err, &apiErr) {
 		return apiErr.Temporary()
 	}
-	if errors.Is(err, resilience.ErrBreakerOpen) {
-		return true // the cooldown may elapse within the backoff schedule
-	}
 	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 		return false
 	}
@@ -419,15 +389,11 @@ func temporary(err error) bool {
 	return true
 }
 
-// retryAfterOf extracts a server or breaker back-off hint from err.
+// retryAfterOf extracts the server's back-off hint from err.
 func retryAfterOf(err error) time.Duration {
 	var apiErr *APIError
 	if errors.As(err, &apiErr) {
 		return apiErr.RetryAfter
-	}
-	var open *resilience.BreakerOpenError
-	if errors.As(err, &open) {
-		return open.RetryAfter
 	}
 	return 0
 }

@@ -149,30 +149,6 @@ func TestContextCancelsBackoff(t *testing.T) {
 	}
 }
 
-func TestClientBreakerOpensOnServerFailures(t *testing.T) {
-	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-		w.Write([]byte(`{"error":{"code":"internal","message":"boom"}}`)) //nolint:errcheck
-	}), func(cfg *Config) {
-		cfg.MaxAttempts = 2
-		cfg.Breaker = resilience.NewBreaker(resilience.BreakerConfig{Threshold: 2, Cooldown: time.Hour})
-	})
-	_, err := c.Health(context.Background())
-	if err == nil {
-		t.Fatal("want error")
-	}
-	// Two failures trip the breaker; the next call sheds client-side and
-	// its retry loop waits on the hour-long cooldown until ctx gives up.
-	if st := c.cfg.Breaker.State(); st != resilience.BreakerOpen {
-		t.Errorf("breaker state %v, want open", st)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
-	defer cancel()
-	if _, err := c.Health(ctx); !errors.Is(err, resilience.ErrBreakerOpen) {
-		t.Errorf("want ErrBreakerOpen in chain from shed call, got %v", err)
-	}
-}
-
 func TestSimulatePartialSurfaced(t *testing.T) {
 	c, _ := newTestClient(t, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte(`{"params_hash":"ab","mode":"W2W","seed":1,"dies":100,"survived":90,

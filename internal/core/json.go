@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,18 +25,49 @@ func ReadParams(r io.Reader) (Params, error) {
 // unknown fields are rejected, and the merged result is validated. This
 // is the decode path shared by the CLI config loaders (defaults =
 // Baseline) and the service layer (defaults = the daemon's configured
-// process).
+// process). The defaults are never written: a named "layout" replaces
+// the defaults' pad layout whole ("layout": null clears it), and an
+// unnamed one keeps it.
 func DecodeParams(defaults Params, r io.Reader) (Params, error) {
 	p := defaults
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&p); err != nil {
+	var err error
+	if p.PadLayout == nil {
+		err = dec.Decode(&p)
+	} else {
+		err = decodeOverLayout(dec, &p)
+	}
+	if err != nil {
 		return Params{}, fmt.Errorf("core: decode params: %w", err)
 	}
 	if err := p.Validate(); err != nil {
 		return Params{}, fmt.Errorf("core: loaded params invalid: %w", err)
 	}
 	return p, nil
+}
+
+// decodeOverLayout decodes into p while p.PadLayout still points at the
+// defaults' layout. Decoding straight into p would write a named layout
+// into that shared Layout and reuse its Regions array, so a request region
+// would keep every field it omits from the default region at its index.
+// The layout is captured raw instead and decoded into a fresh Layout.
+func decodeOverLayout(dec *json.Decoder, p *Params) error {
+	var wire struct {
+		*Params
+		Layout json.RawMessage `json:"layout"` // shadows Params.PadLayout
+	}
+	wire.Params = p
+	if err := dec.Decode(&wire); err != nil {
+		return err
+	}
+	if wire.Layout == nil {
+		return nil
+	}
+	p.PadLayout = nil
+	ld := json.NewDecoder(bytes.NewReader(wire.Layout))
+	ld.DisallowUnknownFields()
+	return ld.Decode(&p.PadLayout)
 }
 
 // LoadParams reads a parameter set from a JSON file. Decode and

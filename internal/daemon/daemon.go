@@ -45,16 +45,15 @@ func Run(ctx context.Context, args []string) error {
 		cacheSize   = fs.Int("cache", 1024, "evaluate-cache capacity in entries (negative disables)")
 		maxSims     = fs.Int("max-sims", 0, "max concurrently executing simulations (0 = GOMAXPROCS)")
 		workers     = fs.Int("sim-workers", 0, "default per-simulation parallelism (0 = GOMAXPROCS)")
-		timeout     = fs.Duration("timeout", 2*time.Minute, "per-request deadline for simulate/sweep (negative disables)")
+		timeout     = fs.Duration("timeout", 2*time.Minute, "per-request deadline for simulate, shard, batch and sweep (negative disables)")
 		maxBody     = fs.Int64("max-body", 1<<20, "request body limit in bytes")
-		maxPoints   = fs.Int("max-sweep-points", 10000, "max points per sweep request")
+		maxPoints   = fs.Int("max-sweep-points", 10000, "max points per batch or sweep request")
 		maxQueued   = fs.Int("max-queued", 0, "max simulate requests waiting for a pool slot before shedding 503 (0 = 4×max-sims, negative = no queue)")
 		retryAfter  = fs.Duration("retry-after", time.Second, "back-off hint on overloaded responses")
 		brkThresh   = fs.Int("breaker-threshold", 0, "consecutive internal simulation failures that trip the circuit breaker (0 = 8, negative disables)")
 		brkCooldown = fs.Duration("breaker-cooldown", 5*time.Second, "how long a tripped breaker sheds before probing")
 		drain       = fs.Duration("drain", 30*time.Second, "graceful-shutdown drain budget")
 
-		workerMode   = fs.Bool("worker", false, "run as a distributed-simulation worker (a label: the shard protocol is always served)")
 		workerList   = fs.String("workers", "", "comma-separated worker base URLs; turns this daemon into a sharding coordinator")
 		shardsPerW   = fs.Int("shards-per-worker", 0, "shards planned per worker per run (0 = 2)")
 		heartbeat    = fs.Duration("heartbeat", 0, "worker liveness probe interval (0 = 2s, negative disables)")
@@ -87,9 +86,6 @@ func Run(ctx context.Context, args []string) error {
 
 	// Everything the flags and the environment say is checked before
 	// anything is opened, so a bad invocation fails without side effects.
-	if *workerMode && *workerList != "" {
-		return errors.New("-worker and -workers are mutually exclusive: a coordinator must not be its own worker")
-	}
 	workerURLs := urlList(*workerList)
 	peerURLs := urlList(*peers)
 	if len(peerURLs) > 0 && *jobsDir == "" {
@@ -138,8 +134,6 @@ func Run(ctx context.Context, args []string) error {
 		}
 		defer coord.Close()
 		logger.Printf("coordinator mode: sharding simulations across %d workers", len(workerURLs))
-	} else if *workerMode {
-		logger.Print("worker mode: serving shards for a coordinator")
 	}
 
 	// The fleet cache is built unconditionally — unpeered it is the

@@ -34,7 +34,6 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 		faults string
 		want   string // the error must name the offending flag like this
 	}{
-		{"worker and workers", []string{"-worker", "-workers", "http://127.0.0.1:1"}, "", "-worker and -workers"},
 		{"peers without jobs-dir", []string{"-peers", "http://127.0.0.1:1", "-advertise", "http://127.0.0.1:2"}, "", "-peers replicates the durable job store; it requires -jobs-dir"},
 		{"peers without advertise", []string{"-peers", "http://127.0.0.1:1", "-jobs-dir", dir}, "", "-peers requires -advertise"},
 		{"cache-peers without advertise", []string{"-cache-peers", "http://127.0.0.1:1"}, "", "-cache-peers requires -advertise"},

@@ -69,9 +69,6 @@ type Config struct {
 	// Logger receives one line per reassignment and liveness flip; nil
 	// disables logging.
 	Logger *log.Logger
-	// Clock overrides the liveness timestamp source (tests); nil means
-	// time.Now.
-	Clock func() time.Time
 }
 
 func (c Config) withDefaults() Config {
@@ -89,9 +86,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ClientFactory == nil {
 		c.ClientFactory = defaultClientFactory
-	}
-	if c.Clock == nil {
-		c.Clock = time.Now
 	}
 	return c
 }
@@ -135,7 +129,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, ErrNoWorkers
 	}
 	cfg = cfg.withDefaults()
-	reg, err := newRegistry(cfg.Workers, cfg.ClientFactory, cfg.Clock)
+	reg, err := newRegistry(cfg.Workers, cfg.ClientFactory)
 	if err != nil {
 		return nil, err
 	}
@@ -353,7 +347,7 @@ func (c *Coordinator) dispatch(ctx context.Context, w *workerHandle, mode string
 	if err != nil {
 		return sim.Result{}, err
 	}
-	w.markUp(c.cfg.Clock())
+	w.markUp()
 	if resp.ParamsHash != wantHash {
 		return sim.Result{}, fmt.Errorf("%w: params hash %s != %s (config skew on %s)",
 			errWorkerSkew, resp.ParamsHash, wantHash, w.url)

@@ -94,7 +94,7 @@ func TestRegistryHeartbeatReturnsAllProbes(t *testing.T) {
 	defer tr.CloseIdleConnections()
 	reg, err := newRegistry([]string{hang.URL}, func(u string) (*client.Client, error) {
 		return client.New(client.Config{BaseURL: u, HTTPClient: &http.Client{Transport: tr}, MaxAttempts: 1})
-	}, time.Now)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

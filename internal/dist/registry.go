@@ -13,17 +13,13 @@ import (
 // state the dispatch and heartbeat paths share. Liveness transitions come
 // from two sources — dispatch outcomes (a failed shard call marks the
 // worker down immediately, a successful one marks it up) and periodic
-// heartbeat probes (which revive a worker that came back). The clock is
-// injected so liveness bookkeeping stays testable and the package stays
-// inside the yaplint determinism tree without wall-clock reads.
+// heartbeat probes (which revive a worker that came back).
 type workerHandle struct {
 	url string
 	cli *client.Client
 
-	mu       sync.Mutex
-	up       bool      //yaplint:guardedby mu
-	lastSeen time.Time //yaplint:guardedby mu
-	failures uint64    //yaplint:guardedby mu — cumulative dispatch failures, telemetry only
+	mu sync.Mutex
+	up bool //yaplint:guardedby mu
 }
 
 func (w *workerHandle) isUp() bool {
@@ -32,17 +28,15 @@ func (w *workerHandle) isUp() bool {
 	return w.up
 }
 
-func (w *workerHandle) markUp(now time.Time) {
+func (w *workerHandle) markUp() {
 	w.mu.Lock()
 	w.up = true
-	w.lastSeen = now
 	w.mu.Unlock()
 }
 
 func (w *workerHandle) markDown() {
 	w.mu.Lock()
 	w.up = false
-	w.failures++
 	w.mu.Unlock()
 }
 
@@ -52,19 +46,18 @@ func (w *workerHandle) markDown() {
 // outcomes and heartbeat probes report.
 type Registry struct {
 	workers []*workerHandle
-	now     func() time.Time
 }
 
 // newRegistry builds handles for the given base URLs using factory for
 // the per-worker clients.
-func newRegistry(urls []string, factory func(string) (*client.Client, error), now func() time.Time) (*Registry, error) {
-	r := &Registry{workers: make([]*workerHandle, 0, len(urls)), now: now}
+func newRegistry(urls []string, factory func(string) (*client.Client, error)) (*Registry, error) {
+	r := &Registry{workers: make([]*workerHandle, 0, len(urls))}
 	for _, u := range urls {
 		cli, err := factory(u)
 		if err != nil {
 			return nil, fmt.Errorf("dist: worker %q: %w", u, err)
 		}
-		r.workers = append(r.workers, &workerHandle{url: u, cli: cli, up: true, lastSeen: now()})
+		r.workers = append(r.workers, &workerHandle{url: u, cli: cli, up: true})
 	}
 	return r, nil
 }
@@ -102,7 +95,7 @@ func (r *Registry) Heartbeat(ctx context.Context, probeTimeout time.Duration) {
 				}
 				return
 			}
-			w.markUp(r.now())
+			w.markUp()
 		}(w)
 	}
 	wg.Wait()

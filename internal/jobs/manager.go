@@ -249,6 +249,10 @@ type Manager struct {
 	logBase      uint64               //yaplint:guardedby mu
 	nextID       uint64               //yaplint:guardedby mu
 	jobs         map[string]*jobState //yaplint:guardedby mu
+	// baseUnwritten is set while the log is empty but jobs.seq does not
+	// yet record its base: no record may land until it does, since
+	// recovery numbers the log's records from jobs.seq.
+	baseUnwritten bool //yaplint:guardedby mu
 	// queue carries one wake token per entry of pending; runners pop the
 	// highest effective priority under mu. The channel (not a sync.Cond)
 	// keeps the runners' channel-driven select shape.
@@ -502,7 +506,7 @@ func (m *Manager) ApplyReplicated(seq, prevTerm uint64, payload []byte, sum uint
 	if err := m.fireWALHook(); err != nil {
 		return m.replSeq, m.replTerm, fmt.Errorf("jobs: replicated append: %w", err)
 	}
-	if err := m.wal.Append(payload); err != nil {
+	if err := m.walAppendLocked(payload); err != nil {
 		return m.replSeq, m.replTerm, err
 	}
 	m.replSeq = seq
@@ -1229,7 +1233,7 @@ func (m *Manager) appendLocked(rec walRecord) error {
 	if err != nil {
 		return fmt.Errorf("jobs: encode wal record: %w", err)
 	}
-	if err := m.wal.Append(payload); err != nil {
+	if err := m.walAppendLocked(payload); err != nil {
 		return err
 	}
 	m.replSeq++
@@ -1261,18 +1265,38 @@ func (m *Manager) compactLocked() error {
 
 // resetLogLocked empties the log once the snapshot covers the tip and
 // durably records the tip as the new base, so recovery keeps numbering
-// replicated records correctly. Callers hold m.mu (or have exclusive
-// access during Open).
+// replicated records correctly. When the base write fails, the next
+// append retries it and fails while it still cannot. Callers hold m.mu
+// (or have exclusive access during Open).
 func (m *Manager) resetLogLocked() error {
 	if err := m.wal.TruncateTail(0); err != nil {
 		return err
 	}
-	if err := writeBaseSeq(m.cfg.Dir, m.replSeq, m.replTerm); err != nil {
-		return fmt.Errorf("jobs: record wal base sequence: %w", err)
-	}
 	m.logBase = m.replSeq
 	m.replBase, m.replBaseTerm = m.replSeq, m.replTerm
+	m.baseUnwritten = true
+	return m.writeBaseLocked()
+}
+
+// writeBaseLocked records the emptied log's base in jobs.seq. Callers
+// hold m.mu.
+func (m *Manager) writeBaseLocked() error {
+	if err := writeBaseSeq(m.cfg.Dir, m.replBase, m.replBaseTerm); err != nil {
+		return fmt.Errorf("jobs: record wal base sequence: %w", err)
+	}
+	m.baseUnwritten = false
 	return nil
+}
+
+// walAppendLocked appends one encoded record to the log, recording a
+// pending base first. Callers hold m.mu.
+func (m *Manager) walAppendLocked(payload []byte) error {
+	if m.baseUnwritten {
+		if err := m.writeBaseLocked(); err != nil {
+			return err
+		}
+	}
+	return m.wal.Append(payload)
 }
 
 // fireWALHook fires HookJobsWAL, converting an injected panic into an

@@ -508,6 +508,80 @@ func TestGCExpiresTerminalJobs(t *testing.T) {
 	}
 }
 
+// TestFailedBaseWriteHoldsAppends: when a compaction empties the log but
+// cannot record its base in jobs.seq, no record lands until the base is
+// durable, so records appended afterwards keep their sequence numbers
+// across a restart.
+func TestFailedBaseWriteHoldsAppends(t *testing.T) {
+	var mu sync.Mutex
+	now := time.Unix(1_000_000, 0)
+	clock := func() time.Time {
+		mu.Lock()
+		defer mu.Unlock()
+		return now
+	}
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir, Clock: clock, ResultTTL: time.Minute})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	j, err := m.Submit(testSpec(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, m, j.ID)
+
+	// A non-empty directory where jobs.seq goes fails its atomic rename.
+	seqPath := filepath.Join(dir, baseSeqName)
+	if err := os.Remove(seqPath); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(seqPath, "blocker"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	now = now.Add(2 * time.Minute)
+	mu.Unlock()
+	m.gcPass() // drops the job, snapshots, empties the log, fails the base
+	tip, tipTerm := m.ReplState()
+	if _, err := m.Submit(testSpec(2, 2)); err == nil {
+		t.Fatal("submit appended over an unrecorded log base")
+	}
+	if s, term := m.ReplState(); s != tip || term != tipTerm {
+		t.Fatalf("refused submit moved the tip from (%d, %d) to (%d, %d)", tip, tipTerm, s, term)
+	}
+
+	if err := os.RemoveAll(seqPath); err != nil {
+		t.Fatal(err)
+	}
+	j2, err := m.Submit(testSpec(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := waitTerminal(t, m, j2.ID)
+	tip, tipTerm = m.ReplState()
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2, err := Open(Config{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	if s, term := m2.ReplState(); s != tip || term != tipTerm {
+		t.Errorf("tip (%d, %d) before the restart, (%d, %d) after", tip, tipTerm, s, term)
+	}
+	got, err := m2.Get(j2.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.State != StateDone || !reflect.DeepEqual(stripElapsed(*got.Result), stripElapsed(*done.Result)) {
+		t.Errorf("recovered job %+v, want the finished %+v", got, done)
+	}
+}
+
 func TestIDsMonotonicAcrossRestart(t *testing.T) {
 	dir := t.TempDir()
 	m, err := Open(Config{Dir: dir})

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -444,7 +445,17 @@ func TestDemoteInterruptsAndPromoteResumes(t *testing.T) {
 	spec := testSpec(8, 2)
 	want := stripElapsed(baseline(t, spec))
 
-	m, err := Open(Config{Dir: t.TempDir(), Runners: 1})
+	// The second slice holds until the demotion cancels it, so the demote
+	// always lands mid-run, never after the job finished.
+	var held atomic.Bool
+	run := func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
+		if opts.FirstSample > 0 && held.CompareAndSwap(false, true) {
+			<-ctx.Done()
+			return sim.Result{}, ctx.Err()
+		}
+		return sim.LocalRunner()(ctx, mode, opts)
+	}
+	m, err := Open(Config{Dir: t.TempDir(), Runners: 1, Run: run})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -475,9 +486,6 @@ func TestDemoteInterruptsAndPromoteResumes(t *testing.T) {
 	j, err := m.Get(job.ID)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if j.State.Terminal() {
-		t.Skip("job finished before demote landed; nothing to resume")
 	}
 	if j.State != StateRunning {
 		t.Fatalf("demoted mid-run job state %s, want running", j.State)

@@ -173,9 +173,6 @@ func TestShedderBoundsAndSheds(t *testing.T) {
 	if err := s.Acquire(ctx); !errors.Is(err, ErrOverloaded) {
 		t.Fatalf("want ErrOverloaded, got %v", err)
 	}
-	if n := s.Shed(); n != 1 {
-		t.Errorf("Shed() = %d, want 1", n)
-	}
 
 	// Releasing a slot admits the waiter.
 	s.Release()
@@ -186,6 +183,23 @@ func TestShedderBoundsAndSheds(t *testing.T) {
 	s.Release()
 	if a := s.Active(); a != 0 {
 		t.Errorf("active = %d after full release", a)
+	}
+}
+
+// TestShedderRefusesDoneContext: a caller whose context is already done
+// is never admitted, even with every slot free.
+func TestShedderRefusesDoneContext(t *testing.T) {
+	s := NewShedder(2, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if err := s.Acquire(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Acquire = %v, want context.Canceled", err)
+	}
+	if err := s.AcquireWait(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("AcquireWait = %v, want context.Canceled", err)
+	}
+	if a, q := s.Active(), s.Queued(); a != 0 || q != 0 {
+		t.Errorf("active %d queued %d after refusals, want 0 and 0", a, q)
 	}
 }
 

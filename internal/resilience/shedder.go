@@ -21,14 +21,13 @@ var ErrShutdown = errors.New("resilience: shutting down")
 // queueing unboundedly — the load-shedding half of admission control.
 // AcquireWait bypasses the queue bound for work that was already admitted
 // at a coarser granularity (e.g. the per-point fan-out of one accepted
-// sweep request).
+// batch request).
 type Shedder struct {
 	slots    chan struct{}
 	maxQueue int64
 
 	queued atomic.Int64
 	active atomic.Int64
-	shed   atomic.Uint64
 	closed atomic.Bool
 }
 
@@ -59,16 +58,16 @@ func (s *Shedder) Queued() int64 { return s.queued.Load() }
 // Active returns the number of jobs currently admitted.
 func (s *Shedder) Active() int64 { return s.active.Load() }
 
-// Shed counts admissions refused with ErrOverloaded.
-func (s *Shedder) Shed() uint64 { return s.shed.Load() }
-
 // Acquire admits the caller, waiting in the bounded queue if every slot
 // is busy. It returns ErrOverloaded when the queue is full, ErrShutdown
-// after Close, or ctx's error if it fires while queued. A nil return
-// obligates the caller to Release.
+// after Close, or ctx's error if it is done on arrival or fires while
+// queued. A nil return obligates the caller to Release.
 func (s *Shedder) Acquire(ctx context.Context) error {
 	if s.closed.Load() {
 		return ErrShutdown
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	// Fast path: a free slot admits without touching the queue.
 	select {
@@ -79,7 +78,6 @@ func (s *Shedder) Acquire(ctx context.Context) error {
 	}
 	if q := s.queued.Add(1); q > s.maxQueue {
 		s.queued.Add(-1)
-		s.shed.Add(1)
 		return ErrOverloaded
 	}
 	defer s.queued.Add(-1)
@@ -93,11 +91,14 @@ func (s *Shedder) Acquire(ctx context.Context) error {
 }
 
 // AcquireWait admits the caller without the queue bound — it blocks until
-// a slot frees or ctx fires. Use it only for work already admitted at a
-// coarser granularity.
+// a slot frees or ctx fires, and a ctx done on arrival is never admitted.
+// Use it only for work already admitted at a coarser granularity.
 func (s *Shedder) AcquireWait(ctx context.Context) error {
 	if s.closed.Load() {
 		return ErrShutdown
+	}
+	if err := ctx.Err(); err != nil {
+		return err
 	}
 	s.queued.Add(1)
 	defer s.queued.Add(-1)

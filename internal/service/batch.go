@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -14,23 +13,21 @@ import (
 	"yap/internal/fleetcache"
 )
 
-// This file is the batch-evaluate path: POST /v1/evaluate/batch, the
-// per-point runner it shares with /v1/sweep (so sweeps populate and hit
-// the fleet cache instead of bypassing it), and the GET/PUT /v1/cache
-// endpoints that serve the fleet's peer exchange.
-
-// resolveFunc turns one raw point override into resolved params and
-// their canonical hash. Sweep resolves over the daemon defaults; batch
-// resolves over the request's shared base.
-type resolveFunc func(json.RawMessage) (core.Params, uint64, error)
+// This file is the batch-evaluate path — POST /v1/evaluate/batch, also
+// served as /v1/sweep — and the GET/PUT /v1/cache endpoints that serve the
+// fleet's peer exchange.
 
 // batchTally partitions per-point-per-mode evaluations by fleet-cache
-// outcome, concurrently with the points still running.
+// outcome, concurrently with the points still running. A nil tally counts
+// nothing.
 type batchTally struct {
 	cacheHits, peerHits, coalesced, computed atomic.Int64
 }
 
 func (t *batchTally) count(out fleetcache.Outcome) {
+	if t == nil {
+		return
+	}
 	switch out {
 	case fleetcache.OutcomeLocalHit:
 		t.cacheHits.Add(1)
@@ -43,96 +40,24 @@ func (t *batchTally) count(out fleetcache.Outcome) {
 	}
 }
 
-// startPoints launches every point onto the shared pool and returns the
-// results slice plus one done channel per point (closed when that
-// point's slot is final). Each point evaluates independently with its
-// failure folded into its Error field (partial failure, never a torn
-// batch); results[i] must not be read before done[i] closes. Points use
-// the unbounded-queue admission path — the batch was already admitted as
-// one request and is bounded by MaxSweepPoints, so shedding individual
-// points would tear it.
-func (s *Server) startPoints(ctx context.Context, resolve resolveFunc, points []json.RawMessage, wantW2W, wantD2W bool, tally *batchTally) ([]SweepPoint, []chan struct{}) {
-	results := make([]SweepPoint, len(points))
-	done := make([]chan struct{}, len(points))
-	for i := range done {
-		done[i] = make(chan struct{})
-	}
-	for i, raw := range points {
-		go func(i int, raw json.RawMessage) {
-			defer close(done[i])
-			// The instrument middleware's recover sits on the request
-			// goroutine; a panic here (e.g. an injected cache fault) must
-			// be folded into the point's error instead.
-			defer func() {
-				if rec := recover(); rec != nil {
-					s.metrics.panicsRecovered.Add(1)
-					results[i].Error = fmt.Sprintf("internal: %v", rec)
-				}
-			}()
-			results[i] = SweepPoint{Index: i}
-			err := s.pool.RunQueued(ctx, func() {
-				results[i] = s.evaluatePoint(ctx, i, raw, resolve, wantW2W, wantD2W, tally)
-			})
-			if err != nil {
-				results[i].Error = err.Error()
-			}
-		}(i, raw)
-	}
-	return results, done
-}
-
-// evaluatePoint resolves and evaluates one point through the fleet
-// cache, folding any failure into the point's Error field.
-func (s *Server) evaluatePoint(ctx context.Context, i int, raw json.RawMessage, resolve resolveFunc, wantW2W, wantD2W bool, tally *batchTally) SweepPoint {
-	pt := SweepPoint{Index: i}
-	p, hash, err := resolve(raw)
-	if err != nil {
-		pt.Error = err.Error()
-		return pt
-	}
-	pt.ParamsHash = p.HashString()
-	pt.Cached = true
-	if wantW2W {
-		b, out, err := s.cache.Evaluate(ctx, "w2w", hash, p)
-		if err != nil {
-			pt.Error = err.Error()
-			return pt
-		}
-		tally.count(out)
-		pt.W2W = breakdownFrom(b)
-		pt.Cached = pt.Cached && out.Cached()
-	}
-	if wantD2W {
-		b, out, err := s.cache.Evaluate(ctx, "d2w", hash, p)
-		if err != nil {
-			pt.Error = err.Error()
-			return pt
-		}
-		tally.count(out)
-		pt.D2W = breakdownFrom(b)
-		pt.Cached = pt.Cached && out.Cached()
-	}
-	return pt
-}
-
-// handleEvaluateBatch is POST /v1/evaluate/batch: shared base + N point
-// overrides, evaluated through the fleet cache on the bounded pool, with
-// the response streamed back per point in index order. Once the first
-// point is written the 200 is committed: later failures (an expired
-// deadline mid-batch, an invalid point) surface as per-point errors, not
-// as an HTTP error — the same partial-failure contract as /v1/sweep.
+// handleEvaluateBatch is POST /v1/evaluate/batch and POST /v1/sweep:
+// shared base + N point overrides, evaluated through the fleet cache on
+// the bounded pool, with the response streamed back per point in index
+// order. Once the first point is written the 200 is committed: later
+// failures (an expired deadline mid-batch, an invalid point) surface as
+// per-point errors, not as an HTTP error.
 func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	var req BatchEvaluateRequest
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	wantW2W, wantD2W, err := evalModes(req.Mode)
+	modes, err := evalModes(req.Mode)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_mode", err.Error())
 		return
 	}
 	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_params", "batch needs at least one point")
+		writeError(w, http.StatusBadRequest, "invalid_params", "a batch needs at least one point")
 		return
 	}
 	if len(req.Points) > s.cfg.MaxSweepPoints {
@@ -140,31 +65,21 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("%d points exceed the %d-point limit", len(req.Points), s.cfg.MaxSweepPoints))
 		return
 	}
-	base, _, err := s.resolveParams(req.Params)
+	base, _, err := resolve(*s.cfg.Defaults, req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
 	}
-	resolve := func(raw json.RawMessage) (core.Params, uint64, error) {
-		p := base
-		if len(raw) > 0 && !bytes.Equal(bytes.TrimSpace(raw), []byte("null")) {
-			var err error
-			p, err = core.DecodeParams(base, bytes.NewReader(raw))
-			if err != nil {
-				return core.Params{}, 0, err
-			}
-		}
-		return p, p.CanonicalHash(), nil
-	}
 
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
+	ctx, cancel := s.withDeadline(r.Context())
+	defer cancel()
 	tally := &batchTally{}
-	results, done := s.startPoints(ctx, resolve, req.Points, wantW2W, wantD2W, tally)
+	results := make([]SweepPoint, len(req.Points))
+	done := make([]chan struct{}, len(req.Points))
+	for i, raw := range req.Points {
+		done[i] = make(chan struct{})
+		go s.runPoint(ctx, &results[i], i, &base, raw, modes, tally, done[i])
+	}
 
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
@@ -190,6 +105,39 @@ func (s *Server) handleEvaluateBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	fmt.Fprintf(w, `],"failed":%d,"cache_hits":%d,"peer_hits":%d,"coalesced":%d,"computed":%d}`+"\n",
 		failed, tally.cacheHits.Load(), tally.peerHits.Load(), tally.coalesced.Load(), tally.computed.Load())
+}
+
+// runPoint fills *pt with point i: raw resolved over base, then evaluated
+// through the fleet cache, with any failure folded into pt.Error (partial
+// failure, never a torn batch), and closes done once *pt is final. Points
+// wait for a pool slot without the queue bound: the batch was admitted as
+// one request and is bounded by MaxSweepPoints, so shedding individual
+// points would tear it.
+func (s *Server) runPoint(ctx context.Context, pt *SweepPoint, i int, base *core.Params, raw json.RawMessage, modes []string, tally *batchTally, done chan<- struct{}) {
+	defer close(done)
+	// The instrument middleware's recover sits on the request goroutine;
+	// a panic here (e.g. an injected cache fault) must be folded into the
+	// point's error instead.
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.metrics.panicsRecovered.Add(1)
+			pt.Error = fmt.Sprintf("internal: %v", rec)
+		}
+	}()
+	*pt = SweepPoint{Index: i}
+	if err := s.pool.AcquireWait(ctx); err != nil {
+		pt.Error = err.Error()
+		return
+	}
+	defer s.pool.Release()
+	p, hash, err := resolve(*base, raw)
+	if err == nil {
+		*pt, err = s.evaluatePoint(ctx, p, hash, modes, tally)
+		pt.Index = i
+	}
+	if err != nil {
+		pt.Error = err.Error()
+	}
 }
 
 // cacheKeyFromPath parses the {mode}/{hash} segments of a /v1/cache
@@ -250,14 +198,14 @@ func (s *Server) handleCachePut(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "invalid_params", "params required")
 		return
 	}
-	p, err := core.DecodeParams(*s.cfg.Defaults, bytes.NewReader(req.Params))
+	p, offered, err := resolve(*s.cfg.Defaults, req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
 	}
-	if p.CanonicalHash() != hash {
+	if offered != hash {
 		writeError(w, http.StatusBadRequest, "hash_mismatch",
-			fmt.Sprintf("offered params hash to %s, not the key in the path", p.HashString()))
+			fmt.Sprintf("offered params hash to %016x, not the key in the path", offered))
 		return
 	}
 	s.cache.Adopt(mode, hash, p, core.Breakdown{

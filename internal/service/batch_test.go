@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -376,5 +377,51 @@ func BenchmarkBatchEvaluate(b *testing.B) {
 		if w.Code != http.StatusOK {
 			b.Fatalf("status %d", w.Code)
 		}
+	}
+}
+
+// sweepBody is a mixed sweep: a point over the defaults, a layout point,
+// an unknown field and an invalid pitch.
+var sweepBody = fmt.Sprintf(`{"mode": "both", "points": [{}, {"layout": %s}, {"Pich": 3e-6}, {"Pitch": 1e-6}]}`, multiRegionJSON)
+
+// TestSweepMatchesBatch: /v1/sweep is the batch endpoint, so the same
+// body answers the same points on both routes.
+func TestSweepMatchesBatch(t *testing.T) {
+	sweep := post(t, New(Config{}), "/v1/sweep", sweepBody)
+	batch := post(t, New(Config{}), "/v1/evaluate/batch", sweepBody)
+	if sweep.Code != http.StatusOK || batch.Code != http.StatusOK {
+		t.Fatalf("sweep %d, batch %d:\n%s\n%s", sweep.Code, batch.Code, sweep.Body, batch.Body)
+	}
+	got := decodeBody[BatchEvaluateResponse](t, sweep)
+	want := decodeBody[BatchEvaluateResponse](t, batch)
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("sweep answered\n%s\nbatch answered\n%s", sweep.Body, batch.Body)
+	}
+	if len(got.Points) != 4 || got.Failed != 2 {
+		t.Errorf("points %d failed %d, want 4 and 2", len(got.Points), got.Failed)
+	}
+}
+
+// TestSweepDeadlineFiredAnswersPerPointErrors: a sweep whose request
+// deadline fires before its points run is a committed 200 with the
+// deadline on every point, as for any batch, not an HTTP error; and the
+// request still counts under the sweep endpoint's own label.
+func TestSweepDeadlineFiredAnswersPerPointErrors(t *testing.T) {
+	s := New(Config{RequestTimeout: time.Nanosecond})
+	w := post(t, s, "/v1/sweep", `{"mode": "w2w", "points": [{}, {"Warpage": 30e-6}]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("status %d: %s", w.Code, w.Body)
+	}
+	resp := decodeBody[BatchEvaluateResponse](t, w)
+	if len(resp.Points) != 2 || resp.Failed != 2 {
+		t.Fatalf("points %d failed %d, want 2 and 2: %s", len(resp.Points), resp.Failed, w.Body)
+	}
+	for i, pt := range resp.Points {
+		if pt.Index != i || !strings.Contains(pt.Error, "deadline exceeded") || pt.W2W != nil {
+			t.Errorf("point %d: %+v, want a deadline error and no breakdown", i, pt)
+		}
+	}
+	if m := get(t, s, "/metrics").Body.String(); !strings.Contains(m, `yapserve_requests_total{endpoint="sweep",code="200"} 1`) {
+		t.Error(`/metrics lacks endpoint="sweep" for the sweep request`)
 	}
 }

@@ -129,7 +129,7 @@ func chaosRequest(ctx context.Context, c *client.Client, n int) error {
 	case 3:
 		_, err = c.Simulate(ctx, service.SimulateRequest{Mode: "d2w", Seed: 42, Dies: 800, Workers: 2})
 	case 4:
-		_, err = c.Sweep(ctx, service.SweepRequest{Mode: "w2w", Points: []json.RawMessage{
+		_, err = c.EvaluateBatch(ctx, service.BatchEvaluateRequest{Mode: "w2w", Points: []json.RawMessage{
 			json.RawMessage(`{}`), json.RawMessage(`{"Pitch": 3e-6}`),
 		}})
 	}
@@ -306,6 +306,58 @@ func TestFaultBreakerOpensOnInternalSimFailures(t *testing.T) {
 	status, code := simulate()
 	if status != http.StatusServiceUnavailable || code != "overloaded" {
 		t.Fatalf("post-trip request: status %d code %q, want 503 overloaded", status, code)
+	}
+}
+
+func TestFaultPoolAdmitCountsAgainstBreaker(t *testing.T) {
+	// An injected service.pool.admit failure is an internal error of the
+	// engine path, never a shed: simulate and shard answer 500 "internal",
+	// the failure trips a threshold-1 breaker, and no pool slot is taken.
+	for _, tc := range []struct{ path, body string }{
+		{"/v1/simulate", `{"mode":"w2w","seed":1,"wafers":4,"workers":1}`},
+		{"/v1/shard", `{"mode":"d2w","seed":1,"start":0,"count":50,"workers":1}`},
+	} {
+		t.Run(strings.TrimPrefix(tc.path, "/v1/"), func(t *testing.T) {
+			inj := faultinject.New(1, faultinject.Rule{
+				Hook: faultinject.HookPoolAdmit, Mode: faultinject.ModeError, Probability: 1,
+			})
+			srv := service.New(service.Config{Faults: inj, BreakerThreshold: 1, BreakerCooldown: time.Hour})
+			ts := httptest.NewServer(srv)
+			defer ts.Close()
+
+			call := func() (int, string) {
+				resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close() //nolint:errcheck
+				var wire service.ErrorResponse
+				if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, wire.Error.Code
+			}
+			if status, code := call(); status != http.StatusInternalServerError || code != "internal" {
+				t.Fatalf("armed admission: status %d code %q, want 500 internal", status, code)
+			}
+			if status, code := call(); status != http.StatusServiceUnavailable || code != "overloaded" {
+				t.Fatalf("after one admission fault: status %d code %q, want 503 overloaded (breaker open)", status, code)
+			}
+			if rolls := inj.Stats()[faultinject.HookPoolAdmit].Rolls; rolls != 1 {
+				t.Errorf("admit hook rolled %d times, want 1 (the open breaker sheds before admission)", rolls)
+			}
+			resp, err := http.Get(ts.URL + "/metrics")
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close() //nolint:errcheck
+			for _, line := range []string{"yapserve_pool_active 0", "yapserve_breaker_state 1"} {
+				if !strings.Contains(string(body), line+"\n") {
+					t.Errorf("/metrics lacks %q", line)
+				}
+			}
+		})
 	}
 }
 

@@ -75,7 +75,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		}
 		spec.Points = make([]core.Params, len(req.Points))
 		for i, raw := range req.Points {
-			p, _, err := s.resolveParams(raw)
+			p, _, err := resolve(*s.cfg.Defaults, raw)
 			if err != nil {
 				writeError(w, http.StatusBadRequest, "invalid_params",
 					fmt.Sprintf("point %d: %v", i, err))
@@ -91,7 +91,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 				"points and eval apply to sweep jobs only")
 			return
 		}
-		p, _, err := s.resolveParams(req.Params)
+		p, _, err := resolve(*s.cfg.Defaults, req.Params)
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 			return
@@ -236,11 +236,7 @@ func (s *Server) jobResponse(j jobs.Job) JobResponse {
 		resp.FinishedAt = j.FinishedAt.UTC().Format(time.RFC3339Nano)
 	}
 	if j.Result != nil {
-		workers := j.Spec.Workers
-		if workers <= 0 {
-			workers = s.cfg.SimWorkers
-		}
-		r := simulateResponseFrom(*j.Result, j.ParamsHash, j.Spec.Seed, workers)
+		r := simulateResponseFrom(*j.Result, j.ParamsHash, j.Spec.Seed, s.simWorkers(j.Spec.Workers))
 		resp.Result = &r
 	}
 	return resp

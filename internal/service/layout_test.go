@@ -200,3 +200,75 @@ func TestJobLayoutResumeAcrossServerRestart(t *testing.T) {
 		t.Errorf("resumed layout job result %+v != uninterrupted reference %+v", done.Result, want)
 	}
 }
+
+// halvesJSON splits the die into two regions that name no pitch or pads,
+// so both inherit the die-level geometry.
+const halvesJSON = `{"regions": [
+  {"name": "left", "x0": -5e-3, "y0": -5e-3, "x1": 0, "y1": 5e-3},
+  {"name": "right", "x0": 0, "y0": -5e-3, "x1": 5e-3, "y1": 5e-3}
+]}`
+
+// halvesParams is Baseline carrying halvesJSON's layout.
+func halvesParams() core.Params {
+	p := core.Baseline()
+	p.PadLayout = &layout.Layout{Regions: []layout.Region{
+		{Name: "left", X0: -5e-3, Y0: -5e-3, X1: 0, Y1: 5e-3},
+		{Name: "right", X0: 0, Y0: -5e-3, X1: 5e-3, Y1: 5e-3},
+	}}
+	return p
+}
+
+// TestLayoutOverrideLeavesDaemonDefaults: a request overriding the layout
+// of layout-bearing daemon defaults gets exactly its own layout, and
+// later requests still see the defaults' layout.
+func TestLayoutOverrideLeavesDaemonDefaults(t *testing.T) {
+	defaults := multiRegionParams()
+	s := New(Config{Defaults: &defaults})
+	want := multiRegionParams().HashString()
+	if got := decodeBody[EvaluateResponse](t, post(t, s, "/v1/evaluate", `{"mode": "w2w"}`)); got.ParamsHash != want {
+		t.Fatalf("defaults hash %s, want %s", got.ParamsHash, want)
+	}
+	w := post(t, s, "/v1/evaluate", fmt.Sprintf(`{"mode": "w2w", "params": {"layout": %s}}`, halvesJSON))
+	if w.Code != http.StatusOK {
+		t.Fatalf("override: status %d: %s", w.Code, w.Body)
+	}
+	if got := decodeBody[EvaluateResponse](t, w); got.ParamsHash != halvesParams().HashString() {
+		t.Errorf("override hash %s, want %s (its regions inherit the die pitch)", got.ParamsHash, halvesParams().HashString())
+	}
+	if got := decodeBody[EvaluateResponse](t, post(t, s, "/v1/evaluate", `{"mode": "w2w"}`)); got.ParamsHash != want {
+		t.Errorf("defaults hash %s after a layout override, want %s", got.ParamsHash, want)
+	}
+}
+
+// TestBatchLayoutOverrideOverLayoutBase: in a batch whose base carries a
+// layout, a point overriding the layout gets exactly its own, and the
+// points running beside it keep the base's.
+func TestBatchLayoutOverrideOverLayoutBase(t *testing.T) {
+	s := New(Config{})
+	base, err := multiRegionParams().EvaluateW2W()
+	if err != nil {
+		t.Fatal(err)
+	}
+	override, err := halvesParams().EvaluateW2W()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := fmt.Sprintf(`{"mode": "w2w", "params": {"layout": %s}, "points": [{"layout": %s}, {}, {}, {}]}`,
+		multiRegionJSON, halvesJSON)
+	for round := 0; round < 20; round++ {
+		w := post(t, s, "/v1/evaluate/batch", body)
+		if w.Code != http.StatusOK {
+			t.Fatalf("round %d: status %d: %s", round, w.Code, w.Body)
+		}
+		resp := decodeBody[BatchEvaluateResponse](t, w)
+		for i, pt := range resp.Points {
+			want, hash := base, multiRegionParams().HashString()
+			if i == 0 {
+				want, hash = override, halvesParams().HashString()
+			}
+			if pt.Error != "" || pt.ParamsHash != hash || pt.W2W.Total != want.Total {
+				t.Fatalf("round %d point %d: %+v (w2w %+v), want hash %s total %v", round, i, pt, pt.W2W, hash, want.Total)
+			}
+		}
+	}
+}

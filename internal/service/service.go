@@ -4,7 +4,8 @@
 //
 //	POST /v1/evaluate  analytic W2W/D2W breakdown (Eq. 22 / Eq. 28)
 //	POST /v1/simulate  Monte-Carlo run on a bounded worker pool
-//	POST /v1/sweep     batch of parameter points, concurrent, partial-failure
+//	POST /v1/evaluate/batch  N points over a shared base, streamed per point
+//	POST /v1/sweep     the batch endpoint under its own metrics label
 //	GET  /v1/jobs/{id}/stream  live convergence events (SSE), resumable
 //	POST /v1/replica   control-plane replication (peer append/vote RPCs)
 //	GET  /healthz      liveness + uptime
@@ -66,17 +67,18 @@ type Config struct {
 	// SimWorkers is the default per-run parallelism when a request leaves
 	// Workers at 0; 0 means GOMAXPROCS.
 	SimWorkers int
-	// RequestTimeout is the per-request deadline for simulate and sweep;
-	// 0 means 2 minutes, negative disables the deadline.
+	// RequestTimeout is the per-request deadline for simulate, shard,
+	// batch and sweep; 0 means 2 minutes, negative disables the deadline.
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies; 0 means 1 MiB.
 	MaxBodyBytes int64
-	// MaxSweepPoints caps the points of one sweep request; 0 means 10000.
+	// MaxSweepPoints caps the points of one batch or sweep request (and of
+	// a sweep job); 0 means 10000.
 	MaxSweepPoints int
-	// MaxQueuedSims bounds how many simulate requests may wait for a pool
-	// slot before admission control sheds with 503 "overloaded"; 0 means
-	// 4×MaxConcurrentSims, negative means no waiting (shed whenever every
-	// slot is busy).
+	// MaxQueuedSims bounds how many simulate and shard requests may wait
+	// for a pool slot before admission control sheds with 503
+	// "overloaded"; 0 means 4×MaxConcurrentSims, negative means no waiting
+	// (shed whenever every slot is busy).
 	MaxQueuedSims int
 	// RetryAfter is the back-off hint attached to "overloaded" responses
 	// (Retry-After header and retry_after_ms body field); 0 means 1s.
@@ -180,9 +182,13 @@ var endpoints = []string{"evaluate", "batch", "simulate", "shard", "sweep", "cac
 // for concurrent use; graceful shutdown is the embedding http.Server's
 // job (Server holds no background goroutines of its own).
 type Server struct {
-	cfg     Config
-	cache   *fleetcache.Cache
-	pool    *workerPool
+	cfg   Config
+	cache *fleetcache.Cache
+	// pool bounds the simulations executing at once across all requests
+	// (each still fans out internally over sim.Options.Workers), so a
+	// burst queues up to MaxQueuedSims and is shed beyond that; batch
+	// points wait in it without the queue bound (see handleEvaluateBatch).
+	pool    *resilience.Shedder
 	breaker *resilience.Breaker // nil when disabled
 	metrics *metrics
 	mux     *http.ServeMux
@@ -204,7 +210,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:     cfg,
 		cache:   cfg.FleetCache,
-		pool:    newWorkerPool(cfg.MaxConcurrentSims, cfg.MaxQueuedSims, cfg.Faults),
+		pool:    resilience.NewShedder(cfg.MaxConcurrentSims, cfg.MaxQueuedSims),
 		metrics: newMetrics(endpoints),
 		mux:     http.NewServeMux(),
 		started: time.Now(),
@@ -224,7 +230,8 @@ func New(cfg Config) *Server {
 	s.mux.HandleFunc("PUT /v1/cache/{mode}/{hash}", s.instrument("cache", http.MethodPut, s.handleCachePut))
 	s.mux.HandleFunc("/v1/simulate", s.instrument("simulate", http.MethodPost, s.handleSimulate))
 	s.mux.HandleFunc("/v1/shard", s.instrument("shard", http.MethodPost, s.handleShard))
-	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", http.MethodPost, s.handleSweep))
+	// /v1/sweep is the batch endpoint under its own metrics label.
+	s.mux.HandleFunc("/v1/sweep", s.instrument("sweep", http.MethodPost, s.handleEvaluateBatch))
 	// Method-qualified patterns (Go 1.22 mux): one path, four verbs. The
 	// handlers answer 404 "jobs_disabled" when no manager is configured,
 	// so the route set is identical either way.
@@ -367,14 +374,16 @@ func decodeRequest(w http.ResponseWriter, r *http.Request, dst any) bool {
 	return true
 }
 
-// resolveParams merges a partial params override over the configured
-// defaults, validates, and reports the canonical hash.
-func (s *Server) resolveParams(raw json.RawMessage) (core.Params, uint64, error) {
-	p := *s.cfg.Defaults
-	if len(raw) > 0 {
+// resolve merges a partial params override over base, validates, and
+// reports the canonical hash; an absent or null override is base itself.
+// It is the one params path: evaluate, simulate, shard, job submit, cache
+// PUT and a batch's shared base resolve over the daemon defaults, and
+// each batch point over its batch's base.
+func resolve(base core.Params, raw json.RawMessage) (core.Params, uint64, error) {
+	p := base
+	if len(raw) > 0 && !bytes.Equal(raw, []byte("null")) {
 		var err error
-		p, err = core.DecodeParams(p, bytes.NewReader(raw))
-		if err != nil {
+		if p, err = core.DecodeParams(base, bytes.NewReader(raw)); err != nil {
 			return core.Params{}, 0, err
 		}
 	} else if err := p.Validate(); err != nil {
@@ -383,36 +392,51 @@ func (s *Server) resolveParams(raw json.RawMessage) (core.Params, uint64, error)
 	return p, p.CanonicalHash(), nil
 }
 
-// evalModes normalizes an evaluate/sweep mode string.
-func evalModes(mode string) (w2w, d2w bool, err error) {
+// bothModes backs evalModes' answers.
+var bothModes = []string{fleetcache.ModeW2W, fleetcache.ModeD2W}
+
+// evalModes normalizes an evaluate/batch mode string into the fleet-cache
+// modes to evaluate, in response order.
+func evalModes(mode string) ([]string, error) {
 	switch strings.ToLower(mode) {
 	case "", "both":
-		return true, true, nil
+		return bothModes, nil
 	case "w2w":
-		return true, false, nil
+		return bothModes[:1], nil
 	case "d2w":
-		return false, true, nil
+		return bothModes[1:], nil
 	default:
-		return false, false, fmt.Errorf("unknown mode %q (want w2w, d2w or both)", mode)
+		return nil, fmt.Errorf("unknown mode %q (want w2w, d2w or both)", mode)
 	}
 }
 
-// evaluateCached returns the analytic breakdown for (mode, p) through
-// the fleet cache tier: local LRU, then singleflight coalescing, then
-// owner-peer fetch, then compute. mode is "w2w" or "d2w". The cache
-// tiers are pure optimization — injected faults and dead peers degrade
-// toward local compute, never into a request error. The reported bool is
-// the wire-level "cached": the answer came from a cache (local or peer)
-// rather than an engine run.
-func (s *Server) evaluateCached(ctx context.Context, mode string, hash uint64, p core.Params) (core.Breakdown, bool, error) {
-	b, out, err := s.cache.Evaluate(ctx, mode, hash, p)
-	if err != nil {
-		return core.Breakdown{}, false, err
+// evaluatePoint evaluates the given modes of one resolved parameter set
+// through the fleet cache tier: local LRU, then singleflight coalescing,
+// then owner-peer fetch, then compute. The cache tiers are pure
+// optimization — injected faults and dead peers degrade toward local
+// compute, never into a request error. Cached is the wire-level "cached":
+// every mode came from a cache (local or peer) rather than an engine run.
+// A failure returns the point built so far with the error; tally may be
+// nil.
+func (s *Server) evaluatePoint(ctx context.Context, p core.Params, hash uint64, modes []string, tally *batchTally) (SweepPoint, error) {
+	pt := SweepPoint{ParamsHash: fmt.Sprintf("%016x", hash), Cached: true}
+	for _, mode := range modes {
+		b, out, err := s.cache.Evaluate(ctx, mode, hash, p)
+		if err != nil {
+			return pt, err
+		}
+		tally.count(out)
+		if mode == fleetcache.ModeW2W {
+			pt.W2W = breakdownFrom(b)
+		} else {
+			pt.D2W = breakdownFrom(b)
+		}
+		pt.Cached = pt.Cached && out.Cached()
 	}
-	return b, out.Cached(), nil
+	return pt, nil
 }
 
-// writeEvaluateError maps an evaluateCached failure: model rejections are
+// writeEvaluateError maps an evaluatePoint failure: model rejections are
 // the client's 422, while contained flight panics and injected faults are
 // the server's 500 (the parameters may be fine; the flight infrastructure
 // failed).
@@ -432,36 +456,39 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	if !decodeRequest(w, r, &req) {
 		return
 	}
-	wantW2W, wantD2W, err := evalModes(req.Mode)
+	modes, err := evalModes(req.Mode)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_mode", err.Error())
 		return
 	}
-	p, hash, err := s.resolveParams(req.Params)
+	p, hash, err := resolve(*s.cfg.Defaults, req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
 	}
-	resp := EvaluateResponse{ParamsHash: p.HashString(), Cached: true}
-	if wantW2W {
-		b, cached, err := s.evaluateCached(r.Context(), "w2w", hash, p)
-		if err != nil {
-			s.writeEvaluateError(w, err)
-			return
-		}
-		resp.W2W = breakdownFrom(b)
-		resp.Cached = resp.Cached && cached
+	pt, err := s.evaluatePoint(r.Context(), p, hash, modes, nil)
+	if err != nil {
+		s.writeEvaluateError(w, err)
+		return
 	}
-	if wantD2W {
-		b, cached, err := s.evaluateCached(r.Context(), "d2w", hash, p)
-		if err != nil {
-			s.writeEvaluateError(w, err)
-			return
-		}
-		resp.D2W = breakdownFrom(b)
-		resp.Cached = resp.Cached && cached
+	writeJSON(w, http.StatusOK, EvaluateResponse{ParamsHash: pt.ParamsHash, Cached: pt.Cached, W2W: pt.W2W, D2W: pt.D2W})
+}
+
+// withDeadline bounds ctx by the per-request deadline of the engine
+// endpoints (simulate, shard, batch and sweep).
+func (s *Server) withDeadline(ctx context.Context) (context.Context, context.CancelFunc) {
+	if s.cfg.RequestTimeout > 0 {
+		return context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	}
-	writeJSON(w, http.StatusOK, resp)
+	return ctx, func() {}
+}
+
+// simWorkers resolves a request's per-run parallelism.
+func (s *Server) simWorkers(requested int) int {
+	if requested > 0 {
+		return requested
+	}
+	return s.cfg.SimWorkers
 }
 
 func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
@@ -478,7 +505,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown mode %q (want w2w or d2w)", req.Mode))
 		return
 	}
-	p, _, err := s.resolveParams(req.Params)
+	p, _, err := resolve(*s.cfg.Defaults, req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
@@ -493,10 +520,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			"epsilon and min_samples must be non-negative")
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.SimWorkers
-	}
+	workers := s.simWorkers(req.Workers)
 	opts := sim.Options{
 		Params:    p,
 		Seed:      req.Seed,
@@ -505,25 +529,6 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		Workers:   workers,
 		Faults:    s.cfg.Faults,
 		EarlyStop: converge.Rule{Epsilon: req.Epsilon, MinSamples: req.MinSamples},
-	}
-
-	// The breaker guards the simulation engine, so it is consulted only
-	// after validation: malformed requests say nothing about its health.
-	if err := s.breaker.Allow(); err != nil {
-		var open *resilience.BreakerOpenError
-		retryAfter := s.cfg.RetryAfter
-		if errors.As(err, &open) && open.RetryAfter > 0 {
-			retryAfter = open.RetryAfter
-		}
-		s.writeOverloaded(w, "simulation circuit breaker open; retry later", retryAfter)
-		return
-	}
-
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
 	}
 	// A coordinator fans every slice out across the fleet: the whole run
 	// when fixed-N, each slice of the rule's checkpoint ladder when
@@ -539,36 +544,10 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 			return res, err
 		}
 	}
-	var res sim.Result
-	runErr := s.pool.Run(ctx, func() { res, err = sim.Run(ctx, run, mode, opts) })
-	if runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		// Only internal engine failures count against the breaker;
-		// cancellations, overload sheds and bad parameters are neutral.
-		if isInternalSimError(runErr) {
-			s.breaker.Record(false)
-		}
-		s.writeSimError(w, runErr)
+	res, ok := s.runAdmitted(w, r, run, mode, opts)
+	if !ok {
 		return
 	}
-	s.breaker.Record(true)
-	if res.Partial {
-		// The server-side deadline fired but wafers completed: degrade
-		// gracefully into a 200 carrying the partial tallies — unless the
-		// CLIENT is gone, in which case nothing useful can be delivered.
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
-			return
-		}
-		s.metrics.partialResults.Add(1)
-	}
-	if res.StoppedEarly {
-		s.metrics.earlyStops.Add(1)
-		s.metrics.samplesSaved.Add(uint64(res.Requested - res.Completed))
-	}
-	s.metrics.simSamples.get(mode).Add(uint64(res.Counts.Dies))
 	resp := simulateResponseFrom(res, p.HashString(), req.Seed, workers)
 	if distributed {
 		resp.Distributed = true
@@ -595,7 +574,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("unknown mode %q (want w2w or d2w)", req.Mode))
 		return
 	}
-	p, _, err := s.resolveParams(req.Params)
+	p, _, err := resolve(*s.cfg.Defaults, req.Params)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
 		return
@@ -605,14 +584,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 			"shard start must be non-negative, count positive and workers non-negative")
 		return
 	}
-	workers := req.Workers
-	if workers <= 0 {
-		workers = s.cfg.SimWorkers
-	}
 	opts := sim.Options{
 		Params:      p,
 		Seed:        req.Seed,
-		Workers:     workers,
+		Workers:     s.simWorkers(req.Workers),
 		FirstSample: req.Start,
 		Faults:      s.cfg.Faults,
 	}
@@ -621,43 +596,10 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 	} else {
 		opts.Dies = req.Count
 	}
-
-	if err := s.breaker.Allow(); err != nil {
-		var open *resilience.BreakerOpenError
-		retryAfter := s.cfg.RetryAfter
-		if errors.As(err, &open) && open.RetryAfter > 0 {
-			retryAfter = open.RetryAfter
-		}
-		s.writeOverloaded(w, "simulation circuit breaker open; retry later", retryAfter)
+	res, ok := s.runAdmitted(w, r, sim.LocalRunner(), mode, opts)
+	if !ok {
 		return
 	}
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-	var res sim.Result
-	runErr := s.pool.Run(ctx, func() { res, err = sim.LocalRunner()(ctx, mode, opts) })
-	if runErr == nil {
-		runErr = err
-	}
-	if runErr != nil {
-		if isInternalSimError(runErr) {
-			s.breaker.Record(false)
-		}
-		s.writeSimError(w, runErr)
-		return
-	}
-	s.breaker.Record(true)
-	if res.Partial {
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
-			return
-		}
-		s.metrics.partialResults.Add(1)
-	}
-	s.metrics.simSamples.get(mode).Add(uint64(res.Counts.Dies))
 	writeJSON(w, http.StatusOK, ShardResponse{
 		ParamsHash: p.HashString(),
 		Mode:       res.Mode,
@@ -669,6 +611,64 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		Requested:  res.Requested,
 		ElapsedMs:  float64(res.Elapsed.Microseconds()) / 1e3,
 	})
+}
+
+// runAdmitted is the one admission path of engine work (simulate and
+// shard): the circuit breaker's gate, the request deadline, the
+// service.pool.admit fault hook and a pool slot, then sim.Run, the
+// breaker's record of the outcome and the sample accounting. A failure is
+// answered here and reported as false, and so is a partial result whose
+// client is gone; a deadline-limited partial result is the caller's to
+// answer, as a 200.
+func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, run sim.SliceRunner, mode string, opts sim.Options) (sim.Result, bool) {
+	// The breaker guards the simulation engine, so it is consulted only
+	// after validation: malformed requests say nothing about its health.
+	if err := s.breaker.Allow(); err != nil {
+		var open *resilience.BreakerOpenError
+		retryAfter := s.cfg.RetryAfter
+		if errors.As(err, &open) && open.RetryAfter > 0 {
+			retryAfter = open.RetryAfter
+		}
+		s.writeOverloaded(w, "simulation circuit breaker open; retry later", retryAfter)
+		return sim.Result{}, false
+	}
+	ctx, cancel := s.withDeadline(r.Context())
+	defer cancel()
+	err := s.cfg.Faults.Fire(ctx, faultinject.HookPoolAdmit)
+	if err == nil {
+		err = s.pool.Acquire(ctx)
+	}
+	var res sim.Result
+	if err == nil {
+		defer s.pool.Release()
+		res, err = sim.Run(ctx, run, mode, opts)
+	}
+	if err != nil {
+		// Only internal engine failures count against the breaker;
+		// cancellations, overload sheds and bad parameters are neutral.
+		if isInternalSimError(err) {
+			s.breaker.Record(false)
+		}
+		s.writeSimError(w, err)
+		return sim.Result{}, false
+	}
+	s.breaker.Record(true)
+	if res.Partial {
+		// The server-side deadline fired but samples completed: degrade
+		// gracefully into a 200 carrying the partial tallies — unless the
+		// CLIENT is gone, in which case nothing useful can be delivered.
+		if r.Context().Err() != nil {
+			writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
+			return sim.Result{}, false
+		}
+		s.metrics.partialResults.Add(1)
+	}
+	if res.StoppedEarly {
+		s.metrics.earlyStops.Add(1)
+		s.metrics.samplesSaved.Add(uint64(res.Requested - res.Completed))
+	}
+	s.metrics.simSamples.get(mode).Add(uint64(res.Counts.Dies))
+	return res, true
 }
 
 // isInternalSimError reports whether a simulate failure indicts the
@@ -707,55 +707,6 @@ func (s *Server) writeSimError(w http.ResponseWriter, err error) {
 	default:
 		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 	}
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if !decodeRequest(w, r, &req) {
-		return
-	}
-	wantW2W, wantD2W, err := evalModes(req.Mode)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid_mode", err.Error())
-		return
-	}
-	if len(req.Points) == 0 {
-		writeError(w, http.StatusBadRequest, "invalid_params", "sweep needs at least one point")
-		return
-	}
-	if len(req.Points) > s.cfg.MaxSweepPoints {
-		writeError(w, http.StatusBadRequest, "too_many_points",
-			fmt.Sprintf("%d points exceed the %d-point limit", len(req.Points), s.cfg.MaxSweepPoints))
-		return
-	}
-
-	ctx := r.Context()
-	if s.cfg.RequestTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-		defer cancel()
-	}
-
-	// Sweep rides the same per-point runner as the batch endpoint, so
-	// sweep points populate and hit the fleet cache like any other
-	// evaluation. Each point evaluates independently with its failure
-	// folded into its Error field (partial failure, never a torn sweep).
-	results, done := s.startPoints(ctx, s.resolveParams, req.Points, wantW2W, wantD2W, &batchTally{})
-	for _, ch := range done {
-		<-ch
-	}
-	if err := ctx.Err(); err != nil {
-		s.writeSimError(w, err)
-		return
-	}
-
-	resp := SweepResponse{Points: results}
-	for i := range results {
-		if results[i].Error != "" {
-			resp.Failed++
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -851,13 +802,15 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 // Shutdown stops admitting simulation work and waits for in-flight jobs
-// to drain, or until ctx fires. New simulate/sweep admissions fail with
-// 503 "overloaded" while the drain runs; evaluate, healthz and metrics
+// to drain, or until ctx fires. New simulate/shard admissions fail with
+// 503 "overloaded" while the drain runs (and new batch points with a
+// per-point error); evaluate, healthz and metrics
 // keep answering (they hold no pool slots), so load balancers can watch
 // the drain. Call it after the embedding http.Server has stopped
 // accepting connections (or concurrently — the pool refuses stragglers).
 func (s *Server) Shutdown(ctx context.Context) error {
-	return s.pool.Shutdown(ctx)
+	s.pool.Close()
+	return s.pool.Drain(ctx)
 }
 
 // ResilienceSummary renders the admission-control and fault-tolerance

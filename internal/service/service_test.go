@@ -332,7 +332,7 @@ func TestSweepPartialFailure(t *testing.T) {
 	if w.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", w.Code, w.Body)
 	}
-	resp := decodeBody[SweepResponse](t, w)
+	resp := decodeBody[BatchEvaluateResponse](t, w)
 	if len(resp.Points) != 4 {
 		t.Fatalf("got %d points", len(resp.Points))
 	}
@@ -355,7 +355,7 @@ func TestSweepPartialFailure(t *testing.T) {
 	}
 
 	// The same point re-submitted must hit the evaluate cache.
-	again := decodeBody[SweepResponse](t, post(t, s, "/v1/sweep",
+	again := decodeBody[BatchEvaluateResponse](t, post(t, s, "/v1/sweep",
 		`{"mode": "d2w", "points": [{}]}`))
 	if !again.Points[0].Cached {
 		t.Error("repeated sweep point missed the cache")

@@ -220,15 +220,6 @@ type ShardResponse struct {
 	ElapsedMs float64 `json:"elapsed_ms"`
 }
 
-// SweepRequest is the body of POST /v1/sweep: a batch of parameter
-// points, each a partial override of the daemon defaults, evaluated
-// concurrently through the analytic model.
-type SweepRequest struct {
-	// Mode selects "w2w", "d2w" or "both" (the default) for every point.
-	Mode   string            `json:"mode,omitempty"`
-	Points []json.RawMessage `json:"points"`
-}
-
 // SweepPoint is one point's outcome. Exactly one of Error or the yield
 // fields is populated: an invalid point reports its error in place
 // without failing the batch.
@@ -241,22 +232,12 @@ type SweepPoint struct {
 	Error      string     `json:"error,omitempty"`
 }
 
-// SweepResponse is the body of a successful POST /v1/sweep. Failed counts
-// the points that reported errors; the HTTP status is 200 as long as the
-// batch itself was well-formed (partial failure is per-point data).
-type SweepResponse struct {
-	Points []SweepPoint `json:"points"`
-	Failed int          `json:"failed"`
-}
-
-// BatchEvaluateRequest is the body of POST /v1/evaluate/batch: N
-// parameter points evaluated analytically through the fleet cache tier.
-// Params is a shared base (a partial override of the daemon defaults —
-// the sweep axes' common block, layout included); each point is a
-// partial override of that base. An empty point (null or {}) evaluates
-// the base itself. Compared with /v1/sweep, batch adds the shared base
-// and a streamed, per-point-partitioned response — the dispatch
-// amortization million-point design sweeps want.
+// BatchEvaluateRequest is the body of POST /v1/evaluate/batch and of
+// POST /v1/sweep: N parameter points evaluated analytically through the
+// fleet cache tier. Params is a shared base (a partial override of the
+// daemon defaults — the sweep axes' common block, layout included); each
+// point is a partial override of that base. An empty point (null or {})
+// evaluates the base itself.
 type BatchEvaluateRequest struct {
 	// Mode selects "w2w", "d2w" or "both" (the default) for every point.
 	Mode   string            `json:"mode,omitempty"`
@@ -265,13 +246,14 @@ type BatchEvaluateRequest struct {
 }
 
 // BatchEvaluateResponse is the body of a successful POST
-// /v1/evaluate/batch. Points stream back in index order as they
-// complete, each with per-point error isolation (a bad point reports in
-// place; the batch keeps going). The tail fields partition the
-// per-point-per-mode evaluations by how the fleet cache answered them:
-// local cache hit, owner-peer hit, coalesced onto a concurrent identical
-// computation, or computed here. Breakdowns are bit-identical to N
-// individual /v1/evaluate calls.
+// /v1/evaluate/batch or /v1/sweep. Points stream back in index order as
+// they complete, each with per-point error isolation (a bad point, or one
+// the request deadline cut off, reports in place; the batch keeps going),
+// and Failed counts the points that reported errors. The tail fields
+// partition the per-point-per-mode evaluations by how the fleet cache
+// answered them: local cache hit, owner-peer hit, coalesced onto a
+// concurrent identical computation, or computed here. Breakdowns are
+// bit-identical to N individual /v1/evaluate calls.
 type BatchEvaluateResponse struct {
 	Points    []SweepPoint `json:"points"`
 	Failed    int          `json:"failed"`
@@ -374,7 +356,7 @@ type JobResponse struct {
 	Result *SimulateResponse `json:"result,omitempty"`
 	// Sweep holds the outcomes of the Completed sweep points (mode
 	// "sweep" only), cumulative as the checkpoint ladder advances — the
-	// same per-point shape as a synchronous /v1/sweep response.
+	// same per-point shape as a synchronous batch response.
 	Sweep []SweepPoint `json:"sweep,omitempty"`
 }
 
@@ -428,12 +410,20 @@ type ErrorResponse struct {
 	Error ErrorDetail `json:"error"`
 }
 
+// ErrorCodes lists every machine-readable code an ErrorDetail carries:
+// each code a handler in this package writes, and no other.
+var ErrorCodes = []string{
+	"method_not_allowed", "invalid_json", "body_too_large",
+	"invalid_params", "invalid_mode", "too_many_points",
+	"deadline_exceeded", "canceled", "overloaded", "internal",
+	"not_found", "jobs_disabled", "job_terminal",
+	"not_leader", "replica_disabled", "no_quorum", "leadership_lost",
+	"cache_miss", "hash_mismatch",
+}
+
 // ErrorDetail carries a machine-readable code alongside the human text.
-// Codes: method_not_allowed, invalid_json, invalid_params, invalid_mode,
-// too_many_points, body_too_large, deadline_exceeded, canceled, overloaded,
-// internal, not_found, jobs_disabled, job_terminal, not_leader,
-// replica_disabled, no_quorum, cache_miss, hash_mismatch.
 type ErrorDetail struct {
+	// Code is one of ErrorCodes.
 	Code    string `json:"code"`
 	Message string `json:"message"`
 	// RetryAfterMs hints how long to back off before retrying, in
