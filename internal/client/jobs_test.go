@@ -123,6 +123,28 @@ func TestJobsDisabledSurfacesCode(t *testing.T) {
 	}
 }
 
+// TestFaultJobSubmitWALIsTemporary: a submit the store fails to log
+// answers 500, which the client retries and reports as temporary.
+func TestFaultJobSubmitWALIsTemporary(t *testing.T) {
+	inj := faultinject.New(1, faultinject.Rule{
+		Hook: faultinject.HookJobsWAL, Mode: faultinject.ModeError, Probability: 1,
+	})
+	jm, err := jobs.Open(jobs.Config{Dir: t.TempDir(), SimWorkers: 2, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jm.Close() })
+	c, _ := newTestClient(t, service.New(service.Config{Jobs: jm}), nil)
+	_, err = c.SubmitJob(context.Background(), service.JobSubmitRequest{Wafers: 2})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Status != http.StatusInternalServerError || !apiErr.Temporary() {
+		t.Errorf("got %v, want a temporary 500", err)
+	}
+	if !errors.Is(err, ErrAttemptsExhausted) {
+		t.Errorf("got %v, want the client to have retried until its attempts ran out", err)
+	}
+}
+
 func TestWaitJobHonorsContext(t *testing.T) {
 	c := newJobsTestClient(t)
 	sub, err := c.SubmitJob(context.Background(), service.JobSubmitRequest{Seed: 7, Wafers: 2000, CheckpointEvery: 1})

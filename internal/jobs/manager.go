@@ -172,7 +172,19 @@ var (
 	// snapshot, so record-by-record repair is impossible and the replica
 	// must be rebuilt from a fresh copy of the leader's state.
 	ErrNeedsResync = errors.New("jobs: conflict predates the compaction horizon; full resync required")
+	// ErrInvalidSpec marks a Submit refused for its spec: it failed
+	// validation, could not be encoded, or its submit record exceeds the
+	// WAL's record bound. Resubmitting it cannot succeed; every other
+	// Submit error is the store's own failure.
+	ErrInvalidSpec = errors.New("jobs: invalid spec")
 )
+
+// invalidSpecError marks a Submit error as ErrInvalidSpec, keeping the
+// message of the error it wraps.
+type invalidSpecError struct{ err error }
+
+func (e invalidSpecError) Error() string   { return e.err.Error() }
+func (e invalidSpecError) Unwrap() []error { return []error{ErrInvalidSpec, e.err} }
 
 // jobState is the Manager's mutable record of one job. The wire spec is
 // kept alongside the decoded one so snapshots re-persist exactly the
@@ -924,11 +936,11 @@ func (m *Manager) validateSpec(spec Spec) (Spec, error) {
 func (m *Manager) Submit(spec Spec) (Job, error) {
 	spec, err := m.validateSpec(spec)
 	if err != nil {
-		return Job{}, err
+		return Job{}, invalidSpecError{err}
 	}
 	wire, err := specToWire(spec)
 	if err != nil {
-		return Job{}, err
+		return Job{}, invalidSpecError{err}
 	}
 
 	m.mu.Lock()
@@ -954,6 +966,9 @@ func (m *Manager) Submit(spec Spec) (Job, error) {
 	}}
 	if err := m.appendLocked(walRecord{Type: recSubmit, ID: id, Spec: &wire, At: js.job.SubmittedAt.UnixNano()}); err != nil {
 		m.mu.Unlock()
+		if errors.As(err, new(recordTooLargeError)) {
+			err = invalidSpecError{err}
+		}
 		return Job{}, err
 	}
 	m.nextID++

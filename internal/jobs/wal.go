@@ -114,6 +114,13 @@ func openWAL(dir string, off int64) (*wal, error) {
 	return &wal{path: path, f: f, size: off}, nil
 }
 
+// recordTooLargeError refuses a record over MaxRecordBytes.
+type recordTooLargeError struct{ size int }
+
+func (e recordTooLargeError) Error() string {
+	return fmt.Sprintf("jobs: wal record of %d bytes exceeds the %d-byte bound", e.size, MaxRecordBytes)
+}
+
 // Append durably writes one record: frame + payload in a single write,
 // then fsync. An error leaves the caller free to retry or to fail the
 // operation the record was logging; a torn write from a crash mid-call is
@@ -123,7 +130,7 @@ func (w *wal) Append(payload []byte) error {
 		return errors.New("jobs: empty wal record")
 	}
 	if len(payload) > MaxRecordBytes {
-		return fmt.Errorf("jobs: wal record of %d bytes exceeds the %d-byte bound", len(payload), MaxRecordBytes)
+		return recordTooLargeError{len(payload)}
 	}
 	buf := make([]byte, walHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))

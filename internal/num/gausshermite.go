@@ -22,30 +22,70 @@ var ghWeights7 = [4]float64{
 // invSqrtPi is 1/√π, the normalization of the Gauss–Hermite measure.
 const invSqrtPi = 0.5641895835477563
 
-// ExpectNormal1 returns E[g(X)] for X ~ N(mu, sigma²) using the 7-point
-// Gauss–Hermite rule, exact for polynomial g up to degree 13. A zero sigma
-// collapses to g(mu).
-func ExpectNormal1(g func(float64) float64, mu, sigma float64) float64 {
+// GaussHermite is the 7-point Gauss–Hermite rule for E[g(X)] with
+// X ~ N(mu, sigma²), exact for polynomial g up to degree 13, laid out in
+// the order its weighted sum folds. A caller evaluates g at X[:N] and
+// hands the values, in the same order, to Expect. ExpectNormal1 and
+// ExpectNormal are that loop; a caller with its own tables (the D2W
+// placement quadrature) runs it without closures and gets the same bits.
+type GaussHermite struct {
+	// X holds the abscissae in fold order: mu, then mu+d and mu−d for each
+	// positive node, d = √2·sigma·t.
+	X [7]float64
+	// N is the number of abscissae in use: 7, or 1 for a zero sigma, whose
+	// rule is the single unweighted node mu.
+	N int
+}
+
+// NewGaussHermite returns the rule for N(mu, sigma²).
+func NewGaussHermite(mu, sigma float64) GaussHermite {
+	r := GaussHermite{X: [7]float64{mu}, N: 1}
 	if sigma == 0 {
-		return g(mu)
+		return r
 	}
+	r.N = 7
 	scale := math.Sqrt2 * sigma
-	sum := ghWeights7[0] * g(mu)
 	for i := 1; i < 4; i++ {
 		d := scale * ghNodes7[i]
-		sum += ghWeights7[i] * (g(mu+d) + g(mu-d))
+		r.X[2*i-1] = mu + d
+		r.X[2*i] = mu - d
+	}
+	return r
+}
+
+// Expect folds g's values at X[:N] into E[g(X)]: the weighted sum in
+// abscissa order, normalized by 1/√π. A zero-sigma rule returns its one
+// value unweighted.
+func (r *GaussHermite) Expect(g *[7]float64) float64 {
+	if r.N == 1 {
+		return g[0]
+	}
+	sum := ghWeights7[0] * g[0]
+	for i := 1; i < 4; i++ {
+		sum += ghWeights7[i] * g[2*i-1]
+		sum += ghWeights7[i] * g[2*i]
 	}
 	return sum * invSqrtPi
 }
 
+// ExpectNormal1 returns E[g(X)] for X ~ N(mu, sigma²) using the 7-point
+// Gauss–Hermite rule. A zero sigma collapses to g(mu).
+func ExpectNormal1(g func(float64) float64, mu, sigma float64) float64 {
+	r := NewGaussHermite(mu, sigma)
+	var v [7]float64
+	for i := 0; i < r.N; i++ {
+		v[i] = g(r.X[i])
+	}
+	return r.Expect(&v)
+}
+
 // ExpectNormal returns E[g(X₁,…,X_k)] for independent X_i ~ N(mu[i],
-// sigma[i]²) via a tensor-product 7-point Gauss–Hermite rule. Dimensions
-// with sigma[i] = 0 contribute a single node, so degenerate (deterministic)
-// parameters cost nothing.
+// sigma[i]²) via a tensor-product 7-point Gauss–Hermite rule, the first
+// dimension outermost. Dimensions with sigma[i] = 0 contribute a single
+// node, so degenerate (deterministic) parameters cost nothing.
 //
-// It backs the D2W overlay model, where per-die placement draws of
-// translation, rotation and warpage must be averaged analytically to keep
-// the model's >10⁴× speed advantage over simulation.
+// The D2W overlay model runs the same tensor (GaussHermite's abscissae and
+// fold, the first dimension outermost) over its own tables.
 func ExpectNormal(g func(x []float64) float64, mu, sigma []float64) float64 {
 	if len(mu) != len(sigma) {
 		// Unreachable from the model: every caller builds mu and sigma
@@ -58,7 +98,7 @@ func ExpectNormal(g func(x []float64) float64, mu, sigma []float64) float64 {
 }
 
 // ExpectNormalAdaptive returns E[g(X)] for X ~ N(mu, sigma²) by adaptive
-// Simpson integration of g against the normal density over ±8σ. Unlike the
+// Simpson integration of g against the normal density over ±7σ. Unlike the
 // fixed Gauss–Hermite rule it resolves near-discontinuous g (yield
 // indicators smoothed over a few nanometers of misalignment), at the cost
 // of more evaluations; use it for the one or two dimensions whose spread
@@ -82,19 +122,11 @@ func expectNormalRec(g func(x []float64) float64, mu, sigma, x []float64, dim in
 	if dim == len(mu) {
 		return g(x)
 	}
-	if sigma[dim] == 0 {
-		x[dim] = mu[dim]
-		return expectNormalRec(g, mu, sigma, x, dim+1)
+	r := NewGaussHermite(mu[dim], sigma[dim])
+	var v [7]float64
+	for i := 0; i < r.N; i++ {
+		x[dim] = r.X[i]
+		v[i] = expectNormalRec(g, mu, sigma, x, dim+1)
 	}
-	scale := math.Sqrt2 * sigma[dim]
-	x[dim] = mu[dim]
-	sum := ghWeights7[0] * expectNormalRec(g, mu, sigma, x, dim+1)
-	for i := 1; i < 4; i++ {
-		d := scale * ghNodes7[i]
-		x[dim] = mu[dim] + d
-		sum += ghWeights7[i] * expectNormalRec(g, mu, sigma, x, dim+1)
-		x[dim] = mu[dim] - d
-		sum += ghWeights7[i] * expectNormalRec(g, mu, sigma, x, dim+1)
-	}
-	return sum * invSqrtPi
+	return r.Expect(&v)
 }

@@ -1,6 +1,8 @@
 package overlay
 
 import (
+	"math"
+
 	"yap/internal/num"
 	"yap/internal/wafer"
 )
@@ -41,30 +43,132 @@ func (m Model) ExpectedDieYieldD2W(dieW, dieH, refRadius float64, spread Placeme
 // (ScaleToDie) and evaluated through the region-product POS (Eq. 23).
 //
 // The translation and rotation dimensions are smooth at the σ₁ scale and
-// use the 7-point Gauss–Hermite rule; the magnification dimension — whose
-// spread moves the corner misalignment by far more than the random-error
-// width, making POS nearly a step function of E — is integrated adaptively.
-// Even a constant integrand costs 153 adaptive nodes × 7³ Gauss–Hermite
-// nodes = 52,479 region-product POS evaluations, still orders of magnitude
-// cheaper than per-die Monte-Carlo placement.
+// use the 7-point Gauss–Hermite tensor of num.ExpectNormal; the
+// magnification dimension — whose spread moves the corner misalignment by
+// far more than the random-error width, making POS nearly a step function
+// of E — is integrated adaptively (num.ExpectNormalAdaptive). A constant
+// integrand costs 153 adaptive nodes × 7³ Gauss–Hermite nodes = 52,479
+// region-product POS evaluations. Everything but the magnification is
+// resolved into tables once per call and the magnification's products once
+// per adaptive node, so a Gauss–Hermite node costs two adds and one Hypot
+// per pad-array corner and one PadPOS per region, and allocates nothing.
+// Each node value and each weighted sum is the float64 operation that
+// DiePOSRegions and num.ExpectNormal perform, on the same operands in the
+// same order, so the result is theirs bit for bit.
 func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread PlacementSpread, regions []PadRegion) float64 {
 	if spread.Zero() {
 		return m.DieYieldD2WRegions(dieW, dieH, refRadius, regions)
 	}
-	halfDiag := wafer.HalfDiagonal(dieW, dieH)
-	muSmooth := []float64{m.Dist.TX, m.Dist.TY, m.Dist.Rotation}
-	sigmaSmooth := []float64{spread.TXSigma, spread.TYSigma, spread.RotationSigma}
-	pos := func(tx, ty, rot, mag float64) float64 {
-		dist := Distortion{TX: tx, TY: ty, Rotation: rot, Magnification: mag}.
-			ScaleToDie(refRadius, halfDiag)
-		return DiePOSRegions(dist, regions, m.Sigma1)
-	}
-	y := num.ExpectNormalAdaptive(func(mag float64) float64 {
-		return num.ExpectNormal(func(x []float64) float64 {
-			return pos(x[0], x[1], x[2], mag)
-		}, muSmooth, sigmaSmooth)
-	}, m.Dist.Magnification, spread.MagnificationSigma)
+	var q placementQuad
+	q.init(m, wafer.HalfDiagonal(dieW, dieH), refRadius, spread, regions)
+	y := num.ExpectNormalAdaptive(q.expect, m.Dist.Magnification, spread.MagnificationSigma)
 	// Quadrature residue can push a saturated probability past its bounds
 	// by ~1e-10; a yield must stay in [0, 1].
 	return num.Clamp(y, 0, 1)
+}
+
+// placementQuad is the integrand of ExpectedDieYieldD2WRegions' adaptive
+// magnification rule: the Gauss–Hermite expectation over (T_x, T_y, α) of
+// the region-product POS at one magnification, over per-call tables. Each
+// table row holds one value per corner of a region's pad array, in
+// Rect.Corners order.
+type placementQuad struct {
+	regions     []PadRegion
+	sigma1      float64
+	scale       float64 // ScaleToDie's factor: α′ = α·scale, E′ = E·scale
+	tx, ty, rot num.GaussHermite
+	// cx[r] and cy[r] are region r's corner coordinates.
+	cx, cy [][4]float64
+	// dx[(i·rot.N+k)·len(regions)+r] holds T_x,i − α′_k·c_y and
+	// dy[(j·rot.N+k)·len(regions)+r] holds T_y,j + α′_k·c_x for region r:
+	// the first add of Displacement's Δx and Δy at node i or j of the
+	// translation rule and node k of the rotation rule.
+	dx, dy [][4]float64
+	// mx[r] and my[r] hold E′·c_x and E′·c_y at the current magnification
+	// node.
+	mx, my [][4]float64
+}
+
+// init resolves q's tables for one call, in a single allocation.
+func (q *placementQuad) init(m Model, halfDiag, refRadius float64, spread PlacementSpread, regions []PadRegion) {
+	*q = placementQuad{
+		regions: regions,
+		sigma1:  m.Sigma1,
+		// 1 where ScaleToDie leaves the distortion as is; x·1 is x.
+		scale: Distortion{Rotation: 1}.ScaleToDie(refRadius, halfDiag).Rotation,
+		tx:    num.NewGaussHermite(m.Dist.TX, spread.TXSigma),
+		ty:    num.NewGaussHermite(m.Dist.TY, spread.TYSigma),
+		rot:   num.NewGaussHermite(m.Dist.Rotation, spread.RotationSigma),
+	}
+	n, nr := len(regions), q.rot.N
+	rows := make([][4]float64, (4+(q.tx.N+q.ty.N)*nr)*n)
+	q.cx, q.cy, q.mx, q.my, rows = rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n], rows[4*n:]
+	q.dx, q.dy = rows[:q.tx.N*nr*n], rows[q.tx.N*nr*n:]
+	for r, reg := range regions {
+		for c, v := range reg.Rect.Corners() {
+			q.cx[r][c], q.cy[r][c] = v.X, v.Y
+		}
+	}
+	for k := 0; k < nr; k++ {
+		rot := q.rot.X[k] * q.scale
+		for r := range regions {
+			for i := 0; i < q.tx.N; i++ {
+				row := &q.dx[(i*nr+k)*n+r]
+				for c := range row {
+					row[c] = q.tx.X[i] - rot*q.cy[r][c]
+				}
+			}
+			for j := 0; j < q.ty.N; j++ {
+				row := &q.dy[(j*nr+k)*n+r]
+				for c := range row {
+					row[c] = q.ty.X[j] + rot*q.cx[r][c]
+				}
+			}
+		}
+	}
+}
+
+// expect returns E over (T_x, T_y, α) of the region-product POS at
+// magnification mag, folding T_x outermost and α innermost as
+// num.ExpectNormal does.
+func (q *placementQuad) expect(mag float64) float64 {
+	mag *= q.scale
+	for r := range q.cx {
+		for c := range q.cx[r] {
+			q.mx[r][c] = mag * q.cx[r][c]
+			q.my[r][c] = mag * q.cy[r][c]
+		}
+	}
+	n, nr := len(q.regions), q.rot.N
+	var vx [7]float64
+	for i := 0; i < q.tx.N; i++ {
+		var vy [7]float64
+		for j := 0; j < q.ty.N; j++ {
+			var vr [7]float64
+			for k := 0; k < nr; k++ {
+				vr[k] = q.pos(q.dx[(i*nr+k)*n:][:n], q.dy[(j*nr+k)*n:][:n])
+			}
+			vy[j] = q.rot.Expect(&vr)
+		}
+		vx[i] = q.ty.Expect(&vy)
+	}
+	return q.tx.Expect(&vx)
+}
+
+// pos is DiePOSRegions at one node, given the node's dx and dy rows: each
+// region's worst corner through PadPOS, multiplied in region order.
+func (q *placementQuad) pos(dx, dy [][4]float64) float64 {
+	dy, mx, my, regions := dy[:len(dx)], q.mx[:len(dx)], q.my[:len(dx)], q.regions[:len(dx)]
+	pos := 1.0
+	for r := range dx {
+		x, y, ex, ey := &dx[r], &dy[r], &mx[r], &my[r]
+		var maxS float64
+		for c := range x {
+			if s := math.Hypot(x[c]+ex[c], y[c]+ey[c]); s > maxS {
+				maxS = s
+			}
+		}
+		pos *= PadPOS(maxS, regions[r].Delta, q.sigma1)
+	}
+	return pos
 }

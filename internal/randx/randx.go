@@ -110,47 +110,78 @@ func (s *Source) PositiveNormal(mu, sigma float64) (float64, error) {
 
 // Poisson returns a Poisson(lambda) count. For small lambda it uses Knuth's
 // product method; for large lambda the PTRS transformed-rejection sampler
-// of Hörmann, which is O(1) regardless of lambda.
+// of Hörmann, which is O(1) regardless of lambda. It resolves the law's
+// constants on every call; a caller drawing many counts at one lambda
+// resolves them once with NewPoissonLaw and draws the same bits.
 func (s *Source) Poisson(lambda float64) int {
+	law := NewPoissonLaw(lambda)
+	return law.Draw(s)
+}
+
+// PoissonLaw is a Poisson(lambda) law with its per-lambda constants
+// resolved: e^(−lambda) for Knuth's method below lambda = 30, Hörmann's
+// PTRS constants from there on.
+type PoissonLaw struct {
+	lambda float64
+	// expNeg is e^(−lambda) (Knuth).
+	expNeg float64
+	// b, a, invAlpha, vr and logLambda are the PTRS constants.
+	b, a, invAlpha, vr, logLambda float64
+}
+
+// NewPoissonLaw resolves the Poisson(lambda) law's constants.
+func NewPoissonLaw(lambda float64) PoissonLaw {
+	l := PoissonLaw{lambda: lambda}
 	switch {
 	case lambda <= 0:
-		return 0
 	case lambda < 30:
-		l := math.Exp(-lambda)
+		l.expNeg = math.Exp(-lambda)
+	default:
+		l.b = 0.931 + 2.53*math.Sqrt(lambda)
+		l.a = -0.059 + 0.02483*l.b
+		l.invAlpha = 1.1239 + 1.1328/(l.b-3.4)
+		l.vr = 0.9277 - 3.6224/(l.b-2)
+		l.logLambda = math.Log(lambda)
+	}
+	return l
+}
+
+// Draw returns a Poisson(lambda) count drawn from s.
+func (l *PoissonLaw) Draw(s *Source) int {
+	switch {
+	case l.lambda <= 0:
+		return 0
+	case l.lambda < 30:
 		k := 0
 		p := 1.0
 		for {
 			p *= s.rng.Float64()
-			if p <= l {
+			if p <= l.expNeg {
 				return k
 			}
 			k++
 		}
 	default:
-		return s.poissonPTRS(lambda)
+		return l.drawPTRS(s)
 	}
 }
 
-// poissonPTRS implements Hörmann's PTRS algorithm for lambda ≥ 10.
-func (s *Source) poissonPTRS(lambda float64) int {
-	b := 0.931 + 2.53*math.Sqrt(lambda)
-	a := -0.059 + 0.02483*b
-	invAlpha := 1.1239 + 1.1328/(b-3.4)
-	vr := 0.9277 - 3.6224/(b-2)
-	logLambda := math.Log(lambda)
+// drawPTRS implements Hörmann's PTRS algorithm for lambda ≥ 10.
+func (l *PoissonLaw) drawPTRS(s *Source) int {
+	a, b, lambda := l.a, l.b, l.lambda
 	for {
 		u := s.rng.Float64() - 0.5
 		v := s.rng.Float64()
 		us := 0.5 - math.Abs(u)
 		k := math.Floor((2*a/us+b)*u + lambda + 0.43)
-		if us >= 0.07 && v <= vr {
+		if us >= 0.07 && v <= l.vr {
 			return int(k)
 		}
 		if k < 0 || (us < 0.013 && v > us) {
 			continue
 		}
 		lg, _ := math.Lgamma(k + 1)
-		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logLambda-lambda-lg {
+		if math.Log(v*l.invAlpha/(a/(us*us)+b)) <= k*l.logLambda-lambda-lg {
 			return int(k)
 		}
 	}

@@ -1,7 +1,9 @@
 package randx
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/fnv"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -250,6 +252,45 @@ func TestPoissonMoments(t *testing.T) {
 		}
 		if math.Abs(variance-lambda) > 0.1*lambda+0.1 {
 			t.Errorf("Poisson(%g) variance = %g", lambda, variance)
+		}
+	}
+}
+
+// TestPoissonDrawsGolden pins the Poisson draws on both branches and at
+// their border: FNV-1a digests of 8 draws from each of 1000 seeds,
+// captured when Poisson resolved its constants inside every call. Source.
+// Poisson and a PoissonLaw resolved once must both reproduce them.
+func TestPoissonDrawsGolden(t *testing.T) {
+	for _, c := range []struct {
+		lambda float64
+		want   uint64
+	}{
+		{0, 0xdd14fcc6528cab25},
+		{1e-3, 0x74dac57c96de17e4},
+		{0.1, 0x95b4b9c5cfe5a507},
+		{5, 0x30f54cbe964ed46c},
+		{29.9, 0xaa812b49215e4fee},
+		{30, 0x9352fb5990088c8f},
+		{70, 0x5a564137cc7ba409},
+		{1e4, 0x18a6f63bc90ea9f5},
+	} {
+		law := NewPoissonLaw(c.lambda)
+		for name, draw := range map[string]func(*Source) int{
+			"Source.Poisson":  func(s *Source) int { return s.Poisson(c.lambda) },
+			"PoissonLaw.Draw": law.Draw,
+		} {
+			h := fnv.New64a()
+			var buf [8]byte
+			for seed := uint64(0); seed < 1000; seed++ {
+				s := NewSource(seed)
+				for i := 0; i < 8; i++ {
+					binary.LittleEndian.PutUint64(buf[:], uint64(draw(s)))
+					h.Write(buf[:])
+				}
+			}
+			if got := h.Sum64(); got != c.want {
+				t.Errorf("%s at lambda %g: digest %#016x, want %#016x", name, c.lambda, got, c.want)
+			}
 		}
 	}
 }

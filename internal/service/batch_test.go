@@ -13,6 +13,7 @@ import (
 
 	"yap/internal/core"
 	"yap/internal/faultinject"
+	"yap/internal/fleetcache"
 )
 
 // put sends a JSON body with PUT to path on the given handler.
@@ -206,6 +207,38 @@ func TestBatchValidation(t *testing.T) {
 		if w.Code != tc.status || errorCode(t, w) != tc.code {
 			t.Errorf("%s: got %d %s, want %d %s", tc.body, w.Code, errorCode(t, w), tc.status, tc.code)
 		}
+	}
+}
+
+// TestFaultSecondModeFailureCarriesOnlyTheError: a "both" point whose W2W
+// entry is already cached but whose D2W flight fails answers its params
+// hash and the error alone, not the W2W breakdown and "cached": true
+// beside the error; SweepPoint promises exactly one of error or yields.
+func TestFaultSecondModeFailureCarriesOnlyTheError(t *testing.T) {
+	inj := faultinject.New(1, faultinject.Rule{
+		Hook: faultinject.HookFleetFlight, Mode: faultinject.ModeError, Probability: 1,
+	})
+	s := New(Config{Faults: inj})
+	p := *s.cfg.Defaults
+	h := p.CanonicalHash()
+	w2w, err := p.EvaluateW2W()
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.Adopt(fleetcache.ModeW2W, h, p, w2w)
+
+	w := post(t, s, "/v1/evaluate/batch", `{"mode": "both", "points": [{}]}`)
+	if w.Code != http.StatusOK {
+		t.Fatalf("batch: %d %s", w.Code, w.Body)
+	}
+	var resp BatchEvaluateResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil || len(resp.Points) != 1 {
+		t.Fatalf("batch answer %s: %v", w.Body, err)
+	}
+	want := SweepPoint{ParamsHash: fmt.Sprintf("%016x", h), Error: resp.Points[0].Error}
+	if resp.Failed != 1 || resp.Points[0].Error == "" || resp.Points[0] != want {
+		t.Errorf("failed = %d, answer %s; want the point to carry the params hash and the error only",
+			resp.Failed, strings.TrimSpace(w.Body.String()))
 	}
 }
 

@@ -125,8 +125,13 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, replica.ErrClosed):
 		s.writeOverloaded(w, "server is shutting down", 0)
 		return
-	default:
+	case errors.Is(err, jobs.ErrInvalidSpec):
 		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
+		return
+	default:
+		// The store failed (a WAL append, say), not the request: 500, which
+		// the retrying client retries.
+		writeError(w, http.StatusInternalServerError, "internal", err.Error())
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.jobResponse(job))

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"yap/internal/core"
+	"yap/internal/faultinject"
 	"yap/internal/jobs"
 	"yap/internal/sim"
 )
@@ -164,11 +165,39 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"bad json", `{`, "invalid_json"},
 		{"negative wafers", `{"wafers": -1}`, "invalid_params"},
 		{"unknown param", `{"params": {"nope": 1}}`, "invalid_params"},
+		// The submit record of 5000 points exceeds the WAL's record bound.
+		{"oversized sweep", `{"mode": "sweep", "points": [{}` + strings.Repeat(`, {}`, 4999) + `]}`, "invalid_params"},
 	}
 	for _, tc := range cases {
 		w := post(t, s, "/v1/jobs", tc.body)
 		if w.Code != http.StatusBadRequest || errorCode(t, w) != tc.code {
 			t.Errorf("%s: status %d code %q, want 400 %s", tc.name, w.Code, errorCode(t, w), tc.code)
+		}
+	}
+}
+
+// TestFaultJobSubmitWALAnswersInternal: a submit the store fails to log
+// (an injected WAL append fault) is the server's failure and answers 500
+// internal, while a spec the store refuses still answers 400.
+func TestFaultJobSubmitWALAnswersInternal(t *testing.T) {
+	inj := faultinject.New(1, faultinject.Rule{
+		Hook: faultinject.HookJobsWAL, Mode: faultinject.ModeError, Probability: 1,
+	})
+	jm, err := jobs.Open(jobs.Config{Dir: t.TempDir(), SimWorkers: 2, Faults: inj})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { jm.Close() })
+	s := New(Config{Jobs: jm})
+	if w := post(t, s, "/v1/jobs", `{"wafers": 2}`); w.Code != http.StatusInternalServerError || errorCode(t, w) != "internal" {
+		t.Errorf("submit under a WAL fault: status %d code %q, want 500 internal", w.Code, errorCode(t, w))
+	}
+	for name, body := range map[string]string{
+		"negative wafers":      `{"wafers": -1}`,
+		"early-stopping sweep": `{"mode": "sweep", "points": [{}], "epsilon": 0.01}`,
+	} {
+		if w := post(t, s, "/v1/jobs", body); w.Code != http.StatusBadRequest || errorCode(t, w) != "invalid_params" {
+			t.Errorf("%s: status %d code %q, want 400 invalid_params", name, w.Code, errorCode(t, w))
 		}
 	}
 }

@@ -416,14 +416,15 @@ func evalModes(mode string) ([]string, error) {
 // optimization — injected faults and dead peers degrade toward local
 // compute, never into a request error. Cached is the wire-level "cached":
 // every mode came from a cache (local or peer) rather than an engine run.
-// A failure returns the point built so far with the error; tally may be
-// nil.
+// A failure returns only the params hash with the error, so a point
+// carries exactly one of error or yields even when an earlier mode
+// succeeded; tally may be nil.
 func (s *Server) evaluatePoint(ctx context.Context, p core.Params, hash uint64, modes []string, tally *batchTally) (SweepPoint, error) {
 	pt := SweepPoint{ParamsHash: fmt.Sprintf("%016x", hash), Cached: true}
 	for _, mode := range modes {
 		b, out, err := s.cache.Evaluate(ctx, mode, hash, p)
 		if err != nil {
-			return pt, err
+			return SweepPoint{ParamsHash: pt.ParamsHash}, err
 		}
 		tally.count(out)
 		if mode == fleetcache.ModeW2W {

@@ -29,10 +29,10 @@ type d2wEnv struct {
 	recessQ          float64
 	recessWaferSigma float64
 
-	effR       float64 // effective die radius √(ab/π) of Eq. 24
-	extRect    geom.Rect
-	particleMu float64
-	defect     defect.Params
+	effR      float64 // effective die radius √(ab/π) of Eq. 24
+	extRect   geom.Rect
+	particles randx.PoissonLaw // particles over extRect per die
+	defect    defect.Params
 }
 
 func newD2WEnv(opts Options) (*d2wEnv, error) {
@@ -65,7 +65,7 @@ func newD2WEnv(opts Options) (*d2wEnv, error) {
 		recessWaferSigma: p.RecessWaferSigma,
 		effR:             effR,
 		extRect:          ext,
-		particleMu:       p.DefectDensity * ext.Area(),
+		particles:        randx.NewPoissonLaw(p.DefectDensity * ext.Area()),
 		defect:           dp,
 	}, nil
 }
@@ -169,7 +169,7 @@ func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
 // defectCheck samples particles around the die and tests each main void
 // (a square of half-side r_mv, Eq. 15/25) against the pad grid.
 func (e *d2wEnv) defectCheck(rng *randx.Source) bool {
-	particles := rng.Poisson(e.particleMu)
+	particles := e.particles.Draw(rng)
 	for k := 0; k < particles; k++ {
 		x, y := rng.InRect(e.extRect.X0, e.extRect.Y0, e.extRect.X1, e.extRect.Y1)
 		// L is the distance from the die center, clamped to the effective

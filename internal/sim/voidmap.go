@@ -70,7 +70,7 @@ func GenerateVoidMap(p core.Params, seed uint64, particles int) (*VoidMap, error
 		Killed:      make([]bool, len(env.dies)),
 	}
 	if particles <= 0 {
-		particles = rng.Poisson(env.particleMu)
+		particles = env.particles.Draw(rng)
 	}
 	for k := 0; k < particles; k++ {
 		x, y := rng.InDiskClustered(r, dp.RadialClustering)

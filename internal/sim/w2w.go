@@ -41,12 +41,12 @@ type w2wEnv struct {
 	recessQ          float64 // exact all-regions-all-pads-pass probability
 	recessWaferSigma float64
 	waferRadius      float64
-	particleMu       float64 // expected particles per wafer
+	particles        randx.PoissonLaw // particles per wafer
 	defect           defect.Params
-	// modelField and modelMu are the particle field and its expected count
-	// under ModelConventionDefects.
-	modelField geom.Rect
-	modelMu    float64
+	// modelField and modelParticles are the particle field and its
+	// particle count law under ModelConventionDefects.
+	modelField     geom.Rect
+	modelParticles randx.PoissonLaw
 }
 
 func newW2WEnv(opts Options) (*w2wEnv, error) {
@@ -75,10 +75,10 @@ func newW2WEnv(opts Options) (*w2wEnv, error) {
 		recessQ:          regionRecessProb(regions),
 		recessWaferSigma: p.RecessWaferSigma,
 		waferRadius:      p.WaferRadius(),
-		particleMu:       p.DefectDensity * math.Pi * p.WaferRadius() * p.WaferRadius(),
+		particles:        randx.NewPoissonLaw(p.DefectDensity * math.Pi * p.WaferRadius() * p.WaferRadius()),
 		defect:           dp,
 		modelField:       field,
-		modelMu:          p.DefectDensity * field.Area(),
+		modelParticles:   randx.NewPoissonLaw(p.DefectDensity * field.Area()),
 	}
 	for i, d := range dies {
 		c := d.Center()
@@ -227,7 +227,7 @@ func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 	if e.opts.ModelConventionDefects {
 		e.modelConventionDefects(rng, killed)
 	} else {
-		particles := rng.Poisson(e.particleMu)
+		particles := e.particles.Draw(rng)
 		for k := 0; k < particles; k++ {
 			x, y := rng.InDiskClustered(e.waferRadius, e.defect.RadialClustering)
 			t := rng.ParticleThickness(e.defect.MinThickness, e.defect.Shape)
@@ -296,7 +296,7 @@ func (e *w2wEnv) recessCheck(rng *randx.Source, q, shift float64) bool {
 // mass beyond it is O((1/3)⁴/3) of the tail term for z = 3.
 func (e *w2wEnv) modelConventionDefects(rng *randx.Source, killed []bool) {
 	field := e.modelField
-	particles := rng.Poisson(e.modelMu)
+	particles := e.modelParticles.Draw(rng)
 	for k := 0; k < particles; k++ {
 		x, y := rng.InRect(field.X0, field.Y0, field.X1, field.Y1)
 		// Marginal tail law: virtual radius uniform over the wafer disk,
