@@ -71,7 +71,7 @@
 // members of a fleet-wide evaluate cache (it defaults to reusing -peers,
 // so an HA cluster shares its cache for free; -advertise is this
 // member's identity either way). Analytic evaluations — /v1/evaluate,
-// batch, sweeps, sweep jobs — then deduplicate fleet-wide: concurrent
+// batch and sweeps — then deduplicate fleet-wide: concurrent
 // identical requests coalesce onto one in-flight computation
 // (singleflight), local misses consult the key's rendezvous-hashed owner
 // member before computing, and a member that computes a remotely-owned

@@ -137,8 +137,8 @@ func Run(ctx context.Context, args []string) error {
 	}
 
 	// The fleet cache is built unconditionally — unpeered it is the
-	// daemon's local evaluate cache, shared between the HTTP handlers and
-	// sweep jobs; with peers it deduplicates computations fleet-wide.
+	// daemon's local evaluate cache behind evaluate, batch and sweep; with
+	// peers it deduplicates computations fleet-wide.
 	fcfg := fleetcache.Config{CacheSize: *cacheSize, Faults: faults}
 	if len(cachePeerURLs) > 0 {
 		fcfg.Self = *advertise
@@ -160,8 +160,6 @@ func Run(ctx context.Context, args []string) error {
 			SimWorkers:      *workers,
 			Faults:          faults,
 			Logger:          logger,
-			// Sweep jobs evaluate through the shared cache tier.
-			Evaluate: fleet.EvaluateParams,
 		}
 		if coord != nil {
 			// Jobs shard across the fleet like synchronous simulations;

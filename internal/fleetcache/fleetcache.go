@@ -247,13 +247,6 @@ func (c *Cache) Close() {
 	c.wg.Wait()
 }
 
-// EvaluateParams is Evaluate with the canonical hash computed here — the
-// convenience shape the jobs manager's sweep seam wants.
-func (c *Cache) EvaluateParams(ctx context.Context, mode string, p core.Params) (core.Breakdown, error) {
-	b, _, err := c.Evaluate(ctx, mode, p.CanonicalHash(), p)
-	return b, err
-}
-
 // Evaluate returns the analytic breakdown for (mode, p), consulting the
 // local LRU, coalescing concurrent identical requests, fetching from the
 // key's owner peer, and only then computing. The cache tiers are pure

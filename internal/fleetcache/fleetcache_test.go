@@ -395,12 +395,14 @@ func TestLookupAndAdopt(t *testing.T) {
 	}
 }
 
-func TestEvaluateParamsMatchesEngine(t *testing.T) {
+// TestEvaluateMatchesEngine: in both modes a computed entry is the
+// engine's breakdown bit for bit.
+func TestEvaluateMatchesEngine(t *testing.T) {
 	c := New(Config{})
 	defer c.Close()
 	p := core.Baseline().WithPitch(4e-6)
 	for _, mode := range []string{ModeW2W, ModeD2W} {
-		got, err := c.EvaluateParams(context.Background(), mode, p)
+		got, _, err := c.Evaluate(context.Background(), mode, p.CanonicalHash(), p)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package jobs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -45,15 +46,10 @@ func (s State) rank() int {
 	}
 }
 
-// ModeSweep is the Spec.Mode of a durable parameter sweep: the job walks
-// its Points through the analytic model instead of the simulator, with
-// the point index as the checkpoint ladder's sample axis.
-const ModeSweep = "sweep"
-
 // Spec is the immutable description of one job — everything needed to
 // (re)execute it deterministically.
 type Spec struct {
-	// Mode is "w2w", "d2w" or "sweep".
+	// Mode is "w2w" or "d2w".
 	Mode string
 	// Params is the fully resolved parameter set (defaults already merged
 	// by the submitter, exactly like the dist shard protocol, so a config
@@ -90,30 +86,6 @@ type Spec struct {
 	// age upward one level per PriorityAging interval, so a low-priority
 	// job can be delayed but never starved.
 	Priority int
-	// Points is the resolved parameter set per sweep point (ModeSweep
-	// only). Samples mirrors len(Points); the checkpoint ladder walks the
-	// point index exactly as simulate jobs walk the sample index.
-	Points []core.Params
-	// Eval selects which analytic breakdowns a sweep evaluates per point:
-	// "w2w", "d2w" or "both" (default "both"). ModeSweep only.
-	Eval string
-}
-
-// SweepOutcome is one evaluated sweep point. Outcomes are persisted
-// cumulatively on checkpoint records — pure float evaluation of resolved
-// params is deterministic, so a resumed sweep reproduces the identical
-// outcome list.
-type SweepOutcome struct {
-	// Index is the point's position in Spec.Points.
-	Index int `json:"index"`
-	// ParamsHash is the point's canonical digest.
-	ParamsHash string `json:"params_hash,omitempty"`
-	// W2W / D2W hold the analytic breakdowns selected by Spec.Eval.
-	W2W *core.Breakdown `json:"w2w,omitempty"`
-	D2W *core.Breakdown `json:"d2w,omitempty"`
-	// Error is the per-point failure text (panic recovered during
-	// evaluation); the sweep itself continues.
-	Error string `json:"error,omitempty"`
 }
 
 // Job is a point-in-time copy of one job's state as the Manager exposes
@@ -134,9 +106,6 @@ type Job struct {
 	Completed int
 	// Counts holds the raw integer tallies over the Completed samples.
 	Counts sim.Counts
-	// Sweep holds the outcomes of the Completed sweep points (ModeSweep
-	// only); cumulative like Counts.
-	Sweep []SweepOutcome
 	// Resumes counts recoveries: how many times this job was re-enqueued
 	// from its last durable checkpoint after a restart.
 	Resumes int
@@ -214,37 +183,21 @@ const (
 // inspectable and the decode path is the same checked one the service
 // uses.
 type specWire struct {
-	Mode            string            `json:"mode"`
-	Params          json.RawMessage   `json:"params,omitempty"`
-	Seed            uint64            `json:"seed"`
-	Samples         int               `json:"samples"`
-	Workers         int               `json:"workers,omitempty"`
-	CheckpointEvery int               `json:"checkpoint_every,omitempty"`
-	Epsilon         float64           `json:"epsilon,omitempty"`
-	MinSamples      int               `json:"min_samples,omitempty"`
-	Priority        int               `json:"priority,omitempty"`
-	Points          []json.RawMessage `json:"points,omitempty"`
-	Eval            string            `json:"eval,omitempty"`
+	Mode            string          `json:"mode"`
+	Params          json.RawMessage `json:"params,omitempty"`
+	Seed            uint64          `json:"seed"`
+	Samples         int             `json:"samples"`
+	Workers         int             `json:"workers,omitempty"`
+	CheckpointEvery int             `json:"checkpoint_every,omitempty"`
+	Epsilon         float64         `json:"epsilon,omitempty"`
+	MinSamples      int             `json:"min_samples,omitempty"`
+	Priority        int             `json:"priority,omitempty"`
 }
 
 func specToWire(s Spec) (specWire, error) {
-	// Sweeps carry no base parameter set — every point is self-contained —
-	// so persisting one would only force a meaningless validation on load.
-	var raw json.RawMessage
-	if s.Mode != ModeSweep {
-		var err error
-		raw, err = json.Marshal(s.Params)
-		if err != nil {
-			return specWire{}, fmt.Errorf("jobs: encoding params: %w", err)
-		}
-	}
-	var points []json.RawMessage
-	for i, p := range s.Points {
-		pr, err := json.Marshal(p)
-		if err != nil {
-			return specWire{}, fmt.Errorf("jobs: encoding sweep point %d: %w", i, err)
-		}
-		points = append(points, pr)
+	raw, err := json.Marshal(s.Params)
+	if err != nil {
+		return specWire{}, fmt.Errorf("jobs: encoding params: %w", err)
 	}
 	return specWire{
 		Mode:            s.Mode,
@@ -256,30 +209,20 @@ func specToWire(s Spec) (specWire, error) {
 		Epsilon:         s.Epsilon,
 		MinSamples:      s.MinSamples,
 		Priority:        s.Priority,
-		Points:          points,
-		Eval:            s.Eval,
 	}, nil
 }
 
 // toSpec decodes the persisted spec, re-validating the parameter set. A
-// spec whose params no longer decode (disk corruption) fails here; the
-// manager marks the job failed instead of refusing to start.
+// spec whose params no longer decode (disk corruption), or a sweep job
+// written by an older build, fails here; the manager fails the job
+// instead of refusing to start.
 func (w specWire) toSpec() (Spec, error) {
-	var p core.Params
-	if w.Mode != ModeSweep {
-		var err error
-		p, err = core.DecodeParams(core.Params{}, bytes.NewReader(w.Params))
-		if err != nil {
-			return Spec{}, fmt.Errorf("jobs: persisted params for mode %q: %w", w.Mode, err)
-		}
+	if w.Mode == "sweep" {
+		return Spec{}, errors.New("jobs: sweep jobs are retired; evaluate the points with POST /v1/evaluate/batch")
 	}
-	var points []core.Params
-	for i, raw := range w.Points {
-		pt, err := core.DecodeParams(core.Params{}, bytes.NewReader(raw))
-		if err != nil {
-			return Spec{}, fmt.Errorf("jobs: persisted sweep point %d for mode %q: %w", i, w.Mode, err)
-		}
-		points = append(points, pt)
+	p, err := core.DecodeParams(core.Params{}, bytes.NewReader(w.Params))
+	if err != nil {
+		return Spec{}, fmt.Errorf("jobs: persisted params for mode %q: %w", w.Mode, err)
 	}
 	return Spec{
 		Mode:            w.Mode,
@@ -291,8 +234,6 @@ func (w specWire) toSpec() (Spec, error) {
 		Epsilon:         w.Epsilon,
 		MinSamples:      w.MinSamples,
 		Priority:        w.Priority,
-		Points:          points,
-		Eval:            w.Eval,
 	}, nil
 }
 
@@ -315,9 +256,6 @@ type walRecord struct {
 	// terminal tallies carried by a done-state record.
 	Completed int         `json:"completed,omitempty"`
 	Counts    *sim.Counts `json:"counts,omitempty"`
-	// Sweep carries the cumulative sweep outcomes on ModeSweep checkpoint
-	// and terminal records, playing the role Counts plays for simulates.
-	Sweep []SweepOutcome `json:"sweep,omitempty"`
 	// Resumes rides on running-state records appended at recovery.
 	Resumes int `json:"resumes,omitempty"`
 	// At is a telemetry timestamp (unix nanoseconds from the injected
@@ -327,16 +265,15 @@ type walRecord struct {
 
 // persistedJob is one job inside the snapshot.
 type persistedJob struct {
-	ID          string         `json:"id"`
-	Spec        specWire       `json:"spec"`
-	State       State          `json:"state"`
-	Completed   int            `json:"completed"`
-	Counts      sim.Counts     `json:"counts"`
-	Sweep       []SweepOutcome `json:"sweep,omitempty"`
-	Resumes     int            `json:"resumes,omitempty"`
-	Error       string         `json:"error,omitempty"`
-	SubmittedAt int64          `json:"submitted_at,omitempty"`
-	FinishedAt  int64          `json:"finished_at,omitempty"`
+	ID          string     `json:"id"`
+	Spec        specWire   `json:"spec"`
+	State       State      `json:"state"`
+	Completed   int        `json:"completed"`
+	Counts      sim.Counts `json:"counts"`
+	Resumes     int        `json:"resumes,omitempty"`
+	Error       string     `json:"error,omitempty"`
+	SubmittedAt int64      `json:"submitted_at,omitempty"`
+	FinishedAt  int64      `json:"finished_at,omitempty"`
 }
 
 // persistedState is the snapshot file: the full fold of every record the

@@ -15,7 +15,6 @@ import (
 	"time"
 
 	"yap/internal/converge"
-	"yap/internal/core"
 	"yap/internal/faultinject"
 	"yap/internal/sim"
 )
@@ -94,18 +93,7 @@ type Config struct {
 	// replica peers; Submit additionally blocks on quorum acknowledgement
 	// before reporting a job accepted.
 	Replicator Replicator
-	// Evaluate, when set, answers sweep jobs' per-point analytic
-	// evaluations (mode is "w2w" or "d2w") — cmd/yapserve wires the fleet
-	// cache here so sweep jobs populate and hit the shared evaluation
-	// tier. nil evaluates the model directly. Either path is a pure
-	// function of the resolved params, so the bit-identity contract of
-	// resumed sweeps is unaffected.
-	Evaluate EvaluateFunc
 }
-
-// EvaluateFunc answers one analytic evaluation; fleetcache.Cache's
-// EvaluateParams matches it.
-type EvaluateFunc func(ctx context.Context, mode string, p core.Params) (core.Breakdown, error)
 
 func (c Config) runners() int {
 	if c.Runners > 0 {
@@ -359,17 +347,14 @@ func (m *Manager) activateLocked() error {
 		}
 	}
 
-	// Fail jobs whose persisted spec no longer decodes (disk corruption or
-	// an incompatible parameter schema) instead of refusing to start: the
-	// daemon keeps serving, the job reports its error. Done here, not at
+	// Record the failure of jobs the fold failed for an unusable spec
+	// (adoptSpec) that no terminal record covers yet — a failure the log
+	// or snapshot already holds carries its FinishedAt. Done here, not at
 	// Open, so a follower never writes records of its own.
 	for _, js := range m.ordered() {
-		if js.job.State.Terminal() {
-			continue
-		}
-		if _, err := js.wire.toSpec(); err != nil {
-			m.logf("recovery: job %s spec unusable, marking failed: %v", js.job.ID, err)
-			m.finishLocked(js, StateFailed, err.Error(), nil)
+		if js.job.State == StateFailed && js.job.FinishedAt.IsZero() {
+			m.logf("recovery: job %s spec unusable, marking failed: %s", js.job.ID, js.job.Error)
+			m.finishLocked(js, StateFailed, js.job.Error, nil)
 		}
 	}
 
@@ -690,12 +675,11 @@ func (m *Manager) foldLocked() (int64, bool, error) {
 	return off, truncated, nil
 }
 
-// rebuildResult reconstructs a done simulate job's final Result (yields,
-// Wilson CI) from its durable tallies. A done job short of its cap can
-// only have stopped early; the flag is reconstructible from durable state
-// alone. Sweep results live in Job.Sweep; nothing to rebuild.
+// rebuildResult reconstructs a done job's final Result (yields, Wilson
+// CI) from its durable tallies. A done job short of its cap can only have
+// stopped early; the flag is reconstructible from durable state alone.
 func (m *Manager) rebuildResult(js *jobState) {
-	if js.job.State != StateDone || js.job.Result != nil || js.job.Spec.Mode == ModeSweep {
+	if js.job.State != StateDone || js.job.Result != nil {
 		return
 	}
 	res, err := finishedResult(js.job.Spec.Mode, js.job.Counts, js.job.Completed)
@@ -738,7 +722,6 @@ func (m *Manager) loadSnapshot() (seq, term uint64, err error) {
 				State:     pj.State,
 				Completed: pj.Completed,
 				Counts:    pj.Counts,
-				Sweep:     pj.Sweep,
 				Resumes:   pj.Resumes,
 				Error:     pj.Error,
 			},
@@ -749,14 +732,28 @@ func (m *Manager) loadSnapshot() (seq, term uint64, err error) {
 		if pj.FinishedAt != 0 {
 			js.job.FinishedAt = time.Unix(0, pj.FinishedAt)
 		}
-		if spec, err := pj.Spec.toSpec(); err == nil {
-			js.job.Spec = spec
-			js.job.ParamsHash = spec.Params.HashString()
-		}
+		adoptSpec(js)
 		m.jobs[pj.ID] = js
 		m.noteID(pj.ID)
 	}
 	return st.ReplicaSeq, st.ReplicaTerm, nil
+}
+
+// adoptSpec decodes a folded job's persisted spec. A spec that no longer
+// decodes — disk corruption, an incompatible parameter schema, or a sweep
+// job of an older build — fails the job where it stands, on every replica
+// alike: it never runs, its tallies are dropped, and later state and
+// checkpoint records cannot revive it (the first terminal state wins).
+// Activation then records the failure durably.
+func adoptSpec(js *jobState) {
+	spec, err := js.wire.toSpec()
+	if err != nil {
+		//yaplint:allow waldur derived from the durable submit record alone, so every fold repeats it
+		js.job.State, js.job.Error, js.job.Completed, js.job.Counts = StateFailed, err.Error(), 0, sim.Counts{}
+		return
+	}
+	js.job.Spec = spec
+	js.job.ParamsHash = spec.Params.HashString()
 }
 
 // apply folds one WAL record into the state map. Application is
@@ -775,10 +772,7 @@ func (m *Manager) apply(rec walRecord) {
 		if rec.At != 0 {
 			js.job.SubmittedAt = time.Unix(0, rec.At)
 		}
-		if spec, err := rec.Spec.toSpec(); err == nil {
-			js.job.Spec = spec
-			js.job.ParamsHash = spec.Params.HashString()
-		}
+		adoptSpec(js)
 		m.jobs[rec.ID] = js
 		m.noteID(rec.ID)
 	case recState:
@@ -807,26 +801,17 @@ func (m *Manager) apply(rec walRecord) {
 				js.job.Completed = rec.Completed
 				js.job.Counts = *rec.Counts
 			}
-			if rec.Sweep != nil && rec.Completed >= js.job.Completed {
-				js.job.Completed = rec.Completed
-				js.job.Sweep = rec.Sweep
-			}
 		}
 	case recCheckpoint:
 		js, ok := m.jobs[rec.ID]
-		if !ok || js.job.State.Terminal() || (rec.Counts == nil && rec.Sweep == nil) {
+		if !ok || js.job.State.Terminal() || rec.Counts == nil {
 			return
 		}
-		// Checkpoints carry cumulative tallies (or sweep outcomes), so
-		// folding is taking the furthest one.
+		// Checkpoints carry cumulative tallies, so folding is taking the
+		// furthest one.
 		if rec.Completed > js.job.Completed {
 			js.job.Completed = rec.Completed
-			if rec.Counts != nil {
-				js.job.Counts = *rec.Counts
-			}
-			if rec.Sweep != nil {
-				js.job.Sweep = rec.Sweep
-			}
+			js.job.Counts = *rec.Counts
 		}
 	case recGC:
 		delete(m.jobs, rec.ID)
@@ -873,43 +858,14 @@ func (m *Manager) ordered() []*jobState {
 
 // validateSpec checks a submission and resolves defaults into it.
 func (m *Manager) validateSpec(spec Spec) (Spec, error) {
-	switch spec.Mode {
-	case "w2w", "d2w":
-		if spec.Samples <= 0 {
-			return Spec{}, fmt.Errorf("jobs: samples must be positive, got %d", spec.Samples)
-		}
-		if len(spec.Points) > 0 {
-			return Spec{}, errors.New("jobs: points are only valid for sweep jobs")
-		}
-		if err := spec.Params.Validate(); err != nil {
-			return Spec{}, fmt.Errorf("jobs: invalid params: %w", err)
-		}
-	case ModeSweep:
-		if len(spec.Points) == 0 {
-			return Spec{}, errors.New("jobs: sweep jobs need at least one point")
-		}
-		if spec.Epsilon != 0 || spec.MinSamples != 0 {
-			return Spec{}, errors.New("jobs: early stop does not apply to sweep jobs")
-		}
-		switch spec.Eval {
-		case "", "both", "w2w", "d2w":
-		default:
-			return Spec{}, fmt.Errorf("jobs: sweep eval must be \"w2w\", \"d2w\" or \"both\", got %q", spec.Eval)
-		}
-		if spec.Eval == "" {
-			spec.Eval = "both"
-		}
-		for i, p := range spec.Points {
-			if err := p.Validate(); err != nil {
-				return Spec{}, fmt.Errorf("jobs: invalid params at sweep point %d: %w", i, err)
-			}
-		}
-		// The checkpoint ladder walks the point index; Samples mirrors it so
-		// the ladder arithmetic — and the list output — read identically to
-		// simulate jobs.
-		spec.Samples = len(spec.Points)
-	default:
-		return Spec{}, fmt.Errorf("jobs: mode must be \"w2w\", \"d2w\" or \"sweep\", got %q", spec.Mode)
+	if spec.Mode != "w2w" && spec.Mode != "d2w" {
+		return Spec{}, fmt.Errorf("jobs: mode must be \"w2w\" or \"d2w\", got %q", spec.Mode)
+	}
+	if spec.Samples <= 0 {
+		return Spec{}, fmt.Errorf("jobs: samples must be positive, got %d", spec.Samples)
+	}
+	if err := spec.Params.Validate(); err != nil {
+		return Spec{}, fmt.Errorf("jobs: invalid params: %w", err)
 	}
 	if spec.Workers < 0 || spec.CheckpointEvery < 0 {
 		return Spec{}, errors.New("jobs: workers and checkpoint_every must be non-negative")
@@ -1335,13 +1291,8 @@ func (m *Manager) finishLocked(js *jobState, state State, errText string, res *s
 	finishedAt := m.clock()
 	rec := walRecord{Type: recState, ID: js.job.ID, State: state, Error: errText, At: finishedAt.UnixNano()}
 	if state == StateDone {
-		rec.Completed = js.job.Completed
-		if js.job.Spec.Mode == ModeSweep {
-			rec.Sweep = js.job.Sweep
-		} else {
-			c := js.job.Counts
-			rec.Counts = &c
-		}
+		c := js.job.Counts
+		rec.Completed, rec.Counts = js.job.Completed, &c
 	}
 	// Durable record first, in-memory transition second: a crash between
 	// the two replays the same terminal state instead of forgetting it.
@@ -1423,16 +1374,15 @@ func (m *Manager) takeJob() (string, bool) {
 // commitLocked); settle leaves such a job as it is.
 var errSettled = errors.New("jobs: run settled by its checkpoint")
 
-// runJob executes one job from its last durable checkpoint to the end. A
-// simulate job runs through sim.RunSlices on the multiples of its
-// checkpoint cadence: each whole slice is folded in with sim.Merge — the
-// same arithmetic as the dist coordinator — and made durable as a
-// cumulative checkpoint record before the stop rule sees it. The
-// boundaries and the tallies at them are the same on every run and
-// across crash/resume, so the final Result is bit-identical to an
-// uninterrupted single-process run (Elapsed excepted, as everywhere) and
-// a resumed job stops at exactly the sample index the uninterrupted one
-// would have.
+// runJob executes one job from its last durable checkpoint to the end,
+// through sim.RunSlices on the multiples of its checkpoint cadence: each
+// whole slice is folded in with sim.Merge — the same arithmetic as the
+// dist coordinator — and made durable as a cumulative checkpoint record
+// before the stop rule sees it. The boundaries and the tallies at them
+// are the same on every run and across crash/resume, so the final Result
+// is bit-identical to an uninterrupted single-process run (Elapsed
+// excepted, as everywhere) and a resumed job stops at exactly the sample
+// index the uninterrupted one would have.
 func (m *Manager) runJob(ctx context.Context, id string) {
 	// An injected panic at HookJobsRun (or a genuine bug in the slice
 	// path) costs this job a failure, not the whole daemon. Code holding
@@ -1468,9 +1418,7 @@ func (m *Manager) runJob(ctx context.Context, id string) {
 	defer cancel()
 	js.cancel = cancel
 	spec := js.job.Spec
-	completed := js.job.Completed
-	counts := js.job.Counts
-	sweepDone := append([]SweepOutcome(nil), js.job.Sweep...)
+	base := baseResult(spec.Mode, js.job.Counts, js.job.Completed)
 	m.mu.Unlock()
 
 	// Submit resolves CheckpointEvery into the persisted spec; the fallback
@@ -1479,11 +1427,6 @@ func (m *Manager) runJob(ctx context.Context, id string) {
 	if every <= 0 {
 		every = m.cfg.checkpointEvery()
 	}
-	if spec.Mode == ModeSweep {
-		m.settle(jobCtx, js, m.runSweepJob(jobCtx, js, spec, every, completed, sweepDone), nil)
-		return
-	}
-
 	run := m.cfg.Run
 	if run == nil {
 		run = sim.LocalRunner()
@@ -1516,66 +1459,32 @@ func (m *Manager) runJob(ctx context.Context, id string) {
 		opts.Wafers = spec.Samples
 	}
 	rule := converge.Rule{Epsilon: spec.Epsilon, MinSamples: spec.MinSamples}
-	res, err := sim.RunSlices(jobCtx, slice, spec.Mode, opts, baseResult(spec.Mode, counts, completed),
+	res, err := sim.RunSlices(jobCtx, slice, spec.Mode, opts, base,
 		func(done int) int { return (done/every + 1) * every },
 		func(acc sim.Result) (bool, error) {
 			m.mu.Lock()
 			defer m.mu.Unlock()
-			if acc.Completed > js.job.Completed {
-				c := acc.Counts
-				if !m.commitLocked(js, walRecord{Type: recCheckpoint, ID: id, Completed: acc.Completed, Counts: &c}, "sample") {
-					return false, errSettled
-				}
+			if acc.Completed > js.job.Completed && !m.commitLocked(js, acc) {
+				return false, errSettled
 			}
 			return rule.ShouldStop(acc.Completed, converge.EstimateOf(acc.Counts.Survived, acc.Counts.Dies)), nil
 		})
-	m.settle(jobCtx, js, err, &res)
-}
-
-// runSweepJob walks the sweep's remaining points through the analytic
-// model in checkpoint-sized slices, committing a cumulative outcome record
-// after each; it returns nil once every point is durable. Evaluation is
-// pure float arithmetic over the persisted resolved params, so a resumed
-// sweep reproduces the identical outcome list — the same bit-identity
-// contract simulate jobs get from their (seed, index) streams. A
-// panicking point is recorded as that point's error and the sweep
-// continues, mirroring /v1/sweep.
-func (m *Manager) runSweepJob(jobCtx context.Context, js *jobState, spec Spec, every, completed int, done []SweepOutcome) error {
-	id := js.job.ID
-	for total := len(spec.Points); completed < total; {
-		chunk := min(total-completed, every)
-		if err := m.cfg.Faults.Fire(jobCtx, faultinject.HookJobsRun); err != nil {
-			return fmt.Errorf("sweep slice at point %d: %w", completed, err)
-		}
-		for i := completed; i < completed+chunk; i++ {
-			if err := jobCtx.Err(); err != nil {
-				return err
-			}
-			done = append(done, m.evalSweepPoint(jobCtx, i, spec.Points[i], spec.Eval))
-		}
-		completed += chunk
-		rec := walRecord{Type: recCheckpoint, ID: id, Completed: completed, Sweep: append([]SweepOutcome(nil), done...)}
-		m.mu.Lock()
-		ok := m.commitLocked(js, rec, "point")
-		m.mu.Unlock()
-		if !ok {
-			return errSettled
-		}
-	}
-	return nil
+	m.settle(jobCtx, js, err, res)
 }
 
 // commitLocked makes a run's progress durable: it appends the cumulative
-// checkpoint record, applies it and publishes the new state. It reports
-// false when the run must end instead: the job went terminal while the
-// slice ran (a durable cancel won the race), or the append failed, which
-// fails the job. Callers hold m.mu.
-func (m *Manager) commitLocked(js *jobState, rec walRecord, unit string) bool {
+// checkpoint record of acc, applies it and publishes the new state. It
+// reports false when the run must end instead: the job went terminal while
+// the slice ran (a durable cancel won the race), or the append failed,
+// which fails the job. Callers hold m.mu.
+func (m *Manager) commitLocked(js *jobState, acc sim.Result) bool {
 	if js.job.State.Terminal() {
 		return false
 	}
+	c := acc.Counts
+	rec := walRecord{Type: recCheckpoint, ID: js.job.ID, Completed: acc.Completed, Counts: &c}
 	if err := m.appendLocked(rec); err != nil {
-		m.finishLocked(js, StateFailed, fmt.Sprintf("checkpoint at %s %d: %v", unit, rec.Completed, err), nil)
+		m.finishLocked(js, StateFailed, fmt.Sprintf("checkpoint at sample %d: %v", acc.Completed, err), nil)
 		return false
 	}
 	m.apply(rec)
@@ -1591,10 +1500,9 @@ func (m *Manager) commitLocked(js *jobState, rec walRecord, unit string) bool {
 // from a crash. Either way the in-flight slice is discarded: its partial
 // tallies may cover NON-contiguous samples (workers stride the index
 // space), so they are never checkpointed. Otherwise err fails the job,
-// or the job is done with res (nil for a sweep). A stopped-early res
-// keeps Requested at the submitted cap: the skipped samples were saved,
-// not lost.
-func (m *Manager) settle(jobCtx context.Context, js *jobState, err error, res *sim.Result) {
+// or the job is done with res. A stopped-early res keeps Requested at the
+// submitted cap: the skipped samples were saved, not lost.
+func (m *Manager) settle(jobCtx context.Context, js *jobState, err error, res sim.Result) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	js.cancel = nil
@@ -1607,52 +1515,12 @@ func (m *Manager) settle(jobCtx context.Context, js *jobState, err error, res *s
 	case err != nil:
 		m.finishLocked(js, StateFailed, err.Error(), nil)
 	default:
-		if res != nil && res.StoppedEarly {
+		if res.StoppedEarly {
 			m.stats.EarlyStops++
 			m.stats.SamplesSaved += uint64(res.Requested - res.Completed)
 		}
-		m.finishLocked(js, StateDone, "", res)
+		m.finishLocked(js, StateDone, "", &res)
 	}
-}
-
-// evalSweepPoint evaluates one resolved parameter set through the
-// configured evaluator (the fleet cache when wired, the analytic model
-// otherwise), converting a panic into a per-point error.
-func (m *Manager) evalSweepPoint(ctx context.Context, index int, p core.Params, eval string) (out SweepOutcome) {
-	out = SweepOutcome{Index: index, ParamsHash: p.HashString()}
-	defer func() {
-		if rec := recover(); rec != nil {
-			out.W2W, out.D2W = nil, nil
-			out.Error = fmt.Sprintf("panic: %v", rec)
-		}
-	}()
-	evaluate := m.cfg.Evaluate
-	if evaluate == nil {
-		evaluate = func(_ context.Context, mode string, p core.Params) (core.Breakdown, error) {
-			if mode == "d2w" {
-				return p.EvaluateD2W()
-			}
-			return p.EvaluateW2W()
-		}
-	}
-	if eval == "w2w" || eval == "both" {
-		b, err := evaluate(ctx, "w2w", p)
-		if err != nil {
-			out.Error = err.Error()
-			return out
-		}
-		out.W2W = &b
-	}
-	if eval == "d2w" || eval == "both" {
-		b, err := evaluate(ctx, "d2w", p)
-		if err != nil {
-			out.W2W = nil
-			out.Error = err.Error()
-			return out
-		}
-		out.D2W = &b
-	}
-	return out
 }
 
 // gcLoop drops terminal jobs whose results have outlived ResultTTL.
@@ -1718,7 +1586,6 @@ func (m *Manager) writeSnapshotLocked() error {
 			State:     js.job.State,
 			Completed: js.job.Completed,
 			Counts:    js.job.Counts,
-			Sweep:     js.job.Sweep,
 			Resumes:   js.job.Resumes,
 			Error:     js.job.Error,
 		}

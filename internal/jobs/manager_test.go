@@ -16,6 +16,7 @@ import (
 
 	"yap/internal/core"
 	"yap/internal/faultinject"
+	"yap/internal/layout"
 	"yap/internal/sim"
 )
 
@@ -424,6 +425,12 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer m.Close()
+	// A layout region named longer than the WAL's record bound puts the
+	// submit record over it.
+	oversized := testSpec(2, 2)
+	oversized.Params.PadLayout = &layout.Layout{Regions: []layout.Region{{
+		Name: strings.Repeat("x", MaxRecordBytes), X0: -5e-3, Y0: -5e-3, X1: 5e-3, Y1: 5e-3,
+	}}}
 	cases := []struct {
 		name string
 		spec Spec
@@ -432,11 +439,16 @@ func TestSubmitValidation(t *testing.T) {
 		{"zero samples", Spec{Mode: "w2w", Params: core.Baseline()}},
 		{"negative workers", Spec{Mode: "w2w", Params: core.Baseline(), Samples: 1, Workers: -1}},
 		{"invalid params", Spec{Mode: "w2w", Params: core.Params{}, Samples: 1}},
+		{"submit record over the bound", oversized},
 	}
+	seq, term := m.ReplState()
 	for _, tc := range cases {
-		if _, err := m.Submit(tc.spec); err == nil {
-			t.Errorf("%s: accepted", tc.name)
+		if _, err := m.Submit(tc.spec); !errors.Is(err, ErrInvalidSpec) {
+			t.Errorf("%s: %v, want ErrInvalidSpec", tc.name, err)
 		}
+	}
+	if s, tm := m.ReplState(); s != seq || tm != term {
+		t.Errorf("refused specs moved the log tip (%d, %d) -> (%d, %d)", seq, term, s, tm)
 	}
 }
 
@@ -688,8 +700,12 @@ func TestInjectedWALFaultFailsSubmit(t *testing.T) {
 	if _, err := m.Submit(testSpec(2, 2)); !errors.Is(err, faultinject.ErrInjected) {
 		t.Errorf("submit with failing wal: %v, want ErrInjected", err)
 	}
-	if st := m.Stats(); st.Submitted != 0 {
-		t.Errorf("failed submit counted: %+v", st)
+	// A spec the store refuses is refused as invalid, not as the fault.
+	if _, err := m.Submit(testSpec(0, 2)); !errors.Is(err, ErrInvalidSpec) || errors.Is(err, faultinject.ErrInjected) {
+		t.Errorf("zero-sample spec with failing wal: %v, want ErrInvalidSpec and not ErrInjected", err)
+	}
+	if st := m.Stats(); st.Submitted != 0 || st.WALRecords != 0 {
+		t.Errorf("failed submit counted or appended: %+v", st)
 	}
 }
 

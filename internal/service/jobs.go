@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"yap/internal/core"
 	"yap/internal/jobs"
 	"yap/internal/replica"
 	"yap/internal/sim"
@@ -35,9 +34,9 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	if mode == "" {
 		mode = "w2w"
 	}
-	if mode != "w2w" && mode != "d2w" && mode != jobs.ModeSweep {
+	if mode != "w2w" && mode != "d2w" {
 		writeError(w, http.StatusBadRequest, "invalid_mode",
-			fmt.Sprintf("unknown mode %q (want w2w, d2w or sweep)", req.Mode))
+			fmt.Sprintf("unknown mode %q (want w2w or d2w; a sweep's points go to /v1/evaluate/batch)", req.Mode))
 		return
 	}
 	if req.Wafers < 0 || req.Dies < 0 || req.Workers < 0 || req.CheckpointEvery < 0 {
@@ -50,56 +49,22 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 			"epsilon and min_samples must be non-negative")
 		return
 	}
-	spec := jobs.Spec{
+	p, _, err := resolve(*s.cfg.Defaults, req.Params)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
+		return
+	}
+	job, err := jm.Submit(jobs.Spec{
 		Mode:            mode,
+		Params:          p,
 		Seed:            req.Seed,
+		Samples:         sim.Options{Wafers: req.Wafers, Dies: req.Dies}.Samples(mode),
 		Workers:         req.Workers,
 		CheckpointEvery: req.CheckpointEvery,
 		Epsilon:         req.Epsilon,
 		MinSamples:      req.MinSamples,
 		Priority:        req.Priority,
-	}
-	if mode == jobs.ModeSweep {
-		// A sweep job carries no base parameter set: each point resolves
-		// against the daemon defaults here, at submission, so a config
-		// change between crash and resume cannot change the physics.
-		if len(req.Points) == 0 {
-			writeError(w, http.StatusBadRequest, "invalid_params",
-				"sweep jobs need at least one point")
-			return
-		}
-		if len(req.Points) > s.cfg.MaxSweepPoints {
-			writeError(w, http.StatusBadRequest, "too_many_points",
-				fmt.Sprintf("%d points exceed the %d-point limit", len(req.Points), s.cfg.MaxSweepPoints))
-			return
-		}
-		spec.Points = make([]core.Params, len(req.Points))
-		for i, raw := range req.Points {
-			p, _, err := resolve(*s.cfg.Defaults, raw)
-			if err != nil {
-				writeError(w, http.StatusBadRequest, "invalid_params",
-					fmt.Sprintf("point %d: %v", i, err))
-				return
-			}
-			spec.Points[i] = p
-		}
-		spec.Samples = len(spec.Points)
-		spec.Eval = req.Eval
-	} else {
-		if len(req.Points) > 0 || req.Eval != "" {
-			writeError(w, http.StatusBadRequest, "invalid_params",
-				"points and eval apply to sweep jobs only")
-			return
-		}
-		p, _, err := resolve(*s.cfg.Defaults, req.Params)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
-			return
-		}
-		spec.Params = p
-		spec.Samples = sim.Options{Wafers: req.Wafers, Dies: req.Dies}.Samples(mode)
-	}
-	job, err := jm.Submit(spec)
+	})
 	switch {
 	case err == nil:
 	case errors.Is(err, jobs.ErrNotLeader):
@@ -220,19 +185,6 @@ func (s *Server) jobResponse(j jobs.Job) JobResponse {
 		Resumes:         j.Resumes,
 		Priority:        j.Spec.Priority,
 		Error:           j.Error,
-	}
-	if j.Spec.Mode == jobs.ModeSweep && len(j.Sweep) > 0 {
-		resp.Sweep = make([]SweepPoint, len(j.Sweep))
-		for i, o := range j.Sweep {
-			pt := SweepPoint{Index: o.Index, ParamsHash: o.ParamsHash, Error: o.Error}
-			if o.W2W != nil {
-				pt.W2W = breakdownFrom(*o.W2W)
-			}
-			if o.D2W != nil {
-				pt.D2W = breakdownFrom(*o.D2W)
-			}
-			resp.Sweep[i] = pt
-		}
 	}
 	if !j.SubmittedAt.IsZero() {
 		resp.SubmittedAt = j.SubmittedAt.UTC().Format(time.RFC3339Nano)

@@ -71,12 +71,12 @@ func TestJobsDisabledWithoutManager(t *testing.T) {
 
 func TestJobSubmitPollMatchesSynchronousSimulate(t *testing.T) {
 	s := newJobsServer(t, Config{})
-	w := post(t, s, "/v1/jobs", `{"mode": "w2w", "seed": 11, "wafers": 4, "workers": 2, "checkpoint_every": 2}`)
+	w := post(t, s, "/v1/jobs", `{"mode": "w2w", "seed": 11, "wafers": 4, "workers": 2, "checkpoint_every": 2, "priority": 3}`)
 	if w.Code != http.StatusAccepted {
 		t.Fatalf("submit status %d: %s", w.Code, w.Body)
 	}
 	j := decodeBody[JobResponse](t, w)
-	if j.ID == "" || j.State != "pending" || j.Samples != 4 {
+	if j.ID == "" || j.State != "pending" || j.Samples != 4 || j.Priority != 3 {
 		t.Fatalf("submit response %+v", j)
 	}
 	if j.SubmittedAt == "" {
@@ -90,8 +90,8 @@ func TestJobSubmitPollMatchesSynchronousSimulate(t *testing.T) {
 	if done.Result == nil {
 		t.Fatal("done job has no result")
 	}
-	if done.Completed != 4 || done.FinishedAt == "" {
-		t.Errorf("done job: completed %d finished_at %q", done.Completed, done.FinishedAt)
+	if done.Completed != 4 || done.FinishedAt == "" || done.Priority != 3 {
+		t.Errorf("done job: completed %d finished_at %q priority %d", done.Completed, done.FinishedAt, done.Priority)
 	}
 
 	// The async result must match the synchronous endpoint bit-for-bit
@@ -157,7 +157,7 @@ func TestJobCancelLifecycle(t *testing.T) {
 }
 
 func TestJobSubmitValidation(t *testing.T) {
-	s := newJobsServer(t, Config{})
+	s := newJobsServer(t, Config{MaxBodyBytes: 2 * jobs.MaxRecordBytes})
 	cases := []struct {
 		name, body, code string
 	}{
@@ -165,8 +165,10 @@ func TestJobSubmitValidation(t *testing.T) {
 		{"bad json", `{`, "invalid_json"},
 		{"negative wafers", `{"wafers": -1}`, "invalid_params"},
 		{"unknown param", `{"params": {"nope": 1}}`, "invalid_params"},
-		// The submit record of 5000 points exceeds the WAL's record bound.
-		{"oversized sweep", `{"mode": "sweep", "points": [{}` + strings.Repeat(`, {}`, 4999) + `]}`, "invalid_params"},
+		// The submit record of a region named longer than the WAL's record
+		// bound exceeds that bound.
+		{"oversized spec", `{"params": {"layout": {"regions": [{"name": "` + strings.Repeat("x", jobs.MaxRecordBytes) +
+			`", "x0": -5e-3, "y0": -5e-3, "x1": 5e-3, "y1": 5e-3}]}}}`, "invalid_params"},
 	}
 	for _, tc := range cases {
 		w := post(t, s, "/v1/jobs", tc.body)
@@ -178,7 +180,7 @@ func TestJobSubmitValidation(t *testing.T) {
 
 // TestFaultJobSubmitWALAnswersInternal: a submit the store fails to log
 // (an injected WAL append fault) is the server's failure and answers 500
-// internal, while a spec the store refuses still answers 400.
+// internal, while a request the handler refuses still answers 400.
 func TestFaultJobSubmitWALAnswersInternal(t *testing.T) {
 	inj := faultinject.New(1, faultinject.Rule{
 		Hook: faultinject.HookJobsWAL, Mode: faultinject.ModeError, Probability: 1,
@@ -192,13 +194,8 @@ func TestFaultJobSubmitWALAnswersInternal(t *testing.T) {
 	if w := post(t, s, "/v1/jobs", `{"wafers": 2}`); w.Code != http.StatusInternalServerError || errorCode(t, w) != "internal" {
 		t.Errorf("submit under a WAL fault: status %d code %q, want 500 internal", w.Code, errorCode(t, w))
 	}
-	for name, body := range map[string]string{
-		"negative wafers":      `{"wafers": -1}`,
-		"early-stopping sweep": `{"mode": "sweep", "points": [{}], "epsilon": 0.01}`,
-	} {
-		if w := post(t, s, "/v1/jobs", body); w.Code != http.StatusBadRequest || errorCode(t, w) != "invalid_params" {
-			t.Errorf("%s: status %d code %q, want 400 invalid_params", name, w.Code, errorCode(t, w))
-		}
+	if w := post(t, s, "/v1/jobs", `{"wafers": -1}`); w.Code != http.StatusBadRequest || errorCode(t, w) != "invalid_params" {
+		t.Errorf("negative wafers: status %d code %q, want 400 invalid_params", w.Code, errorCode(t, w))
 	}
 }
 

@@ -154,62 +154,26 @@ func TestReplicaAcceptsRecordAtWALBound(t *testing.T) {
 	}
 }
 
-func TestSweepJobSubmitLifecycle(t *testing.T) {
-	s := newJobsServer(t, Config{})
-	w := post(t, s, "/v1/jobs",
-		`{"mode": "sweep", "eval": "w2w", "priority": 3, "checkpoint_every": 1, "points": [{}, {"RandomMisalignmentSigma": 6e-9}]}`)
-	if w.Code != http.StatusAccepted {
-		t.Fatalf("sweep submit status %d: %s", w.Code, w.Body)
-	}
-	j := decodeBody[JobResponse](t, w)
-	if j.Mode != "sweep" || j.Samples != 2 || j.Priority != 3 {
-		t.Fatalf("sweep submit response %+v", j)
-	}
-	done := pollJob(t, s, j.ID)
-	if done.State != "done" {
-		t.Fatalf("sweep state %s (error %q)", done.State, done.Error)
-	}
-	if len(done.Sweep) != 2 {
-		t.Fatalf("sweep outcomes %d, want 2", len(done.Sweep))
-	}
-	for i, pt := range done.Sweep {
-		if pt.Index != i || pt.Error != "" {
-			t.Errorf("outcome %d: %+v", i, pt)
-		}
-		if pt.W2W == nil || pt.D2W != nil {
-			t.Errorf("outcome %d breakdowns: w2w %v d2w %v, want w2w only", i, pt.W2W, pt.D2W)
-		}
-	}
-	if done.Sweep[0].ParamsHash == done.Sweep[1].ParamsHash {
-		t.Error("distinct points hash alike")
-	}
-
-	// The per-point analytic result matches the synchronous evaluate.
-	we := post(t, s, "/v1/evaluate", `{"mode": "w2w"}`)
-	if we.Code != http.StatusOK {
-		t.Fatalf("evaluate status %d", we.Code)
-	}
-	ev := decodeBody[EvaluateResponse](t, we)
-	if *done.Sweep[0].W2W != *ev.W2W {
-		t.Errorf("sweep point 0 %+v != evaluate %+v", done.Sweep[0].W2W, ev.W2W)
-	}
-}
-
+// TestSweepJobSubmitValidation: a parameter sweep is not a job. The sweep
+// mode answers invalid_mode and points the client at the batch endpoint,
+// and the sweep fields are unknown fields of the simulate body.
 func TestSweepJobSubmitValidation(t *testing.T) {
-	s := newJobsServer(t, Config{MaxSweepPoints: 2})
+	s := newJobsServer(t, Config{})
 	cases := []struct {
 		name, body, code string
 	}{
-		{"no points", `{"mode": "sweep"}`, "invalid_params"},
-		{"too many points", `{"mode": "sweep", "points": [{}, {}, {}]}`, "too_many_points"},
-		{"bad point", `{"mode": "sweep", "points": [{"WaferDiameter": -1}]}`, "invalid_params"},
-		{"bad eval", `{"mode": "sweep", "points": [{}], "eval": "both-ways"}`, "invalid_params"},
-		{"points on simulate", `{"mode": "w2w", "wafers": 2, "points": [{}]}`, "invalid_params"},
+		{"sweep mode", `{"mode": "sweep"}`, "invalid_mode"},
+		{"sweep with points", `{"mode": "sweep", "points": [{}]}`, "invalid_json"},
+		{"points on simulate", `{"mode": "w2w", "wafers": 2, "points": [{}]}`, "invalid_json"},
+		{"eval on simulate", `{"mode": "w2w", "wafers": 2, "eval": "w2w"}`, "invalid_json"},
 	}
 	for _, tc := range cases {
 		w := post(t, s, "/v1/jobs", tc.body)
 		if w.Code != http.StatusBadRequest || errorCode(t, w) != tc.code {
 			t.Errorf("%s: status %d code %q, want 400 %s", tc.name, w.Code, errorCode(t, w), tc.code)
+		}
+		if tc.code == "invalid_mode" && !strings.Contains(w.Body.String(), "/v1/evaluate/batch") {
+			t.Errorf("%s: %s does not name /v1/evaluate/batch", tc.name, w.Body)
 		}
 	}
 }

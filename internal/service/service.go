@@ -72,8 +72,8 @@ type Config struct {
 	RequestTimeout time.Duration
 	// MaxBodyBytes caps request bodies; 0 means 1 MiB.
 	MaxBodyBytes int64
-	// MaxSweepPoints caps the points of one batch or sweep request (and of
-	// a sweep job); 0 means 10000.
+	// MaxSweepPoints caps the points of one batch or sweep request; 0
+	// means 10000.
 	MaxSweepPoints int
 	// MaxQueuedSims bounds how many simulate and shard requests may wait
 	// for a pool slot before admission control sheds with 503

@@ -291,8 +291,8 @@ type CachePutRequest struct {
 // daemon restarts: it resumes from its last durable checkpoint with a
 // final result bit-identical to an uninterrupted run.
 type JobSubmitRequest struct {
-	// Mode selects "w2w" (the default), "d2w" or "sweep" (a durable
-	// parameter sweep through the analytic model — Points required).
+	// Mode selects "w2w" (the default) or "d2w". A parameter sweep is not
+	// a job: POST its points to /v1/evaluate/batch.
 	Mode   string          `json:"mode,omitempty"`
 	Params json.RawMessage `json:"params,omitempty"`
 	// Seed fixes the RNG; equal seeds reproduce exactly — across crashes.
@@ -318,13 +318,6 @@ type JobSubmitRequest struct {
 	// fall back to submission order, and waiting jobs age upward so a
 	// low-priority job is delayed but never starved.
 	Priority int `json:"priority,omitempty"`
-	// Points is the sweep's parameter list (mode "sweep" only): one
-	// partial override of the daemon defaults per point, evaluated
-	// analytically with the point index as the checkpoint ladder.
-	Points []json.RawMessage `json:"points,omitempty"`
-	// Eval selects which breakdowns a sweep evaluates per point: "w2w",
-	// "d2w" or "both" (the default). Mode "sweep" only.
-	Eval string `json:"eval,omitempty"`
 }
 
 // JobResponse describes one job: the body of GET /v1/jobs/{id}, the 202
@@ -354,10 +347,6 @@ type JobResponse struct {
 	// Result is the final merged result of a done job, in the same shape
 	// as a synchronous simulate response.
 	Result *SimulateResponse `json:"result,omitempty"`
-	// Sweep holds the outcomes of the Completed sweep points (mode
-	// "sweep" only), cumulative as the checkpoint ladder advances — the
-	// same per-point shape as a synchronous batch response.
-	Sweep []SweepPoint `json:"sweep,omitempty"`
 }
 
 // JobListResponse is the body of GET /v1/jobs, sorted by job ID.
