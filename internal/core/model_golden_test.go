@@ -78,10 +78,10 @@ func TestAnalyticGoldenReplayFinePitch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkBits(t, "D2W pitch0.8 Overlay", d.Overlay, 0x3fd5511c90c70173)
+	checkBits(t, "D2W pitch0.8 Overlay", d.Overlay, 0x3fd5511c8b71940e)
 	checkBits(t, "D2W pitch0.8 Recess", d.Recess, 0x3fe7853b41f58d13)
 	checkBits(t, "D2W pitch0.8 Defect", d.Defect, 0x3fec96a2bfed2250)
-	checkBits(t, "D2W pitch0.8 Total", d.Total, 0x3fcbfed9f35faffd)
+	checkBits(t, "D2W pitch0.8 Total", d.Total, 0x3fcbfed9ec5e770e)
 }
 
 // TestAnalyticUniformLayoutBitIdentical: the analytic half of the YAP+

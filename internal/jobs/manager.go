@@ -1403,6 +1403,14 @@ func (m *Manager) runJob(ctx context.Context, id string) {
 		m.mu.Unlock()
 		return // canceled (or GC'd) while queued
 	}
+	if ctx.Err() != nil || !m.active {
+		// The activation is ending (Close or Demote), and runner's select
+		// may still have taken a queue token: leave the job as it is. The
+		// next activation re-enqueues it, and a pending job does not read
+		// as resumed.
+		m.mu.Unlock()
+		return
+	}
 	if js.job.State == StatePending {
 		// Durable append before the in-memory transition: a crash in
 		// between replays pending→running from the WAL instead of losing it.

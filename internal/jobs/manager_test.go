@@ -419,6 +419,60 @@ func TestCancelPendingAndRunning(t *testing.T) {
 	}
 }
 
+// TestRunJobAfterStopLeavesJobPending: a runner whose select takes a queue
+// token after its activation's context is done must not start the job. The
+// job stays pending through Close and does not count a resume on reopen,
+// while the job that was really running does.
+func TestRunJobAfterStopLeavesJobPending(t *testing.T) {
+	started := make(chan struct{}, 8)
+	run := func(ctx context.Context, mode string, opts sim.Options) (sim.Result, error) {
+		started <- struct{}{}
+		<-ctx.Done()
+		return sim.Result{}, ctx.Err()
+	}
+	dir := t.TempDir()
+	m, err := Open(Config{Dir: dir, Run: run, Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, err := m.Submit(testSpec(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started // the one runner is busy with a; b stays queued
+	b, err := m.Submit(testSpec(2, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	stopped, cancel := context.WithCancel(context.Background())
+	cancel()
+	m.runJob(stopped, b.ID) // the token a stopping runner's select may still pick
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if j, err := m.Get(b.ID); err != nil || j.State != StatePending {
+		t.Fatalf("after Close: job %s state %v (err %v), want pending", b.ID, j.State, err)
+	}
+
+	m2, err := Open(Config{Dir: dir, Run: run, Runners: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m2.Close()
+	for _, tc := range []struct {
+		id      string
+		resumes int
+	}{{a.ID, 1}, {b.ID, 0}} {
+		j, err := m2.Get(tc.id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if j.Resumes != tc.resumes {
+			t.Errorf("job %s: %d resumes after reopen, want %d", tc.id, j.Resumes, tc.resumes)
+		}
+	}
+}
+
 func TestSubmitValidation(t *testing.T) {
 	m, err := Open(Config{Dir: t.TempDir()})
 	if err != nil {

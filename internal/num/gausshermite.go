@@ -98,25 +98,50 @@ func ExpectNormal(g func(x []float64) float64, mu, sigma []float64) float64 {
 }
 
 // ExpectNormalAdaptive returns E[g(X)] for X ~ N(mu, sigma²) by adaptive
-// Simpson integration of g against the normal density over ±7σ. Unlike the
-// fixed Gauss–Hermite rule it resolves near-discontinuous g (yield
-// indicators smoothed over a few nanometers of misalignment), at the cost
-// of more evaluations; use it for the one or two dimensions whose spread
-// dwarfs the indicator's transition width.
-func ExpectNormalAdaptive(g func(float64) float64, mu, sigma float64) float64 {
+// Simpson integration in probability space: the integral of
+// g(mu + sigma·Φ⁻¹(u)) over u in the ±7σ window [Φ(−7), Φ(7)], divided by
+// the window's mass. Unlike the fixed Gauss–Hermite rule it resolves
+// near-discontinuous g (yield indicators smoothed over a few nanometers of
+// misalignment); use it for the one or two dimensions whose spread dwarfs
+// the indicator's transition width. A zero sigma collapses to g(mu).
+//
+// The window is split at x = split, and each half is integrated to an
+// absolute 2.5e-8. The caller places the split where g's survival window
+// sits: in u the normal density costs no nodes, but a survival window
+// narrow in u can fall between the first nodes, which then agree on a flat
+// g and stop. g is integrated as g − g(split) with the constant added back,
+// so a g that is flat on the first nodes returns g(split) exactly, from
+// nine evaluations, or five when split lies outside the window and is
+// clamped to its edge.
+//
+// Accuracy, against composite 8-point Gauss–Legendre references within
+// 2.1e-9 of grids four times finer: 532 D2W placement averages (the full
+// sets of overlay's TestD2WPlacementAccuracy) are within 1e-6, the worst
+// at 2.0e-7, and the 72 drifted recess die yields of recess's
+// TestDriftedYieldAccuracy within 1e-7.
+func ExpectNormalAdaptive(g func(float64) float64, mu, sigma, split float64) float64 {
 	if sigma == 0 {
 		return g(mu)
 	}
-	f := func(x float64) float64 {
-		z := (x - mu) / sigma
-		return g(x) * math.Exp(-0.5*z*z) / (sigma * math.Sqrt(2*math.Pi))
+	const tol = 2.5e-8
+	x := func(u float64) float64 { return mu + sigma*StdNormalQuantile(u) }
+	lo, hi := normalWindowLo, 1-normalWindowLo
+	us := Clamp(0.5*math.Erfc((mu-split)/sigma*invSqrt2), lo, hi)
+	c := g(x(us))
+	f := func(u float64) float64 { return g(x(u)) - c }
+	budget := integrateBudget
+	var sum float64
+	if lo < us {
+		sum += integrate(f, lo, us, f(lo), 0, tol, &budget)
 	}
-	const span = 7.0
-	// g is bounded by O(1) in yield use; 1e-6 absolute keeps the quadrature
-	// error three orders below the Monte-Carlo noise it is compared to,
-	// without over-refining (each g evaluation may itself be a quadrature).
-	return Integrate(f, mu-span*sigma, mu+span*sigma, 1e-6)
+	if us < hi {
+		sum += integrate(f, us, hi, 0, f(hi), tol, &budget)
+	}
+	return c + sum/(hi-lo)
 }
+
+// normalWindowLo is Φ(−7), the lower edge of ExpectNormalAdaptive's window.
+var normalWindowLo = 0.5 * math.Erfc(7*invSqrt2)
 
 func expectNormalRec(g func(x []float64) float64, mu, sigma, x []float64, dim int) float64 {
 	if dim == len(mu) {

@@ -82,7 +82,7 @@ func TestExpectNormalAdaptiveIndicator(t *testing.T) {
 			return 1
 		}
 		return 0
-	}, mu, sigma)
+	}, mu, sigma, mu)
 	want := StdNormalCDF((a - mu) / sigma)
 	if !almostEqual(got, want, 1e-6) {
 		t.Errorf("indicator expectation = %.10g, want %.10g", got, want)
@@ -93,14 +93,49 @@ func TestExpectNormalAdaptiveMatchesGHOnSmooth(t *testing.T) {
 	g := func(x float64) float64 { return math.Sin(x) + x*x }
 	mu, sigma := 0.3, 1.1
 	gh := ExpectNormal1(g, mu, sigma)
-	ad := ExpectNormalAdaptive(g, mu, sigma)
+	ad := ExpectNormalAdaptive(g, mu, sigma, mu)
 	if !almostEqual(gh, ad, 1e-5) {
 		t.Errorf("GH %g vs adaptive %g", gh, ad)
 	}
 }
 
+// TestExpectNormalAdaptiveConstant: a constant integrand returns its
+// constant exactly, from nine evaluations when the split falls inside the
+// ±7σ window and from five when it is clamped to either edge.
+func TestExpectNormalAdaptiveConstant(t *testing.T) {
+	for _, tc := range []struct {
+		split float64
+		calls int
+	}{{-1e-3, 5}, {-2e-6, 5}, {0, 9}, {1e-6, 9}, {2.2e-6, 9}, {1e-3, 5}} {
+		calls := 0
+		got := ExpectNormalAdaptive(func(float64) float64 { calls++; return 0.75 }, 1e-6, 2e-7, tc.split)
+		if got != 0.75 || calls != tc.calls {
+			t.Errorf("split %g: %v from %d evaluations, want exactly 0.75 from %d", tc.split, got, calls, tc.calls)
+		}
+	}
+}
+
+// TestExpectNormalAdaptiveNarrowWindow: the mass of a survival window a
+// twentieth of σ wide, between the nodes an unsplit window starts from, is
+// found when the split falls inside it.
+func TestExpectNormalAdaptiveNarrowWindow(t *testing.T) {
+	const mu, sigma = 2.0, 0.5
+	for _, z := range []float64{-4.2, -1.75, 0.4, 2.6, 5.1} {
+		lo, hi := mu+(z-0.025)*sigma, mu+(z+0.025)*sigma
+		got := ExpectNormalAdaptive(func(x float64) float64 {
+			if lo <= x && x <= hi {
+				return 1
+			}
+			return 0
+		}, mu, sigma, mu+z*sigma)
+		if want := NormalInterval(lo, hi, mu, sigma); math.Abs(got-want) > 1e-7 {
+			t.Errorf("window at z = %g: %.10g, want %.10g", z, got, want)
+		}
+	}
+}
+
 func TestExpectNormalAdaptiveDegenerate(t *testing.T) {
-	if got := ExpectNormalAdaptive(func(x float64) float64 { return 2 * x }, 4, 0); got != 8 {
+	if got := ExpectNormalAdaptive(func(x float64) float64 { return 2 * x }, 4, 0, 0); got != 8 {
 		t.Errorf("degenerate adaptive = %g, want 8", got)
 	}
 }

@@ -20,15 +20,22 @@ func Integrate(f func(float64) float64, a, b, tol float64) float64 {
 		a, b = b, a
 		sign = -1
 	}
-	fa, fb := f(a), f(b)
+	budget := integrateBudget
+	return sign * integrate(f, a, b, f(a), f(b), tol, &budget)
+}
+
+// integrateBudget bounds the integrand calls of one Integrate on
+// pathological integrands (divergent tails, misconfigured scales): once it
+// is exhausted, remaining panels return their best current estimate
+// instead of refining further.
+const integrateBudget = 2_000_000
+
+// integrate is Integrate's adaptive Simpson rule on a < b, given f(a) and
+// f(b) and drawing on budget.
+func integrate(f func(float64) float64, a, b, fa, fb, tol float64, budget *int) float64 {
 	m := 0.5 * (a + b)
 	fm := f(m)
-	whole := simpson(a, b, fa, fm, fb)
-	// The budget bounds total work on pathological integrands (divergent
-	// tails, misconfigured scales): once exhausted, remaining panels return
-	// their best current estimate instead of refining further.
-	budget := 2_000_000
-	return sign * adaptiveSimpson(f, a, b, fa, fm, fb, whole, tol, 52, &budget)
+	return adaptiveSimpson(f, a, b, fa, fm, fb, simpson(a, b, fa, fm, fb), tol, 52, budget)
 }
 
 func simpson(a, b, fa, fm, fb float64) float64 {

@@ -16,32 +16,6 @@ import (
 	"yap/internal/wafer"
 )
 
-// referenceD2W is ExpectedDieYieldD2WRegions written as closures over the
-// public pieces: num.ExpectNormal over (T_x, T_y, α) inside
-// num.ExpectNormalAdaptive over E, each node building a Distortion,
-// rescaling it with ScaleToDie and evaluating DiePOSRegions. The
-// production quadrature runs the same rule over per-call tables and must
-// reproduce this bit for bit.
-func referenceD2W(m overlay.Model, dieW, dieH, refRadius float64, spread overlay.PlacementSpread, regions []overlay.PadRegion) float64 {
-	if spread.Zero() {
-		return m.DieYieldD2WRegions(dieW, dieH, refRadius, regions)
-	}
-	halfDiag := wafer.HalfDiagonal(dieW, dieH)
-	muSmooth := []float64{m.Dist.TX, m.Dist.TY, m.Dist.Rotation}
-	sigmaSmooth := []float64{spread.TXSigma, spread.TYSigma, spread.RotationSigma}
-	pos := func(tx, ty, rot, mag float64) float64 {
-		dist := overlay.Distortion{TX: tx, TY: ty, Rotation: rot, Magnification: mag}.
-			ScaleToDie(refRadius, halfDiag)
-		return overlay.DiePOSRegions(dist, regions, m.Sigma1)
-	}
-	y := num.ExpectNormalAdaptive(func(mag float64) float64 {
-		return num.ExpectNormal(func(x []float64) float64 {
-			return pos(x[0], x[1], x[2], mag)
-		}, muSmooth, sigmaSmooth)
-	}, m.Dist.Magnification, spread.MagnificationSigma)
-	return num.Clamp(y, 0, 1)
-}
-
 // d2wCase is one input of the placement quadrature.
 type d2wCase struct {
 	name             string
@@ -49,6 +23,40 @@ type d2wCase struct {
 	dieW, dieH, refR float64
 	spread           overlay.PlacementSpread
 	regions          []overlay.PadRegion
+}
+
+// closureInner is the placement integrand written as closures over the
+// public pieces: num.ExpectNormal over (T_x, T_y, α) at magnification mag,
+// each node building a Distortion, rescaling it with ScaleToDie and
+// evaluating DiePOSRegions.
+func (c d2wCase) closureInner() func(mag float64) float64 {
+	halfDiag := wafer.HalfDiagonal(c.dieW, c.dieH)
+	mu := []float64{c.m.Dist.TX, c.m.Dist.TY, c.m.Dist.Rotation}
+	sigma := []float64{c.spread.TXSigma, c.spread.TYSigma, c.spread.RotationSigma}
+	return func(mag float64) float64 {
+		return num.ExpectNormal(func(x []float64) float64 {
+			dist := overlay.Distortion{TX: x[0], TY: x[1], Rotation: x[2], Magnification: mag}.
+				ScaleToDie(c.refR, halfDiag)
+			return overlay.DiePOSRegions(dist, c.regions, c.m.Sigma1)
+		}, mu, sigma)
+	}
+}
+
+// reference is ExpectedDieYieldD2WRegions written as closures: closureInner
+// inside num.ExpectNormalAdaptive over E, split at zero magnification. The
+// production quadrature runs the same rules over per-call tables and must
+// reproduce this bit for bit.
+func (c d2wCase) reference() float64 {
+	if c.spread.Zero() {
+		return c.m.DieYieldD2WRegions(c.dieW, c.dieH, c.refR, c.regions)
+	}
+	y := num.ExpectNormalAdaptive(c.closureInner(), c.m.Dist.Magnification, c.spread.MagnificationSigma, 0)
+	return num.Clamp(y, 0, 1)
+}
+
+// yield is the production quadrature's answer for c.
+func (c d2wCase) yield() float64 {
+	return c.m.ExpectedDieYieldD2WRegions(c.dieW, c.dieH, c.refR, c.spread, c.regions)
 }
 
 // caseOf resolves a parameter set to the overlay term's inputs as
@@ -66,8 +74,7 @@ func caseOf(name string, p core.Params) d2wCase {
 // returns the yield.
 func (c d2wCase) checkBits(t *testing.T) float64 {
 	t.Helper()
-	got := c.m.ExpectedDieYieldD2WRegions(c.dieW, c.dieH, c.refR, c.spread, c.regions)
-	want := referenceD2W(c.m, c.dieW, c.dieH, c.refR, c.spread, c.regions)
+	got, want := c.yield(), c.reference()
 	if math.Float64bits(got) != math.Float64bits(want) {
 		t.Errorf("%s: quadrature %v (bits %016x), reference %v (bits %016x)",
 			c.name, got, math.Float64bits(got), want, math.Float64bits(want))
@@ -93,17 +100,7 @@ func jitteredParams(rng *randx.Source, regions int) core.Params {
 			{Name: "io", X0: split, Y0: -5 * mm, X1: 5 * mm, Y1: 5 * mm, Pitch: float64(7+rng.IntN(4)) * um},
 		}
 	case 8:
-		xs := []float64{-5 * mm, (-2.5 + rng.Uniform(-0.3, 0.3)) * mm, rng.Uniform(-0.3, 0.3) * mm, (2.5 + rng.Uniform(-0.3, 0.3)) * mm, 5 * mm}
-		ys := []float64{-5 * mm, rng.Uniform(-0.5, 0.5) * mm, 5 * mm}
-		for j := 0; j < 2; j++ {
-			for i := 0; i < 4; i++ {
-				l.Regions = append(l.Regions, layout.Region{
-					Name: fmt.Sprintf("b%d%d", j, i),
-					X0:   xs[i], Y0: ys[j], X1: xs[i+1], Y1: ys[j+1],
-					Pitch: float64(6+rng.IntN(5)) * um,
-				})
-			}
-		}
+		l.Regions = jitteredBlocks(rng, func() float64 { return float64(6+rng.IntN(5)) * um })
 	}
 	if regions > 0 {
 		p.PadLayout = &l
@@ -111,16 +108,136 @@ func jitteredParams(rng *randx.Source, regions int) core.Params {
 	return p
 }
 
-// finePitchParams are the 18 Table I points at 0.6–1.2 µm pitch and 10,
+// jitteredBlocks splits the 10 mm Table I die into 4 × 2 regions with
+// jittered boundaries, each at the pitch pitch draws.
+func jitteredBlocks(rng *randx.Source, pitch func() float64) []layout.Region {
+	const mm = units.Millimeter
+	xs := []float64{-5 * mm, (-2.5 + rng.Uniform(-0.3, 0.3)) * mm, rng.Uniform(-0.3, 0.3) * mm, (2.5 + rng.Uniform(-0.3, 0.3)) * mm, 5 * mm}
+	ys := []float64{-5 * mm, rng.Uniform(-0.5, 0.5) * mm, 5 * mm}
+	var out []layout.Region
+	for j := 0; j < 2; j++ {
+		for i := 0; i < 4; i++ {
+			out = append(out, layout.Region{
+				Name: fmt.Sprintf("b%d%d", j, i),
+				X0:   xs[i], Y0: ys[j], X1: xs[i+1], Y1: ys[j+1],
+				Pitch: pitch(),
+			})
+		}
+	}
+	return out
+}
+
+// fineLayoutParams draws a Table I point at a die pitch of 0.6–1.2 µm and
+// a warpage of 8–30 µm with a pad layout of 2 or 8 regions, jittered as in
+// jitteredParams, each region at its own pitch of 0.6–1.2 µm with pads of a
+// third and a half of it: layouts whose D2W overlay yield is informative.
+func fineLayoutParams(rng *randx.Source, regions int) core.Params {
+	const mm, um = units.Millimeter, units.Micrometer
+	p := core.Baseline().WithPitch(rng.Uniform(0.6, 1.2) * um)
+	p.Warpage = rng.Uniform(8, 30) * um
+	var l layout.Layout
+	if regions == 2 {
+		split := rng.Uniform(-1, 1) * mm
+		l.Regions = []layout.Region{
+			{Name: "core", X0: -5 * mm, Y0: -5 * mm, X1: split, Y1: 5 * mm, Pitch: rng.Uniform(0.6, 1.2) * um},
+			{Name: "io", X0: split, Y0: -5 * mm, X1: 5 * mm, Y1: 5 * mm, Pitch: rng.Uniform(0.6, 1.2) * um},
+		}
+	} else {
+		l.Regions = jitteredBlocks(rng, func() float64 { return rng.Uniform(0.6, 1.2) * um })
+	}
+	for i := range l.Regions {
+		r := &l.Regions[i]
+		r.TopPadDiameter, r.BottomPadDiameter = r.Pitch/3, r.Pitch/2
+	}
+	p.PadLayout = &l
+	return p
+}
+
+// jitteredCases are the first n jitteredParams points of seed 1, cycling
+// through 0, 2 and 8 regions: the benchmark's kind of points, whose D2W
+// overlay yield saturates at 1.
+func jitteredCases(n int) []d2wCase {
+	rng := randx.NewSource(1)
+	out := make([]d2wCase, n)
+	for i := range out {
+		regions := []int{0, 2, 8}[i%3]
+		out[i] = caseOf(fmt.Sprintf("r%d/%d", regions, i), jitteredParams(rng, regions))
+	}
+	return out
+}
+
+// finePitchCases are the 18 Table I points at 0.6–1.2 µm pitch and 10,
 // 20 and 40 µm warpage, where the D2W overlay yield is informative.
-func finePitchParams() map[string]core.Params {
-	out := make(map[string]core.Params)
+func finePitchCases() []d2wCase {
+	var out []d2wCase
 	for _, pitch := range []float64{0.6, 0.7, 0.8, 0.9, 1.0, 1.2} {
 		for _, warp := range []float64{10, 20, 40} {
 			p := core.Baseline().WithPitch(pitch * units.Micrometer)
 			p.Warpage = warp * units.Micrometer
-			out[fmt.Sprintf("pitch%.1fum/warp%.0fum", pitch, warp)] = p
+			out = append(out, caseOf(fmt.Sprintf("pitch%.1fum/warp%.0fum", pitch, warp), p))
 		}
+	}
+	return out
+}
+
+// sampleCases are the sets of validate.SampleParams(core.Baseline(), 1,
+// 300) that keep reports true.
+func sampleCases(keep func(i int) bool) []d2wCase {
+	var out []d2wCase
+	for i, p := range validate.SampleParams(core.Baseline(), 1, 300) {
+		if keep(i) {
+			out = append(out, caseOf(fmt.Sprintf("set%d", i), p))
+		}
+	}
+	return out
+}
+
+// zeroSigmaCases are the 0.8 µm pitch point at 20 µm warpage, a 2- and an
+// 8-region jittered point and stressedCase, each as is and with each of its
+// four spreads zeroed in turn.
+func zeroSigmaCases() []d2wCase {
+	fine := core.Baseline().WithPitch(0.8 * units.Micrometer)
+	fine.Warpage = 20 * units.Micrometer
+	rng := randx.NewSource(2)
+	var out []d2wCase
+	for _, c := range []d2wCase{
+		caseOf("pitch0.8um", fine),
+		caseOf("r2", jitteredParams(rng, 2)),
+		caseOf("r8", jitteredParams(rng, 8)),
+		stressedCase(),
+	} {
+		out = append(out, c)
+		out = append(out, zeroEachSigma(c)...)
+	}
+	return out
+}
+
+// gridCases are Table I points on a pitch × warpage grid, 0.5–1.4 µm in
+// 0.1 µm steps by 5–30 µm in 3.125 µm steps, that keep reports true.
+func gridCases(keep func(i, j int) bool) []d2wCase {
+	var out []d2wCase
+	for i := 0; i < 10; i++ {
+		for j := 0; j < 9; j++ {
+			if !keep(i, j) {
+				continue
+			}
+			pitch, warp := 0.5+0.1*float64(i), 5+3.125*float64(j)
+			p := core.Baseline().WithPitch(pitch * units.Micrometer)
+			p.Warpage = warp * units.Micrometer
+			out = append(out, caseOf(fmt.Sprintf("grid/pitch%.1fum/warp%.3gum", pitch, warp), p))
+		}
+	}
+	return out
+}
+
+// fineLayoutCases are the first n fineLayoutParams points of seed 5,
+// alternating 2 and 8 regions.
+func fineLayoutCases(n int) []d2wCase {
+	rng := randx.NewSource(5)
+	out := make([]d2wCase, n)
+	for i := range out {
+		regions := []int{2, 8}[i%2]
+		out[i] = caseOf(fmt.Sprintf("fine-r%d/%d", regions, i), fineLayoutParams(rng, regions))
 	}
 	return out
 }
@@ -149,51 +266,122 @@ func zeroEachSigma(c d2wCase) []d2wCase {
 // TestD2WQuadratureMatchesReference: the table-driven placement
 // quadrature is the closure integrator bit for bit on the benchmark's kind
 // of points (saturated), on the fine-pitch and sampled points where the
-// yield is informative, and with each spread zero in turn. It checks that
-// the informative regime is actually reached.
+// yield is informative, and with each spread zero in turn. Both run the
+// same outer magnification rule, so this pins the Gauss–Hermite tensor over
+// the tables. It checks that the informative regime is actually reached.
 func TestD2WQuadratureMatchesReference(t *testing.T) {
 	var informative int
-	count := func(y float64) {
-		if y > 0 && y < 1 {
-			informative++
-		}
-	}
-	t.Run("jittered", func(t *testing.T) {
-		rng := randx.NewSource(1)
-		for i := 0; i < 12; i++ {
-			regions := []int{0, 2, 8}[i%3]
-			c := caseOf(fmt.Sprintf("r%d/%d", regions, i), jitteredParams(rng, regions))
-			count(c.checkBits(t))
-		}
-	})
-	t.Run("fine-pitch", func(t *testing.T) {
-		for name, p := range finePitchParams() {
-			count(caseOf(name, p).checkBits(t))
-		}
-	})
-	t.Run("sample300", func(t *testing.T) {
-		for i, p := range validate.SampleParams(core.Baseline(), 1, 300) {
-			count(caseOf(fmt.Sprintf("set%d", i), p).checkBits(t))
-		}
-	})
-	t.Run("zero-sigma", func(t *testing.T) {
-		fine := core.Baseline().WithPitch(0.8 * units.Micrometer)
-		fine.Warpage = 20 * units.Micrometer
-		rng := randx.NewSource(2)
-		for _, c := range []d2wCase{
-			caseOf("pitch0.8um", fine),
-			caseOf("r2", jitteredParams(rng, 2)),
-			caseOf("r8", jitteredParams(rng, 8)),
-			stressedCase(),
-		} {
-			for _, z := range zeroEachSigma(c) {
-				count(z.checkBits(t))
+	for _, set := range []struct {
+		name  string
+		cases []d2wCase
+	}{
+		{"jittered", jitteredCases(12)},
+		{"fine-pitch", finePitchCases()},
+		{"sample300", sampleCases(func(int) bool { return true })},
+		{"zero-sigma", zeroSigmaCases()},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			for _, c := range set.cases {
+				if y := c.checkBits(t); y > 0 && y < 1 {
+					informative++
+				}
 			}
-		}
-	})
+		})
+	}
 	t.Logf("%d compared yields lie strictly inside (0, 1)", informative)
 	if informative < 50 {
 		t.Errorf("only %d compared yields lie strictly inside (0, 1); the comparison no longer reaches the informative regime", informative)
+	}
+}
+
+// glNodes8 and glWeights8 are the positive half of the 8-point
+// Gauss–Legendre rule on [−1, 1].
+var (
+	glNodes8   = [4]float64{0.1834346424956498, 0.5255324099163290, 0.7966664774136267, 0.9602898564975363}
+	glWeights8 = [4]float64{0.3626837833783620, 0.3137066458778873, 0.2223810344533745, 0.1012285362903763}
+)
+
+// converged is c's placement-averaged yield by a fixed rule independent
+// of num.ExpectNormalAdaptive: closureInner times the standard normal
+// density, integrated over z = (E − µ)/σ ∈ [−7, 7] by composite 8-point
+// Gauss–Legendre on panels equal panels and divided by the window's mass.
+func (c d2wCase) converged(panels int) float64 {
+	if c.spread.Zero() {
+		return c.m.DieYieldD2WRegions(c.dieW, c.dieH, c.refR, c.regions)
+	}
+	g := c.closureInner()
+	mu, sigma := c.m.Dist.Magnification, c.spread.MagnificationSigma
+	if sigma == 0 {
+		return num.Clamp(g(mu), 0, 1)
+	}
+	h := 14 / float64(panels)
+	var sum float64
+	for p := 0; p < panels; p++ {
+		mid := -7 + (float64(p)+0.5)*h
+		for i, x := range glNodes8 {
+			for _, z := range [2]float64{mid - x*h/2, mid + x*h/2} {
+				sum += glWeights8[i] * g(mu+sigma*z) * math.Exp(-z*z/2)
+			}
+		}
+	}
+	mass := 1 - math.Erfc(7/math.Sqrt2)
+	return num.Clamp(sum*h/2/math.Sqrt(2*math.Pi)/mass, 0, 1)
+}
+
+// referencePanels is the panel count of the converged reference in
+// TestD2WPlacementAccuracy; TestD2WConvergedReference checks it against a
+// grid four times finer.
+const referencePanels = 100
+
+// sampleMisses are the sets of the 300-set sample on which the adaptive
+// Simpson rule in x that preceded the probability-space rule was off by
+// more than 1e-6.
+var sampleMisses = map[int]bool{60: true, 67: true, 99: true, 230: true, 265: true, 295: true}
+
+// TestD2WPlacementAccuracy: the placement-averaged yield is within 1e-6 of
+// the converged fixed-grid reference on the saturated jittered points, the
+// fine-pitch points, the 300-set sample, the stressed and zero-σ inputs, a
+// fine pitch × warpage grid and fine-pitch layouts of 2 and 8 regions. The
+// sample, grid and layout sets are thinned to keep the package's tests
+// fast; the thinned sample keeps every sampleMisses set.
+func TestD2WPlacementAccuracy(t *testing.T) {
+	const tol = 1e-6
+	for _, set := range []struct {
+		name  string
+		cases []d2wCase
+	}{
+		{"jittered", jitteredCases(6)},
+		{"fine-pitch", finePitchCases()},
+		{"sample300", sampleCases(func(i int) bool { return i%10 == 0 || sampleMisses[i] })},
+		{"zero-sigma", zeroSigmaCases()},
+		{"grid", gridCases(func(i, j int) bool { return (i+j)%3 == 0 })},
+		{"fine-layouts", fineLayoutCases(8)},
+	} {
+		t.Run(set.name, func(t *testing.T) {
+			t.Parallel()
+			for _, c := range set.cases {
+				got, want := c.yield(), c.converged(referencePanels)
+				if d := math.Abs(got - want); d > tol {
+					t.Errorf("%s: yield %.10g, converged reference %.10g (|Δ| = %.2g > %g)", c.name, got, want, d, tol)
+				}
+			}
+		})
+	}
+}
+
+// TestD2WConvergedReference: the reference of TestD2WPlacementAccuracy
+// agrees with a grid four times finer, within a hundredth of the accuracy
+// it checks, at the golden pin point and where the survival window is
+// narrowest.
+func TestD2WConvergedReference(t *testing.T) {
+	for _, c := range finePitchCases() {
+		if c.name != "pitch0.6um/warp20um" && c.name != "pitch0.7um/warp20um" && c.name != "pitch0.8um/warp10um" {
+			continue
+		}
+		coarse, fine := c.converged(referencePanels), c.converged(4*referencePanels)
+		if d := math.Abs(coarse - fine); d > 1e-8 {
+			t.Errorf("%s: %d panels %.12g, %d panels %.12g (|Δ| = %.2g)", c.name, referencePanels, coarse, 4*referencePanels, fine, d)
+		}
 	}
 }
 

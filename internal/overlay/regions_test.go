@@ -70,8 +70,8 @@ func TestD2WRegionsSingleRegionBitIdentical(t *testing.T) {
 	}{
 		{"DieYieldD2W", m.DieYieldD2W(dieW, dieH, refR), 0x3fe6762128cab7a8},
 		{"DieYieldD2WRegions", m.DieYieldD2WRegions(dieW, dieH, refR, regions), 0x3fe6762128cab7a8},
-		{"ExpectedDieYieldD2W", m.ExpectedDieYieldD2W(dieW, dieH, refR, spread), 0x3fdb1732156a436b},
-		{"ExpectedDieYieldD2WRegions", m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, spread, regions), 0x3fdb1732156a436b},
+		{"ExpectedDieYieldD2W", m.ExpectedDieYieldD2W(dieW, dieH, refR, spread), 0x3fdb173208c26690},
+		{"ExpectedDieYieldD2WRegions", m.ExpectedDieYieldD2WRegions(dieW, dieH, refR, spread, regions), 0x3fdb173208c26690},
 	} {
 		if math.Float64bits(tc.y) != tc.want {
 			t.Errorf("%s = %v (bits %016x), want bits %016x", tc.name, tc.y, math.Float64bits(tc.y), tc.want)

@@ -146,15 +146,17 @@ func (p Params) PadFailProb() float64 {
 // survive the exponentiation. With a nonzero WaferSigma the yield is the
 // expectation over the common-mode mean shift,
 // E_m[POS(µ_h+m)^N], integrated adaptively because POS^N is a cliff
-// function of the shift.
+// function of the shift. The rule splits at the shift that centres the
+// summed mean height in (ζ₋, ζ₊), the middle of the shifts a die survives.
 func (p Params) DieYield(n int) float64 {
 	if n <= 0 {
 		return 1
 	}
 	if p.WaferSigma > 0 {
+		centre := (p.LowerBound()+p.UpperBound())/2 - p.MeanHeightSum()
 		return num.Clamp(num.ExpectNormalAdaptive(func(shift float64) float64 {
 			return p.ShiftedDieYield(n, shift)
-		}, 0, p.WaferSigma), 0, 1)
+		}, 0, p.WaferSigma, centre), 0, 1)
 	}
 	return p.ShiftedDieYield(n, 0)
 }

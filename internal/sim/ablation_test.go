@@ -36,7 +36,7 @@ func TestTwoDSimMatchesRiceAnalytics(t *testing.T) {
 				ScaleToDie(p.WaferRadius(), halfDiag)
 			return overlay.DiePOS2D(dist, pads.Rect, delta, m.Sigma1)
 		}, muSmooth, sigmaSmooth)
-	}, m.Dist.Magnification, spread.MagnificationSigma)
+	}, m.Dist.Magnification, spread.MagnificationSigma, 0)
 
 	if math.Abs(res.OverlayYield-want) > 0.015 {
 		t.Errorf("2-D sim overlay %g vs Rice analytics %g", res.OverlayYield, want)
