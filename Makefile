@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build vet lint test test-race chaos drills bench bench-smoke bench-records cover figures report serve clean
+.PHONY: all build vet lint test test-race chaos drills bench bench-smoke cover figures report serve clean
 
 all: build vet lint test
 
@@ -49,8 +49,13 @@ drills: $(DRILL_TARGETS)
 $(DRILL_TARGETS): drill-%:
 	$(GO) run -race ./cmd/yapload -drill $*
 
+# The benchmark BENCHMARK.json declares: both gated perfbench workloads,
+# 30 s each with the per-layer trace, against a yapserve built from this
+# checkout (see perfbench/WORKLOADS.md). The Go micro-benchmarks run with
+# `go test -run '^$$' -bench . -benchmem ./...`.
 bench:
-	$(GO) test -bench=. -benchmem ./...
+	bash perfbench/run.sh --workload sweep-cold --seed 1 --seconds 30 --trace 1
+	bash perfbench/run.sh --workload mc-regions --seed 1 --seconds 30 --trace 1
 
 # Smoke runs of the benchmark (~13 s warm). The traced sweep-cold run
 # re-composes core.Params.EvaluateW2W/D2W from the model calls they make
@@ -74,34 +79,6 @@ bench-smoke:
 		echo "bench-smoke: mc-regions simulate answers no longer match the in-process kernels"; exit 1; \
 	fi
 
-# Machine-readable benchmark records, one JSON event per line, all
-# regenerated by `make bench-records`. Three are committed so perf
-# regressions show up in review diffs:
-#   BENCH_jobs.json      jobs durability (checkpoint append + WAL replay)
-#   BENCH_converge.json  convergence (tally snapshot -> estimate/CI,
-#                        stop-rule evaluation, full checkpoint-ladder walk)
-#   BENCH_layout.json    pad-layout kernels: one W2W wafer / 1000 D2W dies
-#                        at 1 region vs 8 heterogeneous regions
-#   BENCH_cache.json     fleet cache: local hit, verified peer fetch, and
-#                        the batch endpoint end to end (256 points)
-BENCH_RECORDS := BENCH_jobs.json BENCH_converge.json BENCH_layout.json BENCH_cache.json
-.PHONY: $(BENCH_RECORDS)
-
-bench-records: $(BENCH_RECORDS)
-
-BENCH_jobs.json:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkJobs' -benchmem ./internal/jobs/ > $@
-
-BENCH_converge.json:
-	$(GO) test -json -run '^$$' -bench '.' -benchmem ./internal/converge/ > $@
-
-BENCH_layout.json:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkLayout' -benchmem ./internal/sim/ > $@
-
-BENCH_cache.json:
-	$(GO) test -json -run '^$$' -bench 'BenchmarkEvaluateLocalHit|BenchmarkFleetFetch' -benchmem ./internal/fleetcache/ > $@
-	$(GO) test -json -run '^$$' -bench 'BenchmarkBatchEvaluate' -benchmem ./internal/service/ >> $@
-
 cover:
 	$(GO) test -cover ./...
 
@@ -122,4 +99,4 @@ serve:
 	$(GO) run ./cmd/yapserve
 
 clean:
-	rm -rf results report test_output.txt bench_output.txt BENCH_jobs.json
+	rm -rf results report test_output.txt bench_output.txt

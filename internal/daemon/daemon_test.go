@@ -65,7 +65,13 @@ func TestRunRejectsBadInvocations(t *testing.T) {
 // cancels the context and requires Run to drain and return nil.
 func serve(t *testing.T, args ...string) (*client.Client, func()) {
 	t.Helper()
-	addr := freeAddr(t)
+	return serveAt(t, freeAddr(t), args...)
+}
+
+// serveAt is serve on a given address, for daemons whose flags name
+// their own URL.
+func serveAt(t *testing.T, addr string, args ...string) (*client.Client, func()) {
+	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	errc := make(chan error, 1)
 	go func() { errc <- Run(ctx, append([]string{"-addr", addr}, args...)) }()

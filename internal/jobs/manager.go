@@ -1039,6 +1039,9 @@ func (m *Manager) List() []Job {
 func (m *Manager) Cancel(id string) (Job, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	if m.closed {
+		return Job{}, ErrClosed
+	}
 	if !m.active {
 		return Job{}, ErrNotLeader
 	}
@@ -1048,7 +1051,7 @@ func (m *Manager) Cancel(id string) (Job, error) {
 	}
 	switch {
 	case js.job.State.Terminal():
-		return js.job, ErrTerminal
+		return js.job, fmt.Errorf("%w (%s)", ErrTerminal, js.job.State)
 	case js.cancel != nil: // running: the runner owns the terminal record
 		js.cancelRequested = true
 		js.cancel()

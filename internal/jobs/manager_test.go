@@ -784,3 +784,19 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Errorf("submit after close: %v, want ErrClosed", err)
 	}
 }
+
+// TestCancelAfterCloseReportsClosed: a closed standalone store is shut
+// down, not a replica follower, so Cancel answers like Submit and
+// Subscribe do.
+func TestCancelAfterCloseReportsClosed(t *testing.T) {
+	m, err := Open(Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Cancel("job-000001"); !errors.Is(err, ErrClosed) {
+		t.Errorf("cancel after close: %v, want ErrClosed", err)
+	}
+}

@@ -63,8 +63,11 @@ func NormalInterval(lo, hi, mu, sigma float64) float64 {
 // StdNormalQuantile returns z such that P(Z ≤ z) = p for Z ~ N(0,1).
 //
 // Implementation: Peter Acklam's rational approximation refined by one
-// Halley step against math.Erf, giving near machine precision over
-// p ∈ (0,1). Returns ±Inf at the endpoints and NaN outside [0,1].
+// Halley step whose residual comes from math.Erfc, which keeps relative
+// precision in the lower tail; p > 0.5 is answered as −Φ⁻¹(1 − p), exact
+// there, so both tails invert the p actually represented. The result is
+// within about 1e-14 of the exact quantile over p ∈ (0,1). Returns ±Inf at
+// the endpoints and NaN outside [0,1].
 func StdNormalQuantile(p float64) float64 {
 	switch {
 	case math.IsNaN(p) || p < 0 || p > 1:
@@ -73,6 +76,8 @@ func StdNormalQuantile(p float64) float64 {
 		return math.Inf(-1)
 	case p == 1:
 		return math.Inf(1)
+	case p > 0.5:
+		return -StdNormalQuantile(1 - p)
 	}
 	// Acklam coefficients.
 	a := [6]float64{-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02, 1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00}
@@ -82,23 +87,18 @@ func StdNormalQuantile(p float64) float64 {
 
 	const pLow = 0.02425
 	var z float64
-	switch {
-	case p < pLow:
+	if p < pLow {
 		q := math.Sqrt(-2 * math.Log(p))
 		z = (((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
 			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
-	case p <= 1-pLow:
+	} else {
 		q := p - 0.5
 		r := q * q
 		z = (((((a[0]*r+a[1])*r+a[2])*r+a[3])*r+a[4])*r + a[5]) * q /
 			(((((b[0]*r+b[1])*r+b[2])*r+b[3])*r+b[4])*r + 1)
-	default:
-		q := math.Sqrt(-2 * math.Log(1-p))
-		z = -(((((c[0]*q+c[1])*q+c[2])*q+c[3])*q+c[4])*q + c[5]) /
-			((((d[0]*q+d[1])*q+d[2])*q+d[3])*q + 1)
 	}
 	// One Halley refinement step.
-	e := StdNormalCDF(z) - p
+	e := 0.5*math.Erfc(-z*invSqrt2) - p
 	u := e * math.Sqrt(2*math.Pi) * math.Exp(z*z/2)
 	z -= u / (1 + z*u/2)
 	return z

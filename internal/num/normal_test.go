@@ -162,6 +162,43 @@ func TestStdNormalQuantileEdgeCases(t *testing.T) {
 	}
 }
 
+// lowerQuantileRef inverts ½·erfc(−z/√2) = p for p ∈ (0, 0.5] by
+// bisection; erfc keeps relative precision in the lower tail, so the root
+// is exact to the last few ulps of z.
+func lowerQuantileRef(p float64) float64 {
+	lo, hi := -40.0, 0.0
+	for i := 0; i < 200 && hi-lo > 1e-16*math.Max(1, -lo); i++ {
+		mid := 0.5 * (lo + hi)
+		if 0.5*math.Erfc(-mid*invSqrt2) < p {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	return 0.5 * (lo + hi)
+}
+
+// TestStdNormalQuantileTails checks both tails against the bisection
+// reference within 1e-13 in z, over a log grid of p from 1e-300 to 0.5:
+// a lower-tail p directly, and the upper tail as 1 − p, whose exact
+// quantile is −Φ⁻¹(1 − (1 − p)) with the subtraction exact.
+func TestStdNormalQuantileTails(t *testing.T) {
+	const tol = 1e-13
+	for e := -300.0; e <= math.Log10(0.5); e += 0.25 {
+		p := math.Pow(10, e)
+		if got, want := StdNormalQuantile(p), lowerQuantileRef(p); math.Abs(got-want) > tol {
+			t.Errorf("Quantile(%g) = %.17g, want %.17g (off by %.2g)", p, got, want, got-want)
+		}
+		q := 1 - p
+		if q == 1 {
+			continue
+		}
+		if got, want := StdNormalQuantile(q), -lowerQuantileRef(1-q); math.Abs(got-want) > tol {
+			t.Errorf("Quantile(1-%g) = %.17g, want %.17g (off by %.2g)", p, got, want, got-want)
+		}
+	}
+}
+
 func TestStdNormalQuantileSymmetry(t *testing.T) {
 	f := func(p float64) bool {
 		p = math.Abs(math.Mod(p, 1))

@@ -1,14 +1,12 @@
 package service
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"strings"
 	"time"
 
 	"yap/internal/jobs"
-	"yap/internal/replica"
 	"yap/internal/sim"
 )
 
@@ -65,38 +63,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		MinSamples:      req.MinSamples,
 		Priority:        req.Priority,
 	})
-	switch {
-	case err == nil:
-	case errors.Is(err, jobs.ErrNotLeader):
-		s.writeNotLeader(w)
-		return
-	case errors.Is(err, jobs.ErrQueueFull):
-		s.writeOverloaded(w, "job queue full; retry later", 0)
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		s.writeOverloaded(w, "server is shutting down", 0)
-		return
-	case errors.Is(err, replica.ErrNoQuorum):
-		writeError(w, http.StatusServiceUnavailable, "no_quorum",
-			"the submit was not acknowledged by a quorum of replicas and was annulled; retry later")
-		return
-	case errors.Is(err, replica.ErrDeposed):
-		// Transient cluster condition, not a client error: leadership moved
-		// while the submit awaited quorum. 503 keeps the client retrying
-		// (against the new leader, once a heartbeat names it).
-		writeError(w, http.StatusServiceUnavailable, "leadership_lost",
-			"leadership changed while the submit awaited quorum acknowledgement; the submission was annulled — retry")
-		return
-	case errors.Is(err, replica.ErrClosed):
-		s.writeOverloaded(w, "server is shutting down", 0)
-		return
-	case errors.Is(err, jobs.ErrInvalidSpec):
-		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
-		return
-	default:
-		// The store failed (a WAL append, say), not the request: 500, which
-		// the retrying client retries.
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	if err != nil {
+		s.writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusAccepted, s.jobResponse(job))
@@ -108,10 +76,10 @@ func (s *Server) handleJobGet(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	job, err := jm.Get(r.PathValue("id"))
+	id := r.PathValue("id")
+	job, err := jm.Get(id)
 	if err != nil {
-		writeError(w, http.StatusNotFound, "not_found",
-			fmt.Sprintf("no job %q (it may have expired; results are kept for a bounded TTL)", r.PathValue("id")))
+		s.writeFailure(w, fmt.Errorf("job %q: %w", id, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, s.jobResponse(job))
@@ -141,20 +109,8 @@ func (s *Server) handleJobCancel(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	job, err := jm.Cancel(id)
-	switch {
-	case err == nil:
-	case errors.Is(err, jobs.ErrNotLeader):
-		s.writeNotLeader(w)
-		return
-	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no job %q", id))
-		return
-	case errors.Is(err, jobs.ErrTerminal):
-		writeError(w, http.StatusConflict, "job_terminal",
-			fmt.Sprintf("job %s already finished as %s", id, job.State))
-		return
-	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	if err != nil {
+		s.writeFailure(w, fmt.Errorf("job %q: %w", id, err))
 		return
 	}
 	writeJSON(w, http.StatusOK, s.jobResponse(job))

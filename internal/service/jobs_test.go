@@ -227,6 +227,29 @@ func TestJobQueueFullSheds(t *testing.T) {
 	}
 }
 
+// TestJobMutationsOnClosedStoreShed: once the store is closed, submit,
+// cancel and stream each answer 503 "overloaded" with the back-off hint.
+func TestJobMutationsOnClosedStoreShed(t *testing.T) {
+	jm, err := jobs.Open(jobs.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := jm.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Jobs: jm})
+	for name, w := range map[string]*httptest.ResponseRecorder{
+		"submit": post(t, s, "/v1/jobs", `{"wafers": 2}`),
+		"cancel": del(t, s, "/v1/jobs/job-000001"),
+		"stream": get(t, s, "/v1/jobs/job-000001/stream"),
+	} {
+		if w.Code != http.StatusServiceUnavailable || errorCode(t, w) != "overloaded" || w.Header().Get("Retry-After") == "" {
+			t.Errorf("%s on a closed store: status %d code %q Retry-After %q, want 503 overloaded with a hint",
+				name, w.Code, errorCode(t, w), w.Header().Get("Retry-After"))
+		}
+	}
+}
+
 func TestMetricsExposeJobsAndBuildInfo(t *testing.T) {
 	s := newJobsServer(t, Config{})
 	w := post(t, s, "/v1/jobs", `{"seed": 5, "wafers": 2, "checkpoint_every": 1}`)

@@ -29,21 +29,3 @@ func (s *Server) handleReplica(w http.ResponseWriter, r *http.Request) {
 	}
 	writeJSON(w, http.StatusOK, n.Handle(r.Context(), msg))
 }
-
-// writeNotLeader answers a mutation that landed on a follower: 409 with
-// the leader's advertised URL so the client can re-aim without
-// rediscovering the cluster. The URL is empty mid-election; clients
-// should back off briefly and retry any member.
-func (s *Server) writeNotLeader(w http.ResponseWriter) {
-	detail := ErrorDetail{
-		Code:    "not_leader",
-		Message: "this node is a follower; submit mutations to the leader",
-	}
-	if n := s.cfg.Replica; n != nil {
-		if leader := n.LeaderURL(); leader != "" {
-			detail.LeaderURL = leader
-			detail.Message = "this node is a follower; submit mutations to the leader at " + leader
-		}
-	}
-	writeJSON(w, http.StatusConflict, ErrorResponse{Error: detail})
-}

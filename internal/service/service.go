@@ -37,7 +37,6 @@ import (
 	"net/http"
 	"runtime"
 	"runtime/debug"
-	"strconv"
 	"strings"
 	"time"
 
@@ -335,26 +334,6 @@ func writeError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, ErrorResponse{Error: ErrorDetail{Code: code, Message: msg}})
 }
 
-// writeOverloaded emits a 503 "overloaded" with the back-off hint both as
-// a Retry-After header (whole seconds, rounded up, per RFC 9110) and as
-// retry_after_ms in the body for sub-second precision.
-func (s *Server) writeOverloaded(w http.ResponseWriter, msg string, retryAfter time.Duration) {
-	if retryAfter <= 0 {
-		retryAfter = s.cfg.RetryAfter
-	}
-	s.metrics.shedTotal.Add(1)
-	secs := int64((retryAfter + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
-	writeJSON(w, http.StatusServiceUnavailable, ErrorResponse{Error: ErrorDetail{
-		Code:         "overloaded",
-		Message:      msg,
-		RetryAfterMs: retryAfter.Milliseconds(),
-	}})
-}
-
 // decodeRequest strictly decodes the body into dst, mapping failure
 // classes to structured 4xx responses. Returns false after writing the
 // error response.
@@ -437,21 +416,6 @@ func (s *Server) evaluatePoint(ctx context.Context, p core.Params, hash uint64, 
 	return pt, nil
 }
 
-// writeEvaluateError maps an evaluatePoint failure: model rejections are
-// the client's 422, while contained flight panics and injected faults are
-// the server's 500 (the parameters may be fine; the flight infrastructure
-// failed).
-func (s *Server) writeEvaluateError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, fleetcache.ErrFlightPanic), errors.Is(err, faultinject.ErrInjected):
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		s.writeSimError(w, err)
-	default:
-		writeError(w, http.StatusUnprocessableEntity, "invalid_params", err.Error())
-	}
-}
-
 func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	var req EvaluateRequest
 	if !decodeRequest(w, r, &req) {
@@ -469,7 +433,7 @@ func (s *Server) handleEvaluate(w http.ResponseWriter, r *http.Request) {
 	}
 	pt, err := s.evaluatePoint(r.Context(), p, hash, modes, nil)
 	if err != nil {
-		s.writeEvaluateError(w, err)
+		s.writeFailure(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, EvaluateResponse{ParamsHash: pt.ParamsHash, Cached: pt.Cached, W2W: pt.W2W, D2W: pt.D2W})
@@ -625,12 +589,7 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, run sim.Sli
 	// The breaker guards the simulation engine, so it is consulted only
 	// after validation: malformed requests say nothing about its health.
 	if err := s.breaker.Allow(); err != nil {
-		var open *resilience.BreakerOpenError
-		retryAfter := s.cfg.RetryAfter
-		if errors.As(err, &open) && open.RetryAfter > 0 {
-			retryAfter = open.RetryAfter
-		}
-		s.writeOverloaded(w, "simulation circuit breaker open; retry later", retryAfter)
+		s.writeFailure(w, err)
 		return sim.Result{}, false
 	}
 	ctx, cancel := s.withDeadline(r.Context())
@@ -645,12 +604,13 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, run sim.Sli
 		res, err = sim.Run(ctx, run, mode, opts)
 	}
 	if err != nil {
-		// Only internal engine failures count against the breaker;
-		// cancellations, overload sheds and bad parameters are neutral.
-		if isInternalSimError(err) {
+		// Only the server's own faults count against the breaker: an error
+		// the contract classifies (a shed, a deadline, a cancellation, a
+		// refused request) is neutral.
+		if classify(err) == nil {
 			s.breaker.Record(false)
 		}
-		s.writeSimError(w, err)
+		s.writeFailure(w, err)
 		return sim.Result{}, false
 	}
 	s.breaker.Record(true)
@@ -658,8 +618,8 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, run sim.Sli
 		// The server-side deadline fired but samples completed: degrade
 		// gracefully into a 200 carrying the partial tallies — unless the
 		// CLIENT is gone, in which case nothing useful can be delivered.
-		if r.Context().Err() != nil {
-			writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
+		if err := r.Context().Err(); err != nil {
+			s.writeFailure(w, err)
 			return sim.Result{}, false
 		}
 		s.metrics.partialResults.Add(1)
@@ -670,44 +630,6 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, run sim.Sli
 	}
 	s.metrics.simSamples.get(mode).Add(uint64(res.Counts.Dies))
 	return res, true
-}
-
-// isInternalSimError reports whether a simulate failure indicts the
-// engine itself (and so should count against the circuit breaker) rather
-// than the client or the admission layer.
-func isInternalSimError(err error) bool {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded),
-		errors.Is(err, context.Canceled),
-		errors.Is(err, resilience.ErrOverloaded),
-		errors.Is(err, resilience.ErrShutdown),
-		errors.Is(err, sim.ErrNoDies):
-		return false
-	}
-	return true
-}
-
-// statusClientClosedRequest is nginx's non-standard 499: the client went
-// away and the run was aborted. Nothing useful reaches the client; the
-// code exists for the request metrics.
-const statusClientClosedRequest = 499
-
-func (s *Server) writeSimError(w http.ResponseWriter, err error) {
-	switch {
-	case errors.Is(err, resilience.ErrOverloaded):
-		s.writeOverloaded(w, "simulation queue full; retry later", 0)
-	case errors.Is(err, resilience.ErrShutdown):
-		s.writeOverloaded(w, "server is shutting down", 0)
-	case errors.Is(err, context.DeadlineExceeded):
-		writeError(w, http.StatusServiceUnavailable, "deadline_exceeded",
-			"simulation exceeded the request deadline; reduce samples or raise the server timeout")
-	case errors.Is(err, context.Canceled):
-		writeError(w, statusClientClosedRequest, "canceled", "client canceled the request")
-	case errors.Is(err, sim.ErrNoDies):
-		writeError(w, http.StatusBadRequest, "invalid_params", err.Error())
-	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
-	}
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

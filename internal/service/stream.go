@@ -2,7 +2,6 @@ package service
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
@@ -50,17 +49,8 @@ func (s *Server) handleJobStream(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	events, cancel, err := jm.Subscribe(id, afterSeq)
-	switch {
-	case err == nil:
-	case errors.Is(err, jobs.ErrNotFound):
-		writeError(w, http.StatusNotFound, "not_found",
-			fmt.Sprintf("no job %q (it may have expired; results are kept for a bounded TTL)", id))
-		return
-	case errors.Is(err, jobs.ErrClosed):
-		s.writeOverloaded(w, "server is shutting down", 0)
-		return
-	default:
-		writeError(w, http.StatusInternalServerError, "internal", err.Error())
+	if err != nil {
+		s.writeFailure(w, fmt.Errorf("job %q: %w", id, err))
 		return
 	}
 	defer cancel()
