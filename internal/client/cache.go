@@ -1,11 +1,9 @@
 package client
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"yap/internal/core"
@@ -47,65 +45,35 @@ func cachePath(mode string, hash uint64) string {
 	return fmt.Sprintf("/v1/cache/%s/%016x", mode, hash)
 }
 
-// CacheTransport is the HTTP fleetcache.Transport: GET for peer fetch,
-// PUT for owner-warming offers. It deliberately bypasses the Client
-// retry machinery — the fleet cache runs its own tight deadline and
-// per-peer breaker, and a retried peer fetch is worse than a local
-// compute. The zero value is usable.
-type CacheTransport struct {
-	// HTTPClient overrides http.DefaultClient (for timeouts, transports,
-	// httptest servers). The fleet cache passes an already-deadlined ctx,
-	// so no client timeout is required.
-	HTTPClient *http.Client
-	// MaxBodyBytes caps entry bodies read into memory; 0 means 1 MiB —
-	// far above any real entry (params plus four floats), so hitting it
-	// means the peer is not speaking the protocol.
-	MaxBodyBytes int64
-}
+// CacheTransport is the HTTP fleetcache.Transport: GetCached for peer
+// fetch, a PUT of the same path for owner-warming offers. Each call is one
+// exchange with the peer, never retried — the fleet cache runs its own
+// tight deadline and per-peer breaker, and a retried peer fetch is worse
+// than a local compute. The zero value is usable.
+type CacheTransport struct{}
 
 var _ fleetcache.Transport = (*CacheTransport)(nil)
 
-func (t *CacheTransport) client() *http.Client {
-	if t.HTTPClient != nil {
-		return t.HTTPClient
-	}
-	return http.DefaultClient
-}
-
-func (t *CacheTransport) maxBody() int64 {
-	if t.MaxBodyBytes > 0 {
-		return t.MaxBodyBytes
-	}
-	return 1 << 20
+// peerClient returns a retry-free Client for one fleet member.
+func peerClient(peer string) (*Client, error) {
+	return New(Config{BaseURL: peer, MaxAttempts: 1})
 }
 
 // FetchCached implements fleetcache.Transport. A 404 from the peer is
-// fleetcache.ErrPeerMiss (cold cache — healthy); anything else non-200
-// is a peer error the caller's breaker counts.
+// fleetcache.ErrPeerMiss (cold cache — healthy); any other failure is a
+// peer error the caller's breaker counts.
 func (t *CacheTransport) FetchCached(ctx context.Context, peer, mode string, hash uint64) (fleetcache.Entry, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, peer+cachePath(mode, hash), nil)
+	c, err := peerClient(peer)
 	if err != nil {
-		return fleetcache.Entry{}, fmt.Errorf("client: cache fetch request: %w", err)
+		return fleetcache.Entry{}, err
 	}
-	resp, err := t.client().Do(req)
+	e, err := c.GetCached(ctx, mode, hash)
+	var apiErr *APIError
+	if errors.As(err, &apiErr) && apiErr.Status == http.StatusNotFound {
+		return fleetcache.Entry{}, fleetcache.ErrPeerMiss
+	}
 	if err != nil {
 		return fleetcache.Entry{}, fmt.Errorf("client: cache fetch %s: %w", peer, err)
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	body, err := io.ReadAll(io.LimitReader(resp.Body, t.maxBody()))
-	if err != nil {
-		return fleetcache.Entry{}, fmt.Errorf("client: cache fetch %s: read: %w", peer, err)
-	}
-	switch resp.StatusCode {
-	case http.StatusOK:
-	case http.StatusNotFound:
-		return fleetcache.Entry{}, fleetcache.ErrPeerMiss
-	default:
-		return fleetcache.Entry{}, fmt.Errorf("client: cache fetch %s: status %d: %s", peer, resp.StatusCode, body)
-	}
-	var e service.CacheEntryResponse
-	if err := json.Unmarshal(body, &e); err != nil {
-		return fleetcache.Entry{}, fmt.Errorf("client: cache fetch %s: decode: %w", peer, err)
 	}
 	return fleetcache.Entry{
 		Mode:   mode,
@@ -125,7 +93,11 @@ func (t *CacheTransport) FetchCached(ctx context.Context, peer, mode string, has
 // member and the owner disagree on canonical hashing and is surfaced as
 // an error.
 func (t *CacheTransport) OfferCached(ctx context.Context, peer string, e fleetcache.Entry) error {
-	body, err := json.Marshal(service.CachePutRequest{
+	c, err := peerClient(peer)
+	if err != nil {
+		return err
+	}
+	err = c.doMethod(ctx, http.MethodPut, cachePath(e.Mode, e.Hash), service.CachePutRequest{
 		Params: e.Params,
 		Breakdown: service.Breakdown{
 			Overlay: e.Breakdown.Overlay,
@@ -133,23 +105,9 @@ func (t *CacheTransport) OfferCached(ctx context.Context, peer string, e fleetca
 			Defect:  e.Breakdown.Defect,
 			Total:   e.Breakdown.Total,
 		},
-	})
-	if err != nil {
-		return fmt.Errorf("client: cache offer: marshal: %w", err)
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, peer+cachePath(e.Mode, e.Hash), bytes.NewReader(body))
-	if err != nil {
-		return fmt.Errorf("client: cache offer request: %w", err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := t.client().Do(req)
+	}, nil)
 	if err != nil {
 		return fmt.Errorf("client: cache offer %s: %w", peer, err)
-	}
-	defer resp.Body.Close() //nolint:errcheck
-	msg, _ := io.ReadAll(io.LimitReader(resp.Body, t.maxBody()))
-	if resp.StatusCode != http.StatusNoContent {
-		return fmt.Errorf("client: cache offer %s: status %d: %s", peer, resp.StatusCode, msg)
 	}
 	return nil
 }

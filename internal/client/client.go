@@ -275,7 +275,7 @@ func (c *Client) doMethod(ctx context.Context, method, path string, body, out an
 	return fmt.Errorf("client: %d attempts failed: %w", c.cfg.MaxAttempts, errors.Join(ErrAttemptsExhausted, lastErr))
 }
 
-// once performs a single HTTP exchange.
+// once performs a single HTTP exchange. A nil out discards a 2xx body.
 func (c *Client) once(ctx context.Context, method, path string, payload []byte, out any) error {
 	var body io.Reader
 	if payload != nil {
@@ -308,6 +308,9 @@ func (c *Client) once(ctx context.Context, method, path string, payload []byte, 
 			c.learnLeader(apiErr.LeaderURL)
 		}
 		return apiErr
+	}
+	if out == nil {
+		return nil
 	}
 	if err := json.Unmarshal(data, out); err != nil {
 		return fmt.Errorf("client: decoding %s response: %w", path, err)

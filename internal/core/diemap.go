@@ -42,10 +42,10 @@ func (p Params) W2WDieYields() ([]DieYield, error) {
 		return nil, err
 	}
 	dies := p.Layout().Dies()
-	grids := p.RegionGrids()
-	regions := overlayRegions(grids)
+	rs := p.Regions()
+	regions := padRegions(rs)
 	ov := p.OverlayModel()
-	recessY := p.regionRecessYield(grids)
+	recessY := recessYield(rs)
 	dp := p.DefectParams()
 
 	// Split Eq. 20 over the die outline into its position-independent

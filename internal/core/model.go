@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"yap/internal/layout"
 	"yap/internal/overlay"
 )
 
@@ -43,26 +42,26 @@ func (b Breakdown) Limiter() string {
 // EvaluateW2W evaluates the full W2W bonding-yield model (Eq. 22):
 // Y_W2W = Y_ovl,W2W · Y_cr,W2W · Y_df,W2W, each mechanism evaluated per
 // region of the effective pad layout (YAP+). The paper's uniform pad grid
-// is the one-region layout RegionGrids resolves a nil PadLayout to. The
+// is the one-region layout Regions resolves a nil PadLayout to. The
 // overlay term products per-region pad survival under the shared
 // distortion field, the recess term products per-region die yields at each
-// region's Cu density, and the defect term sums per-region kill rates Λ
-// before the Poisson exponent.
+// region's Cu density (recessYield), and the defect term sums per-region
+// kill rates Λ before the Poisson exponent.
 func (p Params) EvaluateW2W() (Breakdown, error) {
 	if err := p.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	grids := p.RegionGrids()
+	rs := p.Regions()
 	dp := p.DefectParams()
 	var lsum float64
-	for _, g := range grids {
+	for _, r := range rs {
 		// Per-region critical outline: the die outline for the paper's
 		// one full-die region.
-		lsum += dp.LambdaW2W(g.Rect.Width(), g.Rect.Height())
+		lsum += dp.LambdaW2W(r.Rect.Width(), r.Rect.Height())
 	}
 	b := Breakdown{
-		Overlay: p.OverlayModel().WaferYieldW2WRegions(p.Layout(), overlayRegions(grids)),
-		Recess:  p.regionRecessYield(grids),
+		Overlay: p.OverlayModel().WaferYieldW2WRegions(p.Layout(), padRegions(rs)),
+		Recess:  recessYield(rs),
 		Defect:  math.Exp(-lsum),
 	}
 	b.Total = b.Overlay * b.Recess * b.Defect
@@ -79,42 +78,61 @@ func (p Params) EvaluateD2W() (Breakdown, error) {
 	if err := p.Validate(); err != nil {
 		return Breakdown{}, err
 	}
-	grids := p.RegionGrids()
+	rs := p.Regions()
 	dp := p.DefectParams()
 	var lsum float64
-	for _, g := range grids {
-		lsum += dp.LambdaD2W(g.Rect.Width(), g.Rect.Height(),
-			g.Geometry.Pitch, g.Geometry.TopDiameter/2, g.Grid.Pads())
+	for _, r := range rs {
+		lsum += dp.LambdaD2W(r.Rect.Width(), r.Rect.Height(),
+			r.Geometry.Pitch, r.Geometry.TopDiameter/2, r.Grid.Pads())
 	}
 	b := Breakdown{
 		Overlay: p.OverlayModel().ExpectedDieYieldD2WRegions(
-			p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), overlayRegions(grids)),
-		Recess: p.regionRecessYield(grids),
+			p.DieWidth, p.DieHeight, p.WaferRadius(), p.PlacementSpread(), padRegions(rs)),
+		Recess: recessYield(rs),
 		Defect: math.Exp(-lsum),
 	}
 	b.Total = b.Overlay * b.Recess * b.Defect
 	return b, nil
 }
 
-// overlayRegions converts resolved region grids into the overlay model's
-// view: each region's pad-array rectangle plus its geometry's δ bound.
-func overlayRegions(grids []layout.RegionGrid) []overlay.PadRegion {
-	regions := make([]overlay.PadRegion, len(grids))
-	for i, g := range grids {
-		regions[i] = overlay.PadRegion{Rect: g.Grid.Rect, Delta: g.Geometry.MaxMisalignment()}
+// padRegions returns the overlay model's view of rs: each region's
+// pad-array rectangle with its δ.
+func padRegions(rs []Region) []overlay.PadRegion {
+	pads := make([]overlay.PadRegion, len(rs))
+	for i := range rs {
+		pads[i] = overlay.PadRegion{Rect: rs[i].Grid.Rect, Delta: rs[i].Delta}
 	}
-	return regions
+	return pads
 }
 
-// regionRecessYield returns Y_cr (Eq. 14) for a resolved layout: the
-// product of per-region all-pads-pass probabilities, each at the region's
-// Cu pattern density.
-func (p Params) regionRecessYield(grids []layout.RegionGrid) float64 {
+// RecessYieldAt returns the probability that every pad of every region
+// passes the Cu recess check (Eq. 14) with the summed mean pad height
+// displaced by shift, one draw of the common-mode drift that all regions
+// of a bond event share: the product of the regions' ShiftedDieYield. The
+// simulator draws the shift per bond event; the model integrates over it
+// (recessYield).
+func RecessYieldAt(rs []Region, shift float64) float64 {
 	y := 1.0
-	for _, g := range grids {
-		y *= p.RegionRecessParams(g.Geometry).DieYield(g.Grid.Pads())
+	for i := range rs {
+		y *= rs[i].Recess.ShiftedDieYield(rs[i].Grid.Pads(), shift)
 	}
 	return y
+}
+
+// recessYield returns Y_cr for the regions: RecessYieldAt without drift,
+// else its expectation over the one shift every region shares,
+// E_m[Π_r q_r(m)]. For one region that is recess.Params.DieYield bit for
+// bit.
+func recessYield(rs []Region) float64 {
+	rp := &rs[0].Recess
+	if rp.WaferSigma > 0 {
+		upper := math.Inf(1)
+		for i := range rs {
+			upper = min(upper, rs[i].Recess.UpperBound())
+		}
+		return rp.ExpectDrift(func(shift float64) float64 { return RecessYieldAt(rs, shift) }, upper)
+	}
+	return RecessYieldAt(rs, 0)
 }
 
 // SystemYield returns Y_sys = Y_D2W^n for a 2.5D system assembled from n

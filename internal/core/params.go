@@ -12,6 +12,7 @@ import (
 
 	"yap/internal/contact"
 	"yap/internal/defect"
+	"yap/internal/geom"
 	"yap/internal/layout"
 	"yap/internal/overlay"
 	"yap/internal/recess"
@@ -357,6 +358,36 @@ func (p Params) RegionRecessParams(g overlay.PadGeometry) recess.Params {
 	rp := p.RecessParams()
 	rp.CuDensity = recess.CuPatternDensity(g.BottomDiameter, g.Pitch)
 	return rp
+}
+
+// Region is one region of the effective pad layout, resolved once for
+// every reader: the analytic model, the per-die map and both Monte-Carlo
+// kernels. The paper's uniform grid is the one full-die region.
+type Region struct {
+	layout.RegionGrid
+	// Delta is the region geometry's survivable misalignment δ.
+	Delta float64
+	// Corners are the corners of the pad-array rectangle Grid.Rect, in
+	// Rect.Corners order.
+	Corners [4]geom.Vec2
+	// Recess is the Cu-recess submodel at the region's Cu pattern density.
+	Recess recess.Params
+}
+
+// Regions resolves the effective pad layout into its regions, in layout
+// order.
+func (p Params) Regions() []Region {
+	grids := p.RegionGrids()
+	rs := make([]Region, len(grids))
+	for i, g := range grids {
+		rs[i] = Region{
+			RegionGrid: g,
+			Delta:      g.Geometry.MaxMisalignment(),
+			Corners:    g.Grid.Rect.Corners(),
+			Recess:     p.RegionRecessParams(g.Geometry),
+		}
+	}
+	return rs
 }
 
 // Equal reports whether p and q describe the same parameter set, pad

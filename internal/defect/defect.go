@@ -299,7 +299,16 @@ func CriticalAreaD2W(dieW, dieH, pitch, padHalfSide float64, nPads int, rv float
 // die-killing main voids, D_t·∫ A(r)·f_r(r) dr with f_r over the effective
 // die radius. The integral is evaluated by adaptive quadrature split at the
 // density's knee (r at which every die position can produce the void).
+// Above the knee the integrand decays as r^(3−2z), so for z ≤ 2 the
+// integral diverges: Λ is +Inf (every die is killed) at any positive
+// density.
 func (p Params) LambdaD2W(dieW, dieH, pitch, padHalfSide float64, nPads int) float64 {
+	if p.Shape <= 2 {
+		if p.Density > 0 {
+			return math.Inf(1)
+		}
+		return 0
+	}
 	effR := math.Sqrt(dieW * dieH / math.Pi)
 	sqrtT0 := math.Sqrt(p.MinThickness)
 	rMin := p.KR0 * sqrtT0

@@ -399,3 +399,30 @@ func TestYieldD2WPitchInsensitive(t *testing.T) {
 		t.Errorf("defect yield moved with pitch: %g vs %g", y6, y1)
 	}
 }
+
+// TestLambdaD2WDivergesForShapeAtMostTwo: above the knee the D2W
+// integrand decays as r^(3−2z), so for z ≤ 2 the kill rate is infinite
+// and the defect yield is exactly 0, monotone in z where the unconverged
+// quadrature was not; zero density still kills nothing.
+func TestLambdaD2WDivergesForShapeAtMostTwo(t *testing.T) {
+	n := 1666 * 1666
+	for _, z := range []float64{1.6, 1.8, 2.0} {
+		p := baseline()
+		p.Shape = z
+		if l := p.LambdaD2W(10e-3, 10e-3, 6e-6, 1e-6, n); !math.IsInf(l, 1) {
+			t.Errorf("z = %g: Λ_D2W = %g, want +Inf", z, l)
+		}
+		if y := p.YieldD2W(10e-3, 10e-3, 6e-6, 1e-6, n); y != 0 {
+			t.Errorf("z = %g: Y_df,D2W = %g, want 0", z, y)
+		}
+		p.Density = 0
+		if l := p.LambdaD2W(10e-3, 10e-3, 6e-6, 1e-6, n); l != 0 {
+			t.Errorf("z = %g, no particles: Λ_D2W = %g, want 0", z, l)
+		}
+	}
+	p := baseline()
+	p.Shape = 2.2
+	if y := p.YieldD2W(10e-3, 10e-3, 6e-6, 1e-6, n); !(y > 0) {
+		t.Errorf("z = 2.2: Y_df,D2W = %g, want positive", y)
+	}
+}

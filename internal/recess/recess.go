@@ -144,21 +144,31 @@ func (p Params) PadFailProb() float64 {
 // DieYield returns Y_cr = POS^N for a die with n pads (Eq. 14), evaluated
 // in log space so that per-pad failure probabilities down to ~1e−300
 // survive the exponentiation. With a nonzero WaferSigma the yield is the
-// expectation over the common-mode mean shift,
-// E_m[POS(µ_h+m)^N], integrated adaptively because POS^N is a cliff
-// function of the shift. The rule splits at the shift that centres the
-// summed mean height in (ζ₋, ζ₊), the middle of the shifts a die survives.
+// expectation over the common-mode mean shift, E_m[POS(µ_h+m)^N]
+// (ExpectDrift).
 func (p Params) DieYield(n int) float64 {
 	if n <= 0 {
 		return 1
 	}
 	if p.WaferSigma > 0 {
-		centre := (p.LowerBound()+p.UpperBound())/2 - p.MeanHeightSum()
-		return num.Clamp(num.ExpectNormalAdaptive(func(shift float64) float64 {
+		return p.ExpectDrift(func(shift float64) float64 {
 			return p.ShiftedDieYield(n, shift)
-		}, 0, p.WaferSigma, centre), 0, 1)
+		}, p.UpperBound())
 	}
 	return p.ShiftedDieYield(n, 0)
+}
+
+// ExpectDrift returns E_m[y(m)] over the common-mode drift
+// m ~ N(0, WaferSigma²) of one bond event, for WaferSigma > 0. y is the
+// event's all-pads-pass probability at shift m, a cliff function of the
+// shift, so the expectation is integrated adaptively. The rule splits at
+// the shift that centres the summed mean height in (ζ₋, upper), the middle
+// of the shifts a die survives. upper is the least ζ₊ over the pad groups
+// y covers, p.UpperBound() for one; every group shares p's mean height, ζ₋
+// and drift, since the Cu density a group changes moves only ζ₊.
+func (p Params) ExpectDrift(y func(shift float64) float64, upper float64) float64 {
+	centre := (p.LowerBound()+upper)/2 - p.MeanHeightSum()
+	return num.Clamp(num.ExpectNormalAdaptive(y, 0, p.WaferSigma, centre), 0, 1)
 }
 
 // ShiftedDieYield returns the die yield with the summed mean height

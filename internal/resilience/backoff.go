@@ -2,10 +2,11 @@
 // yapserve stack is built on: capped exponential backoff with
 // deterministic jitter (Backoff), a three-state circuit breaker (Breaker)
 // and a bounded-queue load shedder (Shedder). The service's worker pool
-// sheds instead of queueing unboundedly, the retrying HTTP client in
-// internal/client paces itself with Backoff, and both sides share the
-// breaker — the server to fail fast after repeated internal simulation
-// failures, the client to stop hammering a struggling server.
+// sheds instead of queueing unboundedly, and the retrying HTTP client in
+// internal/client paces itself with Backoff. The breaker guards two
+// places: the service's simulate and shard admission, which fails fast
+// after repeated internal simulation failures, and the fleet cache's
+// exchanges with each peer, which stop calling a peer that keeps failing.
 package resilience
 
 import (

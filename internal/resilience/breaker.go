@@ -96,7 +96,8 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 }
 
 // Allow asks to pass one request. It returns nil to admit (the caller
-// must later call Record with the outcome) or a *BreakerOpenError to shed.
+// must later call Record with the outcome, or Release when it is neutral)
+// or a *BreakerOpenError to shed.
 func (b *Breaker) Allow() error {
 	if b == nil {
 		return nil
@@ -125,9 +126,9 @@ func (b *Breaker) Allow() error {
 	}
 }
 
-// Record reports the outcome of an admitted request. Neutral outcomes
-// (client-side cancellations, invalid requests) should not be recorded at
-// all — they say nothing about the protected resource's health.
+// Record reports the outcome of an admitted request. A neutral outcome
+// (a client-side cancellation, a deadline, a shed) says nothing about the
+// protected resource's health: report it with Release instead.
 func (b *Breaker) Record(success bool) {
 	if b == nil {
 		return
@@ -149,6 +150,18 @@ func (b *Breaker) Record(success bool) {
 			b.trip()
 		}
 	}
+}
+
+// Release ends an admitted request whose outcome is neutral. It counts
+// neither way, but a half-open probe that ends so frees the probe slot,
+// so the next Allow admits a new probe.
+func (b *Breaker) Release() {
+	if b == nil {
+		return
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
 }
 
 // trip moves to open at the current clock; callers hold b.mu.

@@ -136,11 +136,42 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerNeutralProbeReleases: a half-open probe that ends neutral
+// (canceled, deadline, shed) must free the probe slot, or the breaker
+// sheds every later request until restart.
+func TestBreakerNeutralProbeReleases(t *testing.T) {
+	clk := &fakeClock{now: time.Unix(0, 0)}
+	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: time.Second, Clock: clk.Now})
+	if err := b.Allow(); err != nil {
+		t.Fatal(err)
+	}
+	b.Record(false)
+	if s := b.State(); s != BreakerOpen {
+		t.Fatalf("state %v after threshold, want open", s)
+	}
+	clk.Advance(1100 * time.Millisecond)
+	if err := b.Allow(); err != nil {
+		t.Fatalf("post-cooldown probe shed: %v", err)
+	}
+	b.Release()
+	if err := b.Allow(); err != nil {
+		t.Fatalf("probe after a neutral probe shed: %v", err)
+	}
+	if s := b.State(); s != BreakerHalfOpen {
+		t.Errorf("state %v after a neutral probe, want half-open", s)
+	}
+	b.Record(true)
+	if s := b.State(); s != BreakerClosed {
+		t.Errorf("state %v after a successful probe, want closed", s)
+	}
+}
+
 func TestBreakerNilDisabled(t *testing.T) {
 	var b *Breaker
 	if err := b.Allow(); err != nil {
 		t.Fatalf("nil breaker shed: %v", err)
 	}
+	b.Release()
 	b.Record(false)
 	if s := b.State(); s != BreakerClosed {
 		t.Errorf("nil breaker state %v", s)

@@ -361,6 +361,68 @@ func TestFaultPoolAdmitCountsAgainstBreaker(t *testing.T) {
 	}
 }
 
+func TestFaultCanceledProbeReleasesBreaker(t *testing.T) {
+	// A half-open probe that the client cancels is a neutral outcome: it
+	// must free the probe slot, so the next simulate is admitted instead
+	// of shed as "overloaded" until the daemon restarts. The admission
+	// delay holds the probe long enough for the client to give up.
+	inj := faultinject.New(1,
+		faultinject.Rule{Hook: faultinject.HookSimW2WWafer, Mode: faultinject.ModeError, Probability: 1},
+		faultinject.Rule{Hook: faultinject.HookPoolAdmit, Mode: faultinject.ModeDelay, Probability: 1, Delay: 300 * time.Millisecond},
+	)
+	srv := service.New(service.Config{Faults: inj, BreakerThreshold: 1, BreakerCooldown: 10 * time.Millisecond})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	const d2w = `{"mode":"d2w","seed":1,"dies":200,"workers":1}`
+	simulate := func(ctx context.Context, body string) (int, string, error) {
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, ts.URL+"/v1/simulate", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			return 0, "", err
+		}
+		defer resp.Body.Close() //nolint:errcheck
+		var wire service.ErrorResponse
+		if err := json.NewDecoder(resp.Body).Decode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, wire.Error.Code, nil
+	}
+	if status, code, err := simulate(context.Background(), `{"mode":"w2w","seed":1,"wafers":4,"workers":1}`); err != nil ||
+		status != http.StatusInternalServerError || code != "internal" {
+		t.Fatalf("failing simulate: status %d code %q err %v, want 500 internal", status, code, err)
+	}
+	time.Sleep(20 * time.Millisecond) // past the cooldown: the next simulate is the probe
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	_, _, err := simulate(ctx, d2w)
+	cancel()
+	if err == nil {
+		t.Fatal("the probe answered before the client gave up")
+	}
+	// The probe's handler ends once its admission delay sees the cancel.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close() //nolint:errcheck
+		if strings.Contains(string(body), `yapserve_requests_total{endpoint="simulate",code="499"} 1`) {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the canceled probe never finished")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	if status, code, err := simulate(context.Background(), d2w); err != nil || status != http.StatusOK {
+		t.Fatalf("after a canceled probe: status %d code %q err %v, want 200", status, code, err)
+	}
+}
+
 func TestFaultShutdownShedsNewSimulations(t *testing.T) {
 	srv := service.New(service.Config{MaxConcurrentSims: 1})
 	ts := httptest.NewServer(srv)

@@ -606,9 +606,11 @@ func (s *Server) runAdmitted(w http.ResponseWriter, r *http.Request, run sim.Sli
 	if err != nil {
 		// Only the server's own faults count against the breaker: an error
 		// the contract classifies (a shed, a deadline, a cancellation, a
-		// refused request) is neutral.
+		// refused request) is neutral, and frees a half-open probe.
 		if classify(err) == nil {
 			s.breaker.Record(false)
+		} else {
+			s.breaker.Release()
 		}
 		s.writeFailure(w, err)
 		return sim.Result{}, false

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"yap/internal/core"
 	"yap/internal/defect"
 	"yap/internal/faultinject"
 	"yap/internal/geom"
@@ -17,17 +18,15 @@ import (
 // paper's uniform grid is the single full-die region.
 type d2wEnv struct {
 	opts    Options
-	regions []simRegion
+	regions []core.Region
 
 	sigma1    float64
 	placement placementLaw
-	// dieScale converts the drawn wafer-level rotation and magnification
-	// to the die's (Distortion.ScaleToDie): R_ref / r_d, or 1 when the
-	// half-diagonal is not positive.
-	dieScale float64
+	// refRadius and halfDiag rescale the drawn wafer-level rotation and
+	// magnification to the die (Distortion.ScaleToDie).
+	refRadius, halfDiag float64
 
-	recessQ          float64
-	recessWaferSigma float64
+	recess recessCheck
 
 	effR      float64 // effective die radius √(ab/π) of Eq. 24
 	extRect   geom.Rect
@@ -40,7 +39,7 @@ func newD2WEnv(opts Options) (*d2wEnv, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	regions := buildRegions(p)
+	regions := p.Regions()
 	dp := p.DefectParams()
 	effR := wafer.EffectiveDieRadius(p.DieWidth, p.DieHeight)
 	// Particle-sampling margin: void squares larger than margin·knee are
@@ -48,25 +47,25 @@ func newD2WEnv(opts Options) (*d2wEnv, error) {
 	// relative tail loss (DESIGN.md §2.8). The pad-reach term uses the
 	// largest top-pad half-side over the regions, so a wide-pad region near
 	// the die edge still sees its full particle flux.
-	knee := dp.MainVoidRadius(effR, p.MinParticleThickness)
-	margin := 20*knee + maxPadHalf(regions)
-	ext := geom.RectAround(geom.Vec2{}, p.DieWidth, p.DieHeight).Expand(margin)
-	dieScale := 1.0
-	if halfDiag := wafer.HalfDiagonal(p.DieWidth, p.DieHeight); halfDiag > 0 {
-		dieScale = p.WaferRadius() / halfDiag
+	var padHalf float64
+	for i := range regions {
+		padHalf = max(padHalf, regions[i].Geometry.TopDiameter/2)
 	}
+	knee := dp.MainVoidRadius(effR, p.MinParticleThickness)
+	margin := 20*knee + padHalf
+	ext := geom.RectAround(geom.Vec2{}, p.DieWidth, p.DieHeight).Expand(margin)
 	return &d2wEnv{
-		opts:             opts,
-		regions:          regions,
-		sigma1:           p.RandomMisalignmentSigma,
-		placement:        newPlacementLaw(p),
-		dieScale:         dieScale,
-		recessQ:          regionRecessProb(regions),
-		recessWaferSigma: p.RecessWaferSigma,
-		effR:             effR,
-		extRect:          ext,
-		particles:        randx.NewPoissonLaw(p.DefectDensity * ext.Area()),
-		defect:           dp,
+		opts:      opts,
+		regions:   regions,
+		sigma1:    p.RandomMisalignmentSigma,
+		placement: newPlacementLaw(p),
+		refRadius: p.WaferRadius(),
+		halfDiag:  wafer.HalfDiagonal(p.DieWidth, p.DieHeight),
+		recess:    newRecessCheck(opts, regions),
+		effR:      effR,
+		extRect:   ext,
+		particles: randx.NewPoissonLaw(p.DefectDensity * ext.Area()),
+		defect:    dp,
 	}, nil
 }
 
@@ -114,7 +113,10 @@ func (e *d2wEnv) simulateDie(rng *randx.Source) Counts {
 	if defectPass {
 		c.DefectPass++
 	}
-	recessPass := e.recessCheck(rng)
+	// The common-mode CMP drift (if configured) is drawn per bond event,
+	// so per die, and shared by all its regions.
+	shift, q := e.recess.drift(rng)
+	recessPass := e.recess.pass(rng, shift, q)
 	if recessPass {
 		c.RecessPass++
 	}
@@ -124,30 +126,11 @@ func (e *d2wEnv) simulateDie(rng *randx.Source) Counts {
 	return c
 }
 
-// recessCheck performs one die's Cu recess check: the exact Bernoulli
-// shortcut by default, or the explicit per-pad draw over every region when
-// requested. The common-mode CMP drift (if configured) is drawn per bond
-// event and shared by all regions.
-func (e *d2wEnv) recessCheck(rng *randx.Source) bool {
-	var shift float64
-	q := e.recessQ
-	if e.recessWaferSigma > 0 {
-		shift = rng.Normal(0, e.recessWaferSigma)
-		q = regionRecessProbShifted(e.regions, shift)
-	}
-	if !e.opts.ExplicitPads {
-		return rng.Bernoulli(q)
-	}
-	return explicitRecessRegions(rng, e.regions, shift)
-}
-
 // overlayCheck draws this die's placement (systematic terms vary
 // independently die-to-die, §III-E-1) plus the shared random error and
 // tests the worst pad, in die-local coordinates.
 func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
-	dist := e.placement.draw(rng)
-	dist.Rotation *= e.dieScale
-	dist.Magnification *= e.dieScale
+	dist := e.placement.draw(rng).ScaleToDie(e.refRadius, e.halfDiag)
 
 	switch {
 	case e.opts.ExplicitPads:
@@ -159,7 +142,7 @@ func (e *d2wEnv) overlayCheck(rng *randx.Source) bool {
 	u := rng.Normal(0, e.sigma1)
 	for r := range e.regions {
 		reg := &e.regions[r]
-		if !d2wRegionPasses(dist, reg.rect, &reg.corners, u, reg.delta) {
+		if !d2wRegionPasses(dist, reg.Grid.Rect, &reg.Corners, u, reg.Delta) {
 			return false
 		}
 	}
@@ -190,12 +173,13 @@ func (e *d2wEnv) defectCheck(rng *randx.Source) bool {
 // nearest center (clamped rounding) is the L∞-nearest pad, so the per-
 // region test is exact in both branches of Eq. 25.
 func (e *d2wEnv) voidKills(pos geom.Vec2, rv float64) bool {
-	for _, reg := range e.regions {
-		grid := reg.grid
+	for r := range e.regions {
+		reg := &e.regions[r]
+		grid := reg.Grid
 		if grid.NX == 0 || grid.NY == 0 {
 			continue
 		}
-		reach := rv + reg.padHalf
+		reach := rv + reg.Geometry.TopDiameter/2
 		nearest := func(v, lo float64, n int) float64 {
 			idx := math.Round((v-lo)/grid.Pitch - 0.5)
 			if idx < 0 {

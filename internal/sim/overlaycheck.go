@@ -205,12 +205,12 @@ func d2wRegionPasses(d overlay.Distortion, rect geom.Rect, corners *[4]geom.Vec2
 // stays within the region's ±δ. It visits regions in layout order and
 // stops at the first failing pad — the O(N)-per-die walk the paper's
 // simulator takes.
-func padsPass(d overlay.Distortion, center geom.Vec2, regions []simRegion, u float64) bool {
+func padsPass(d overlay.Distortion, center geom.Vec2, regions []core.Region, u float64) bool {
 	for r := range regions {
 		reg := &regions[r]
-		for ix := 0; ix < reg.grid.NX; ix++ {
-			for iy := 0; iy < reg.grid.NY; iy++ {
-				if math.Abs(d.Magnitude(center.Add(reg.grid.PadCenter(ix, iy)))+u) > reg.delta {
+		for ix := 0; ix < reg.Grid.NX; ix++ {
+			for iy := 0; iy < reg.Grid.NY; iy++ {
+				if math.Abs(d.Magnitude(center.Add(reg.Grid.PadCenter(ix, iy)))+u) > reg.Delta {
 					return false
 				}
 			}
@@ -225,16 +225,16 @@ func padsPass(d overlay.Distortion, center geom.Vec2, regions []simRegion, u flo
 // pad rectangle shifted by center stays within the region's δ. D is
 // affine, so |D + u| is convex and its maximum over the rectangle lies at
 // a corner.
-func cornersPass2D(d overlay.Distortion, center geom.Vec2, regions []simRegion, u geom.Vec2) bool {
+func cornersPass2D(d overlay.Distortion, center geom.Vec2, regions []core.Region, u geom.Vec2) bool {
 	for r := range regions {
 		reg := &regions[r]
 		worst := 0.0
-		for _, c := range reg.corners {
+		for _, c := range reg.Corners {
 			if m := d.Displacement(center.Add(c)).Add(u).Norm(); m > worst {
 				worst = m
 			}
 		}
-		if worst > reg.delta {
+		if worst > reg.Delta {
 			return false
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 
+	"yap/internal/core"
 	"yap/internal/defect"
 	"yap/internal/faultinject"
 	"yap/internal/geom"
@@ -19,7 +20,7 @@ import (
 type w2wEnv struct {
 	opts    Options
 	dies    []wafer.Die
-	regions []simRegion
+	regions []core.Region
 	// padRects holds each die's per-region pad-array rectangles in wafer
 	// coordinates, flattened as padRects[die*len(regions)+region].
 	padRects []geom.Rect
@@ -38,11 +39,10 @@ type w2wEnv struct {
 	// when the run takes the scalar overlay check.
 	pass []interval
 
-	recessQ          float64 // exact all-regions-all-pads-pass probability
-	recessWaferSigma float64
-	waferRadius      float64
-	particles        randx.PoissonLaw // particles per wafer
-	defect           defect.Params
+	recess      recessCheck
+	waferRadius float64
+	particles   randx.PoissonLaw // particles per wafer
+	defect      defect.Params
 	// modelField and modelParticles are the particle field and its
 	// particle count law under ModelConventionDefects.
 	modelField     geom.Rect
@@ -59,31 +59,30 @@ func newW2WEnv(opts Options) (*w2wEnv, error) {
 	if len(dies) == 0 {
 		return nil, ErrNoDies
 	}
-	regions := buildRegions(p)
+	regions := p.Regions()
 	dp := p.DefectParams()
 	fieldR := p.WaferRadius() + 3*dp.TailKnee()
 	field := geom.Rect{X0: -fieldR, Y0: -fieldR, X1: fieldR, Y1: fieldR}
 	env := &w2wEnv{
-		opts:             opts,
-		dies:             dies,
-		regions:          regions,
-		padRects:         make([]geom.Rect, len(dies)*len(regions)),
-		dieW:             p.DieWidth,
-		dieH:             p.DieHeight,
-		sigma1:           p.RandomMisalignmentSigma,
-		baseDist:         p.Distortion(),
-		recessQ:          regionRecessProb(regions),
-		recessWaferSigma: p.RecessWaferSigma,
-		waferRadius:      p.WaferRadius(),
-		particles:        randx.NewPoissonLaw(p.DefectDensity * math.Pi * p.WaferRadius() * p.WaferRadius()),
-		defect:           dp,
-		modelField:       field,
-		modelParticles:   randx.NewPoissonLaw(p.DefectDensity * field.Area()),
+		opts:           opts,
+		dies:           dies,
+		regions:        regions,
+		padRects:       make([]geom.Rect, len(dies)*len(regions)),
+		dieW:           p.DieWidth,
+		dieH:           p.DieHeight,
+		sigma1:         p.RandomMisalignmentSigma,
+		baseDist:       p.Distortion(),
+		recess:         newRecessCheck(opts, regions),
+		waferRadius:    p.WaferRadius(),
+		particles:      randx.NewPoissonLaw(p.DefectDensity * math.Pi * p.WaferRadius() * p.WaferRadius()),
+		defect:         dp,
+		modelField:     field,
+		modelParticles: randx.NewPoissonLaw(p.DefectDensity * field.Area()),
 	}
 	for i, d := range dies {
 		c := d.Center()
-		for r, reg := range regions {
-			env.padRects[i*len(regions)+r] = reg.rect.Translate(c)
+		for r := range regions {
+			env.padRects[i*len(regions)+r] = regions[r].Grid.Rect.Translate(c)
 		}
 	}
 	env.indexCells()
@@ -135,9 +134,9 @@ func (e *w2wEnv) passSets() []interval {
 	nR := len(e.regions)
 	for i := range pass {
 		iv := everything
-		for r, reg := range e.regions {
+		for r := range e.regions {
 			rect := e.padRects[i*nR+r]
-			iv = iv.intersect(scalarPass(e.baseDist.MinOverRect(rect), e.baseDist.MaxOverRect(rect), reg.delta))
+			iv = iv.intersect(scalarPass(e.baseDist.MinOverRect(rect), e.baseDist.MaxOverRect(rect), e.regions[r].Delta))
 		}
 		pass[i] = iv
 	}
@@ -243,14 +242,9 @@ func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 	// Cu Recess Check: all N pad-height sums must stay inside (ζ₋, ζ₊).
 	// A common-mode CMP drift (if configured) is drawn once per wafer and
 	// shared by every die on it.
-	var waferShift float64
-	recessQ := e.recessQ
-	if e.recessWaferSigma > 0 {
-		waferShift = rng.Normal(0, e.recessWaferSigma)
-		recessQ = regionRecessProbShifted(e.regions, waferShift)
-	}
+	shift, q := e.recess.drift(rng)
 	for i := 0; i < n; i++ {
-		recessPass := e.recessCheck(rng, recessQ, waferShift)
+		recessPass := e.recess.pass(rng, shift, q)
 		if recessPass {
 			c.RecessPass++
 		}
@@ -276,16 +270,6 @@ func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 		}
 	}
 	return c
-}
-
-// recessCheck performs one die's Cu recess check at the given wafer-level
-// survival probability (exact Bernoulli path) or mean shift (explicit
-// per-pad path over every region).
-func (e *w2wEnv) recessCheck(rng *randx.Source, q, shift float64) bool {
-	if !e.opts.ExplicitPads {
-		return rng.Bernoulli(q)
-	}
-	return explicitRecessRegions(rng, e.regions, shift)
 }
 
 // modelConventionDefects draws defects under the analytic model's
