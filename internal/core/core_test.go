@@ -2,9 +2,11 @@ package core
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
+	"yap/internal/layout"
 	"yap/internal/units"
 )
 
@@ -75,6 +77,40 @@ func TestValidateRejectsBadParams(t *testing.T) {
 		if err := p.Validate(); err == nil {
 			t.Errorf("%s: accepted", m.name)
 		}
+	}
+}
+
+// TestValidateRejectsNonFinite: NaN and ±Inf in any float64 field of
+// Params, or of a layout region, are rejected with the field named, one
+// case per field, and neither evaluator answers. A NaN distortion input
+// would otherwise read as a perfect overlay: every corner's Hypot is NaN,
+// and the worst-corner loop skips all four.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	typ := reflect.TypeOf(Params{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Type.Kind() != reflect.Float64 {
+			continue
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			p := Baseline().WithPitch(0.8 * units.Micrometer)
+			reflect.ValueOf(&p).Elem().Field(i).SetFloat(v)
+			err := p.Validate()
+			if want := "core: " + f.Name + " is"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v: error %v, want one containing %q", f.Name, v, err, want)
+			}
+			if _, err := p.EvaluateW2W(); err == nil {
+				t.Errorf("%s = %v: EvaluateW2W returned no error", f.Name, v)
+			}
+			if _, err := p.EvaluateD2W(); err == nil {
+				t.Errorf("%s = %v: EvaluateD2W returned no error", f.Name, v)
+			}
+		}
+	}
+	p := Baseline()
+	p.PadLayout = &layout.Layout{Regions: []layout.Region{{Name: "core", X0: -5e-3, Y0: -5e-3, X1: 5e-3, Y1: 5e-3, Pitch: math.NaN()}}}
+	if err := p.Validate(); err == nil || !strings.Contains(err.Error(), `region 0 ("core"): Pitch is`) {
+		t.Errorf("NaN region pitch: error %v, want one naming the region's Pitch", err)
 	}
 }
 

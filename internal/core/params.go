@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"reflect"
 
 	"yap/internal/contact"
 	"yap/internal/defect"
@@ -172,8 +173,16 @@ func Baseline() Params {
 }
 
 // Validate checks the parameter set for physical consistency, delegating to
-// each submodel's validator.
+// each submodel's validator. Every float64 field, and every layout
+// region's, must be finite: a NaN slips past most of the range checks
+// below (every comparison with it is false) and would evaluate, not fail.
 func (p Params) Validate() error {
+	v := reflect.ValueOf(p)
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Float64 && (math.IsNaN(f.Float()) || math.IsInf(f.Float(), 0)) {
+			return fmt.Errorf("core: %s is %g, want a finite value", v.Type().Field(i).Name, f.Float())
+		}
+	}
 	if p.WaferDiameter <= 0 {
 		return fmt.Errorf("core: non-positive wafer diameter %g", p.WaferDiameter)
 	}

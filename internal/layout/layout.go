@@ -131,6 +131,18 @@ func (l Layout) Validate(dieW, dieH float64, def overlay.PadGeometry) error {
 	}
 	die := geom.Rect{X0: -dieW / 2, Y0: -dieH / 2, X1: dieW / 2, Y1: dieH / 2}
 	for i, r := range l.Regions {
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{
+			{"X0", r.X0}, {"Y0", r.Y0}, {"X1", r.X1}, {"Y1", r.Y1}, {"Pitch", r.Pitch},
+			{"TopPadDiameter", r.TopPadDiameter}, {"BottomPadDiameter", r.BottomPadDiameter},
+			{"ContactAreaFraction", r.ContactAreaFraction}, {"CriticalDistanceFraction", r.CriticalDistanceFraction},
+		} {
+			if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+				return fmt.Errorf("layout: %s: %s is %g, want a finite value", r.label(i), f.name, f.v)
+			}
+		}
 		rect := r.Rect()
 		if !(rect.X0 < rect.X1 && rect.Y0 < rect.Y1) {
 			return fmt.Errorf("layout: %s: empty rectangle [%g,%g]x[%g,%g]",

@@ -117,6 +117,40 @@ func TestValidateTable(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsNonFinite: NaN and ±Inf in any float64 field of a
+// region are rejected with the region and the field named, one case per
+// field.
+func TestValidateRejectsNonFinite(t *testing.T) {
+	half := dieW / 2
+	cases := []struct {
+		field string
+		set   func(*Region, float64)
+	}{
+		{"X0", func(r *Region, v float64) { r.X0 = v }},
+		{"Y0", func(r *Region, v float64) { r.Y0 = v }},
+		{"X1", func(r *Region, v float64) { r.X1 = v }},
+		{"Y1", func(r *Region, v float64) { r.Y1 = v }},
+		{"Pitch", func(r *Region, v float64) { r.Pitch = v }},
+		{"TopPadDiameter", func(r *Region, v float64) { r.TopPadDiameter = v }},
+		{"BottomPadDiameter", func(r *Region, v float64) { r.BottomPadDiameter = v }},
+		{"ContactAreaFraction", func(r *Region, v float64) { r.ContactAreaFraction = v }},
+		{"CriticalDistanceFraction", func(r *Region, v float64) { r.CriticalDistanceFraction = v }},
+	}
+	for _, tc := range cases {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			l := Layout{Regions: []Region{
+				{Name: "core", X0: -half, Y0: -half, X1: 0, Y1: half},
+				{Name: "io", X0: 0, Y0: -half, X1: half, Y1: half, Pitch: 12e-6},
+			}}
+			tc.set(&l.Regions[1], v)
+			err := l.Validate(dieW, dieH, basePads())
+			if want := `region 1 ("io"): ` + tc.field + " is"; err == nil || !strings.Contains(err.Error(), want) {
+				t.Errorf("%s = %v: error %v, want one containing %q", tc.field, v, err, want)
+			}
+		}
+	}
+}
+
 func TestSharedEdgesLegal(t *testing.T) {
 	def := basePads()
 	half := dieW / 2

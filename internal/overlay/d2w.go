@@ -1,8 +1,6 @@
 package overlay
 
 import (
-	"math"
-
 	"yap/internal/num"
 	"yap/internal/wafer"
 )
@@ -52,14 +50,16 @@ func (m Model) ExpectedDieYieldD2W(dieW, dieH, refRadius float64, spread Placeme
 // A saturated point, whose POS is 1 on the first nodes, costs 9 adaptive
 // nodes × 7³ Gauss–Hermite nodes = 3,087 region-product POS evaluations;
 // informative ones averaged 150–250 adaptive nodes on the fine-pitch sets
-// of the accuracy test (261 at the 0.8 µm pin point). Everything but the
-// magnification is resolved into tables once per call and the
-// magnification's products once per adaptive node, so a Gauss–Hermite node
-// costs two adds and one Hypot per pad-array corner and one PadPOS per
-// region, and allocates nothing. Each node value and each weighted sum is
-// the float64 operation that DiePOSRegions and num.ExpectNormal perform,
-// on the same operands in the same order, so the result is theirs bit for
-// bit.
+// of the accuracy test (261 at the 0.8 µm pin point). A corner's Δx
+// depends only on the T_x and rotation nodes and its Δy only on the T_y
+// and rotation nodes, so each adaptive node tabulates them with their
+// squares, 49 rows per region for each; Δx is tabulated one T_x node at a
+// time, which keeps the tables at 56 rows per region. A Gauss–Hermite node
+// then costs, per region, four adds, MaxCornerNorm's straight-line
+// ranking, one Hypot where the ranking is certain and one PadPOS, and
+// allocates nothing. Each node value and each weighted sum is the float64
+// operation that DiePOSRegions and num.ExpectNormal perform, on the same
+// operands in the same order, so the result is theirs bit for bit.
 func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread PlacementSpread, regions []PadRegion) float64 {
 	if spread.Zero() {
 		return m.DieYieldD2WRegions(dieW, dieH, refRadius, regions)
@@ -74,27 +74,25 @@ func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread 
 
 // placementQuad is the integrand of ExpectedDieYieldD2WRegions' adaptive
 // magnification rule: the Gauss–Hermite expectation over (T_x, T_y, α) of
-// the region-product POS at one magnification, over per-call tables. Each
-// table row holds one value per corner of a region's pad array, in
-// Rect.Corners order.
+// the region-product POS at one magnification, over per-call tables.
 type placementQuad struct {
 	regions     []PadRegion
 	sigma1      float64
 	scale       float64 // ScaleToDie's factor: α′ = α·scale, E′ = E·scale
 	tx, ty, rot num.GaussHermite
-	// cx[r] and cy[r] are region r's corner coordinates.
-	cx, cy [][4]float64
-	// dx[(i·rot.N+k)·len(regions)+r] holds T_x,i − α′_k·c_y and
-	// dy[(j·rot.N+k)·len(regions)+r] holds T_y,j + α′_k·c_x for region r:
-	// the first add of Displacement's Δx and Δy at node i or j of the
-	// translation rule and node k of the rotation rule.
-	dx, dy [][4]float64
-	// mx[r] and my[r] hold E′·c_x and E′·c_y at the current magnification
-	// node.
-	mx, my [][4]float64
+	// At the current magnification node E′, y[(j·rot.N+k)·len(regions)+r]
+	// holds Displacement's Δy = T_y,j + α′_k·c_x + E′·c_y at the corners c
+	// of region r's pad array, for node j of the T_y rule and node k of
+	// the rotation rule, and at the current T_x node i,
+	// x[k·len(regions)+r] holds Δx = T_x,i − α′_k·c_y + E′·c_x.
+	x, y []axisRow
 }
 
-// init resolves q's tables for one call, in a single allocation.
+// axisRow is one displacement component at the four corners of a pad
+// array, in Rect.Corners order, with its squares.
+type axisRow struct{ d, sq [4]float64 }
+
+// init resolves q for one call, with its tables in a single allocation.
 func (q *placementQuad) init(m Model, halfDiag, refRadius float64, spread PlacementSpread, regions []PadRegion) {
 	*q = placementQuad{
 		regions: regions,
@@ -105,32 +103,8 @@ func (q *placementQuad) init(m Model, halfDiag, refRadius float64, spread Placem
 		ty:    num.NewGaussHermite(m.Dist.TY, spread.TYSigma),
 		rot:   num.NewGaussHermite(m.Dist.Rotation, spread.RotationSigma),
 	}
-	n, nr := len(regions), q.rot.N
-	rows := make([][4]float64, (4+(q.tx.N+q.ty.N)*nr)*n)
-	q.cx, q.cy, q.mx, q.my, rows = rows[:n], rows[n:2*n], rows[2*n:3*n], rows[3*n:4*n], rows[4*n:]
-	q.dx, q.dy = rows[:q.tx.N*nr*n], rows[q.tx.N*nr*n:]
-	for r, reg := range regions {
-		for c, v := range reg.Rect.Corners() {
-			q.cx[r][c], q.cy[r][c] = v.X, v.Y
-		}
-	}
-	for k := 0; k < nr; k++ {
-		rot := q.rot.X[k] * q.scale
-		for r := range regions {
-			for i := 0; i < q.tx.N; i++ {
-				row := &q.dx[(i*nr+k)*n+r]
-				for c := range row {
-					row[c] = q.tx.X[i] - rot*q.cy[r][c]
-				}
-			}
-			for j := 0; j < q.ty.N; j++ {
-				row := &q.dy[(j*nr+k)*n+r]
-				for c := range row {
-					row[c] = q.ty.X[j] + rot*q.cx[r][c]
-				}
-			}
-		}
-	}
+	rows := make([]axisRow, (1+q.ty.N)*q.rot.N*len(regions))
+	q.x, q.y = rows[:q.rot.N*len(regions)], rows[q.rot.N*len(regions):]
 }
 
 // expect returns E over (T_x, T_y, α) of the region-product POS at
@@ -138,20 +112,36 @@ func (q *placementQuad) init(m Model, halfDiag, refRadius float64, spread Placem
 // num.ExpectNormal does.
 func (q *placementQuad) expect(mag float64) float64 {
 	mag *= q.scale
-	for r := range q.cx {
-		for c := range q.cx[r] {
-			q.mx[r][c] = mag * q.cx[r][c]
-			q.my[r][c] = mag * q.cy[r][c]
+	n, nr := len(q.regions), q.rot.N
+	for k := 0; k < nr; k++ {
+		rot := q.rot.X[k] * q.scale
+		for r := range q.regions {
+			for j := 0; j < q.ty.N; j++ {
+				row := &q.y[(j*nr+k)*n+r]
+				for c, v := range q.regions[r].Rect.Corners() {
+					d := q.ty.X[j] + rot*v.X + mag*v.Y
+					row.d[c], row.sq[c] = d, float64(d*d)
+				}
+			}
 		}
 	}
-	n, nr := len(q.regions), q.rot.N
 	var vx [7]float64
 	for i := 0; i < q.tx.N; i++ {
+		for k := 0; k < nr; k++ {
+			rot := q.rot.X[k] * q.scale
+			for r := range q.regions {
+				row := &q.x[k*n+r]
+				for c, v := range q.regions[r].Rect.Corners() {
+					d := q.tx.X[i] - rot*v.Y + mag*v.X
+					row.d[c], row.sq[c] = d, float64(d*d)
+				}
+			}
+		}
 		var vy [7]float64
 		for j := 0; j < q.ty.N; j++ {
 			var vr [7]float64
 			for k := 0; k < nr; k++ {
-				vr[k] = q.pos(q.dx[(i*nr+k)*n:][:n], q.dy[(j*nr+k)*n:][:n])
+				vr[k] = q.pos(q.x[k*n:][:n], q.y[(j*nr+k)*n:][:n])
 			}
 			vy[j] = q.rot.Expect(&vr)
 		}
@@ -160,20 +150,15 @@ func (q *placementQuad) expect(mag float64) float64 {
 	return q.tx.Expect(&vx)
 }
 
-// pos is DiePOSRegions at one node, given the node's dx and dy rows: each
+// pos is DiePOSRegions at one node, given the node's x and y rows: each
 // region's worst corner through PadPOS, multiplied in region order.
-func (q *placementQuad) pos(dx, dy [][4]float64) float64 {
-	dy, mx, my, regions := dy[:len(dx)], q.mx[:len(dx)], q.my[:len(dx)], q.regions[:len(dx)]
+func (q *placementQuad) pos(x, y []axisRow) float64 {
+	y, regions := y[:len(x)], q.regions[:len(x)]
 	pos := 1.0
-	for r := range dx {
-		x, y, ex, ey := &dx[r], &dy[r], &mx[r], &my[r]
-		var maxS float64
-		for c := range x {
-			if s := math.Hypot(x[c]+ex[c], y[c]+ey[c]); s > maxS {
-				maxS = s
-			}
-		}
-		pos *= PadPOS(maxS, regions[r].Delta, q.sigma1)
+	for r := range x {
+		xr, yr := &x[r], &y[r]
+		sq := [4]float64{xr.sq[0] + yr.sq[0], xr.sq[1] + yr.sq[1], xr.sq[2] + yr.sq[2], xr.sq[3] + yr.sq[3]}
+		pos *= PadPOS(MaxCornerNorm(&xr.d, &yr.d, &sq), regions[r].Delta, q.sigma1)
 	}
 	return pos
 }

@@ -25,10 +25,28 @@ type d2wCase struct {
 	regions          []overlay.PadRegion
 }
 
+// literalDiePOSRegions is DiePOSRegions with each region's worst corner
+// taken by the four-Hypot loop (overlay.LiteralMaxOverRect), as before the
+// worst-corner ranking.
+func literalDiePOSRegions(dist overlay.Distortion, regions []overlay.PadRegion, sigma1 float64) float64 {
+	pos := 1.0
+	for _, r := range regions {
+		pos *= overlay.PadPOS(overlay.LiteralMaxOverRect(dist, r.Rect), r.Delta, sigma1)
+	}
+	return pos
+}
+
+// deterministic is DieYieldD2WRegions on the literal region product: c's
+// yield without placement spread.
+func (c d2wCase) deterministic() float64 {
+	dist := c.m.Dist.ScaleToDie(c.refR, wafer.HalfDiagonal(c.dieW, c.dieH))
+	return literalDiePOSRegions(dist, c.regions, c.m.Sigma1)
+}
+
 // closureInner is the placement integrand written as closures over the
 // public pieces: num.ExpectNormal over (T_x, T_y, α) at magnification mag,
 // each node building a Distortion, rescaling it with ScaleToDie and
-// evaluating DiePOSRegions.
+// evaluating the literal region product.
 func (c d2wCase) closureInner() func(mag float64) float64 {
 	halfDiag := wafer.HalfDiagonal(c.dieW, c.dieH)
 	mu := []float64{c.m.Dist.TX, c.m.Dist.TY, c.m.Dist.Rotation}
@@ -37,7 +55,7 @@ func (c d2wCase) closureInner() func(mag float64) float64 {
 		return num.ExpectNormal(func(x []float64) float64 {
 			dist := overlay.Distortion{TX: x[0], TY: x[1], Rotation: x[2], Magnification: mag}.
 				ScaleToDie(c.refR, halfDiag)
-			return overlay.DiePOSRegions(dist, c.regions, c.m.Sigma1)
+			return literalDiePOSRegions(dist, c.regions, c.m.Sigma1)
 		}, mu, sigma)
 	}
 }
@@ -48,7 +66,7 @@ func (c d2wCase) closureInner() func(mag float64) float64 {
 // reproduce this bit for bit.
 func (c d2wCase) reference() float64 {
 	if c.spread.Zero() {
-		return c.m.DieYieldD2WRegions(c.dieW, c.dieH, c.refR, c.regions)
+		return c.deterministic()
 	}
 	y := num.ExpectNormalAdaptive(c.closureInner(), c.m.Dist.Magnification, c.spread.MagnificationSigma, 0)
 	return num.Clamp(y, 0, 1)
@@ -307,7 +325,7 @@ var (
 // Gauss–Legendre on panels equal panels and divided by the window's mass.
 func (c d2wCase) converged(panels int) float64 {
 	if c.spread.Zero() {
-		return c.m.DieYieldD2WRegions(c.dieW, c.dieH, c.refR, c.regions)
+		return c.deterministic()
 	}
 	g := c.closureInner()
 	mu, sigma := c.m.Dist.Magnification, c.spread.MagnificationSigma

@@ -371,7 +371,7 @@ func TestDiePOS2DWorstCorner(t *testing.T) {
 	rect := geom.Rect{X0: -5e-3, Y0: -5e-3, X1: 5e-3, Y1: 5e-3}
 	delta := 165 * units.Nanometer
 	sigma := 5 * units.Nanometer
-	want := PadPOS2D(dist.MaxOverRect(rect), delta, sigma)
+	want := PadPOS2D(LiteralMaxOverRect(dist, rect), delta, sigma)
 	if got := DiePOS2D(dist, rect, delta, sigma); got != want {
 		t.Errorf("DiePOS2D = %g, want worst-corner %g", got, want)
 	}

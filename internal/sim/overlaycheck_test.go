@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"yap/internal/core"
 	"yap/internal/geom"
 	"yap/internal/overlay"
 	"yap/internal/randx"
@@ -20,13 +21,44 @@ func legacyW2WOverlayPass(sMin, sMax, delta []float64, u float64) bool {
 	return pass
 }
 
+// literalMaxOverRect is MaxOverRect as the four-Hypot loop computed it
+// before the worst-corner ranking.
+func literalMaxOverRect(d overlay.Distortion, rect geom.Rect) float64 {
+	var maxS float64
+	for _, c := range rect.Corners() {
+		if s := d.Magnitude(c); s > maxS {
+			maxS = s
+		}
+	}
+	return maxS
+}
+
 // legacyD2WRegionPass is one region's D2W overlay decision as the kernel
-// evaluated it before the certified s_min skip.
+// evaluated it before the worst-corner ranking and the certified s_min
+// skip.
 func legacyD2WRegionPass(d overlay.Distortion, rect geom.Rect, u, delta float64) bool {
-	if math.Abs(d.MaxOverRect(rect)+u) > delta {
+	if math.Abs(literalMaxOverRect(d, rect)+u) > delta {
 		return false
 	}
 	return !(math.Abs(d.MinOverRect(rect)+u) > delta)
+}
+
+// legacyCornersPass2D is the 2-D overlay check as the kernels evaluated it
+// before the worst-corner ranking: four Hypots per region.
+func legacyCornersPass2D(d overlay.Distortion, center geom.Vec2, regions []core.Region, u geom.Vec2) bool {
+	for r := range regions {
+		reg := &regions[r]
+		worst := 0.0
+		for _, c := range reg.Corners {
+			if m := d.Displacement(center.Add(c)).Add(u).Norm(); m > worst {
+				worst = m
+			}
+		}
+		if worst > reg.Delta {
+			return false
+		}
+	}
+	return true
 }
 
 // logUniform draws a magnitude log-uniform in [lo, hi] with a random sign.
@@ -200,7 +232,7 @@ func TestD2WRegionPassesExact(t *testing.T) {
 	for n := 0; n < draws; n++ {
 		rect := randRect(rng)
 		d := randDistortion(rng, rect)
-		sMin, sMax := d.MinOverRect(rect), d.MaxOverRect(rect)
+		sMin, sMax := d.MinOverRect(rect), literalMaxOverRect(d, rect)
 		delta := randDelta(rng, sMax)
 		u := randU(rng, sMin, sMax, delta)
 		corners := rect.Corners()
@@ -208,6 +240,73 @@ func TestD2WRegionPassesExact(t *testing.T) {
 		if got := d2wRegionPasses(d, rect, &corners, u, delta); got != want {
 			t.Fatalf("draw %d: dist %+v rect %+v δ=%v u=%v (sMin %v, sMax %v): got %v, want %v",
 				n, d, rect, delta, u, sMin, sMax, got, want)
+		}
+		if want {
+			passed++
+		}
+	}
+	if passed < draws/10 || passed > draws*9/10 {
+		t.Errorf("%d of %d draws passed; the draws do not exercise both verdicts", passed, draws)
+	}
+}
+
+// TestCornersPass2DExact: the 2-D overlay check returns the verdict of the
+// four-Hypot loop it replaced over a million draws of 1 to 8 regions, die
+// centers across a 300 mm wafer and the distortions of randDistortion,
+// with each region's δ mostly within a few ulps of its worst corner
+// magnitude (where only the exact worst magnitude decides), a random u
+// component sometimes nudged by a few ulps, and special values of u and δ.
+func TestCornersPass2DExact(t *testing.T) {
+	rng := randx.NewSource(2026)
+	const draws = 1_000_000
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
+	var regions [8]core.Region
+	passed := 0
+	for n := 0; n < draws; n++ {
+		nR := 1 + rng.IntN(8)
+		if rng.IntN(4) == 0 {
+			nR = 1
+		}
+		var center geom.Vec2
+		if rng.IntN(2) == 0 {
+			center = geom.Vec2{X: rng.Uniform(-0.15, 0.15), Y: rng.Uniform(-0.15, 0.15)}
+		}
+		rect := randRect(rng)
+		d := randDistortion(rng, rect)
+		scale := math.Exp(rng.Uniform(math.Log(1e-10), math.Log(1e-5)))
+		u := geom.Vec2{X: rng.Normal(0, scale), Y: rng.Normal(0, scale)}
+		switch rng.IntN(20) {
+		case 0:
+			u.X = specials[rng.IntN(len(specials))]
+		case 1:
+			u.Y = specials[rng.IntN(len(specials))]
+		case 2, 3, 4:
+			u.X = nudge(u.X, rng.IntN(9)-4)
+		}
+		for r := 0; r < nR; r++ {
+			if r > 0 {
+				rect = randRect(rng)
+			}
+			reg := core.Region{Corners: rect.Corners()}
+			worst := 0.0
+			for _, c := range reg.Corners {
+				worst = max(worst, d.Displacement(center.Add(c)).Add(u).Norm())
+			}
+			switch k := rng.IntN(20); {
+			case k == 0:
+				reg.Delta = []float64{0, math.SmallestNonzeroFloat64, math.MaxFloat64, math.Inf(1), math.NaN(), -1e-7}[rng.IntN(6)]
+			case k < 6:
+				reg.Delta = math.Exp(rng.Uniform(math.Log(1e-9), math.Log(1e-5)))
+			default:
+				reg.Delta = nudge(worst, rng.IntN(16)-3)
+			}
+			regions[r] = reg
+		}
+		want := legacyCornersPass2D(d, center, regions[:nR], u)
+		if got := cornersPass2D(d, center, regions[:nR], u); got != want {
+			t.Fatalf("draw %d: dist %+v center %v u %v regions %+v: got %v, want %v",
+				n, d, center, u, regions[:nR], got, want)
 		}
 		if want {
 			passed++

@@ -61,11 +61,21 @@ func (d Die) Center() geom.Vec2 { return d.Rect.Center() }
 // within the usable radius. The grid is symmetric about the wafer center
 // with grid lines at integer multiples of the die dimensions (a standard
 // "center between four dies" layout).
+//
+// The slice is sized once for a bound on the dies that fit: they lie in
+// the grid's 2⌊r/w⌋ columns and 2⌊r/h⌋ rows whose edges are within r, and
+// they cover disjoint parts of the disc, so there are at most the smaller
+// of 4⌊r/w⌋⌊r/h⌋ and πr²/(w·h). A die too tall or too wide for the disc
+// reserves nothing. A bound that is not a number or beyond int (a
+// degenerate layout) leaves the slice to append.
 func (l Layout) Dies() []Die {
 	r := l.UsableRadius()
 	nx := int(math.Ceil(r/l.DieWidth)) + 1
 	ny := int(math.Ceil(r/l.DieHeight)) + 1
 	var dies []Die
+	if n := min(4*math.Floor(r/l.DieWidth)*math.Floor(r/l.DieHeight), math.Pi*r*r/(l.DieWidth*l.DieHeight)); n >= 1 && n < math.MaxInt {
+		dies = make([]Die, 0, int(n))
+	}
 	for j := -ny; j < ny; j++ {
 		for i := -nx; i < nx; i++ {
 			rect := geom.Rect{

@@ -93,6 +93,33 @@ func TestDieTooLargeForWafer(t *testing.T) {
 	}
 }
 
+// Dies sizes its slice once, for a bound on the dies that fit rather than
+// for the sites the grid walks: a thin die taller (or wider) than the
+// usable radius walks over a million sites, fits none and must reserve
+// nothing.
+func TestDiesReserveFittingBound(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		l      Layout
+		allocs float64
+	}{
+		{"10mm", Layout{WaferRadius: 0.15, EdgeExclusion: 0.003, DieWidth: 0.01, DieHeight: 0.01}, 1},
+		{"tall-narrow", Layout{WaferRadius: 0.15, EdgeExclusion: 0.003, DieWidth: 1e-6, DieHeight: 0.2}, 0},
+		{"wide-flat", Layout{WaferRadius: 0.15, EdgeExclusion: 0.003, DieWidth: 0.2, DieHeight: 1e-6}, 0},
+	} {
+		dies := tc.l.Dies()
+		if tc.allocs == 0 && len(dies) != 0 {
+			t.Errorf("%s: %d dies, want none", tc.name, len(dies))
+		}
+		if c := cap(dies); c > len(dies)*5/4 {
+			t.Errorf("%s: capacity %d for %d dies", tc.name, c, len(dies))
+		}
+		if a := testing.AllocsPerRun(2, func() { tc.l.Dies() }); a != tc.allocs {
+			t.Errorf("%s: %v allocations per call, want %v", tc.name, a, tc.allocs)
+		}
+	}
+}
+
 func TestPadArrayFor(t *testing.T) {
 	p := PadArrayFor(10e-3, 10e-3, 6e-6)
 	wantN := 1666 // floor(10mm / 6µm)
