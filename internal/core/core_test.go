@@ -83,8 +83,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 // TestValidateRejectsNonFinite: NaN and ±Inf in any float64 field of
 // Params, or of a layout region, are rejected with the field named, one
 // case per field, and neither evaluator answers. A NaN distortion input
-// would otherwise read as a perfect overlay: every corner's Hypot is NaN,
-// and the worst-corner loop skips all four.
+// would otherwise reach the overlay term as a NaN worst-corner norm.
 func TestValidateRejectsNonFinite(t *testing.T) {
 	typ := reflect.TypeOf(Params{})
 	for i := 0; i < typ.NumField(); i++ {

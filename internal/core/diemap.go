@@ -43,8 +43,7 @@ func (p Params) W2WDieYields() ([]DieYield, error) {
 	}
 	dies := p.Layout().Dies()
 	rs := p.Regions()
-	regions := padRegions(rs)
-	ov := p.OverlayModel()
+	overlayPOS := p.OverlayModel().WaferDiePOS(dies, padRegions(rs))
 	recessY := recessYield(rs)
 	dp := p.DefectParams()
 
@@ -65,7 +64,7 @@ func (p Params) W2WDieYields() ([]DieYield, error) {
 		lambda := localDensity*anchorArea + tailTerm
 		dy := DieYield{
 			Die:     d,
-			Overlay: ov.WaferDiePOS(d, regions),
+			Overlay: overlayPOS[i],
 			Recess:  recessY,
 			Defect:  math.Exp(-lambda),
 		}

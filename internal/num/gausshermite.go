@@ -28,6 +28,8 @@ const invSqrtPi = 0.5641895835477563
 // hands the values, in the same order, to Expect. ExpectNormal1 and
 // ExpectNormal are that loop; a caller with its own tables (the D2W
 // placement quadrature) runs it without closures and gets the same bits.
+// Every product of the abscissae and the fold is rounded as written, so
+// no host fuses one into the following add.
 type GaussHermite struct {
 	// X holds the abscissae in fold order: mu, then mu+d and mu−d for each
 	// positive node, d = √2·sigma·t.
@@ -46,7 +48,7 @@ func NewGaussHermite(mu, sigma float64) GaussHermite {
 	r.N = 7
 	scale := math.Sqrt2 * sigma
 	for i := 1; i < 4; i++ {
-		d := scale * ghNodes7[i]
+		d := float64(scale * ghNodes7[i])
 		r.X[2*i-1] = mu + d
 		r.X[2*i] = mu - d
 	}
@@ -62,8 +64,8 @@ func (r *GaussHermite) Expect(g *[7]float64) float64 {
 	}
 	sum := ghWeights7[0] * g[0]
 	for i := 1; i < 4; i++ {
-		sum += ghWeights7[i] * g[2*i-1]
-		sum += ghWeights7[i] * g[2*i]
+		sum += float64(ghWeights7[i] * g[2*i-1])
+		sum += float64(ghWeights7[i] * g[2*i])
 	}
 	return sum * invSqrtPi
 }

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"yap/internal/geom"
 	"yap/internal/num"
 	"yap/internal/wafer"
 )
@@ -52,14 +53,14 @@ func (m Model) ExpectedDieYieldD2W(dieW, dieH, refRadius float64, spread Placeme
 // informative ones averaged 150–250 adaptive nodes on the fine-pitch sets
 // of the accuracy test (261 at the 0.8 µm pin point). A corner's Δx
 // depends only on the T_x and rotation nodes and its Δy only on the T_y
-// and rotation nodes, so each adaptive node tabulates them with their
-// squares, 49 rows per region for each; Δx is tabulated one T_x node at a
-// time, which keeps the tables at 56 rows per region. A Gauss–Hermite node
-// then costs, per region, four adds, MaxCornerNorm's straight-line
-// ranking, one Hypot where the ranking is certain and one PadPOS, and
-// allocates nothing. Each node value and each weighted sum is the float64
-// operation that DiePOSRegions and num.ExpectNormal perform, on the same
-// operands in the same order, so the result is theirs bit for bit.
+// and rotation nodes, so each adaptive node tabulates their squares, 7
+// rows per region for Δx² (one T_x node at a time) and 49 for Δy². A
+// Gauss–Hermite node then costs, per region, four adds, the largest of
+// four squares, one square root (MaxCornerNorm) and the region's padLaw,
+// resolved once per call, and allocates nothing. Each node value and each
+// weighted sum is the float64 operation that DiePOSRegions and
+// num.ExpectNormal perform, on the same operands in the same order, so
+// the result is theirs bit for bit.
 func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread PlacementSpread, regions []PadRegion) float64 {
 	if spread.Zero() {
 		return m.DieYieldD2WRegions(dieW, dieH, refRadius, regions)
@@ -76,35 +77,38 @@ func (m Model) ExpectedDieYieldD2WRegions(dieW, dieH, refRadius float64, spread 
 // magnification rule: the Gauss–Hermite expectation over (T_x, T_y, α) of
 // the region-product POS at one magnification, over per-call tables.
 type placementQuad struct {
-	regions     []PadRegion
-	sigma1      float64
+	regions     []quadRegion
 	scale       float64 // ScaleToDie's factor: α′ = α·scale, E′ = E·scale
 	tx, ty, rot num.GaussHermite
-	// At the current magnification node E′, y[(j·rot.N+k)·len(regions)+r]
-	// holds Displacement's Δy = T_y,j + α′_k·c_x + E′·c_y at the corners c
-	// of region r's pad array, for node j of the T_y rule and node k of
-	// the rotation rule, and at the current T_x node i,
-	// x[k·len(regions)+r] holds Δx = T_x,i − α′_k·c_y + E′·c_x.
-	x, y []axisRow
 }
 
-// axisRow is one displacement component at the four corners of a pad
-// array, in Rect.Corners order, with its squares.
-type axisRow struct{ d, sq [4]float64 }
+// quadRegion is one pad region's share of the tables. At the current
+// magnification node E′, y[j][k] holds Displacement's squared
+// Δy = T_y,j + α′_k·c_x + E′·c_y at the corners c of the region's pad
+// array, in Rect.Corners order, for node j of the T_y rule and node k of
+// the rotation rule, and at the current T_x node i, x[k] holds the squared
+// Δx = T_x,i − α′_k·c_y + E′·c_x.
+type quadRegion struct {
+	law     padLaw
+	corners [4]geom.Vec2
+	x       [7][4]float64
+	y       [7][7][4]float64
+}
 
 // init resolves q for one call, with its tables in a single allocation.
 func (q *placementQuad) init(m Model, halfDiag, refRadius float64, spread PlacementSpread, regions []PadRegion) {
 	*q = placementQuad{
-		regions: regions,
-		sigma1:  m.Sigma1,
+		regions: make([]quadRegion, len(regions)),
 		// 1 where ScaleToDie leaves the distortion as is; x·1 is x.
 		scale: Distortion{Rotation: 1}.ScaleToDie(refRadius, halfDiag).Rotation,
 		tx:    num.NewGaussHermite(m.Dist.TX, spread.TXSigma),
 		ty:    num.NewGaussHermite(m.Dist.TY, spread.TYSigma),
 		rot:   num.NewGaussHermite(m.Dist.Rotation, spread.RotationSigma),
 	}
-	rows := make([]axisRow, (1+q.ty.N)*q.rot.N*len(regions))
-	q.x, q.y = rows[:q.rot.N*len(regions)], rows[q.rot.N*len(regions):]
+	for r := range regions {
+		g := &q.regions[r]
+		g.law, g.corners = newPadLaw(regions[r].Delta, m.Sigma1), regions[r].Rect.Corners()
+	}
 }
 
 // expect returns E over (T_x, T_y, α) of the region-product POS at
@@ -112,36 +116,35 @@ func (q *placementQuad) init(m Model, halfDiag, refRadius float64, spread Placem
 // num.ExpectNormal does.
 func (q *placementQuad) expect(mag float64) float64 {
 	mag *= q.scale
-	n, nr := len(q.regions), q.rot.N
-	for k := 0; k < nr; k++ {
+	for k := 0; k < q.rot.N; k++ {
 		rot := q.rot.X[k] * q.scale
 		for r := range q.regions {
+			g := &q.regions[r]
 			for j := 0; j < q.ty.N; j++ {
-				row := &q.y[(j*nr+k)*n+r]
-				for c, v := range q.regions[r].Rect.Corners() {
-					d := q.ty.X[j] + rot*v.X + mag*v.Y
-					row.d[c], row.sq[c] = d, float64(d*d)
+				for c, v := range g.corners {
+					d := q.ty.X[j] + float64(rot*v.X) + float64(mag*v.Y)
+					g.y[j][k][c] = float64(d * d)
 				}
 			}
 		}
 	}
 	var vx [7]float64
 	for i := 0; i < q.tx.N; i++ {
-		for k := 0; k < nr; k++ {
+		for k := 0; k < q.rot.N; k++ {
 			rot := q.rot.X[k] * q.scale
 			for r := range q.regions {
-				row := &q.x[k*n+r]
-				for c, v := range q.regions[r].Rect.Corners() {
-					d := q.tx.X[i] - rot*v.Y + mag*v.X
-					row.d[c], row.sq[c] = d, float64(d*d)
+				g := &q.regions[r]
+				for c, v := range g.corners {
+					d := q.tx.X[i] - float64(rot*v.Y) + float64(mag*v.X)
+					g.x[k][c] = float64(d * d)
 				}
 			}
 		}
 		var vy [7]float64
 		for j := 0; j < q.ty.N; j++ {
 			var vr [7]float64
-			for k := 0; k < nr; k++ {
-				vr[k] = q.pos(q.x[k*n:][:n], q.y[(j*nr+k)*n:][:n])
+			for k := 0; k < q.rot.N; k++ {
+				vr[k] = q.pos(j, k)
 			}
 			vy[j] = q.rot.Expect(&vr)
 		}
@@ -150,15 +153,16 @@ func (q *placementQuad) expect(mag float64) float64 {
 	return q.tx.Expect(&vx)
 }
 
-// pos is DiePOSRegions at one node, given the node's x and y rows: each
-// region's worst corner through PadPOS, multiplied in region order.
-func (q *placementQuad) pos(x, y []axisRow) float64 {
-	y, regions := y[:len(x)], q.regions[:len(x)]
+// pos is DiePOSRegions at the node (T_y node j, rotation node k) of the
+// current T_x and magnification nodes: each region's worst corner through
+// its padLaw, multiplied in region order.
+func (q *placementQuad) pos(j, k int) float64 {
 	pos := 1.0
-	for r := range x {
-		xr, yr := &x[r], &y[r]
-		sq := [4]float64{xr.sq[0] + yr.sq[0], xr.sq[1] + yr.sq[1], xr.sq[2] + yr.sq[2], xr.sq[3] + yr.sq[3]}
-		pos *= PadPOS(MaxCornerNorm(&xr.d, &yr.d, &sq), regions[r].Delta, q.sigma1)
+	for r := range q.regions {
+		g := &q.regions[r]
+		x, y := &g.x[k], &g.y[j][k]
+		sq := [4]float64{x[0] + y[0], x[1] + y[1], x[2] + y[2], x[3] + y[3]}
+		pos *= g.law.pos(MaxCornerNorm(&sq))
 	}
 	return pos
 }

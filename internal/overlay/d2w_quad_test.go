@@ -25,13 +25,15 @@ type d2wCase struct {
 	regions          []overlay.PadRegion
 }
 
-// literalDiePOSRegions is DiePOSRegions with each region's worst corner
-// taken by the four-Hypot loop (overlay.LiteralMaxOverRect), as before the
-// worst-corner ranking.
+// literalDiePOSRegions is DiePOSRegions written out: each region's worst
+// corner by the literal loop over the corner norms
+// (overlay.LiteralMaxOverRect) and its pad POS straight from
+// num.NormalInterval, multiplied in region order.
 func literalDiePOSRegions(dist overlay.Distortion, regions []overlay.PadRegion, sigma1 float64) float64 {
 	pos := 1.0
 	for _, r := range regions {
-		pos *= overlay.PadPOS(overlay.LiteralMaxOverRect(dist, r.Rect), r.Delta, sigma1)
+		s := overlay.LiteralMaxOverRect(dist, r.Rect)
+		pos *= num.NormalInterval(-r.Delta-s, r.Delta-s, 0, sigma1)
 	}
 	return pos
 }
@@ -556,6 +558,32 @@ func BenchmarkD2WPlacement(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				c.m.ExpectedDieYieldD2WRegions(c.dieW, c.dieH, c.refR, c.spread, c.regions)
+			}
+		})
+	}
+}
+
+// sinkYield keeps the benchmarked yields live.
+var sinkYield float64
+
+// BenchmarkW2WWaferOverlay times Eq. 8's wafer sum, the W2W overlay term,
+// on a jittered Table I point without a pad layout and with 8 regions, and
+// on the 0.8 µm pitch point, whose yield is informative.
+func BenchmarkW2WWaferOverlay(b *testing.B) {
+	rng := randx.NewSource(4)
+	for _, pc := range []struct {
+		name string
+		p    core.Params
+	}{
+		{"r0", jitteredParams(rng, 0)},
+		{"r8", jitteredParams(rng, 8)},
+		{"pitch0.8um", core.Baseline().WithPitch(0.8 * units.Micrometer)},
+	} {
+		c, lay := caseOf(pc.name, pc.p), pc.p.Layout()
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkYield = c.m.WaferYieldW2WRegions(lay, c.regions)
 			}
 		})
 	}

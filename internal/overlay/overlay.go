@@ -54,10 +54,10 @@ func (g PadGeometry) Validate() error {
 }
 
 // TopRadius returns r₁ = d₁/2.
-func (g PadGeometry) TopRadius() float64 { return g.TopDiameter / 2 }
+func (g PadGeometry) TopRadius() float64 { return float64(g.TopDiameter / 2) }
 
 // BottomRadius returns r₂ = d₂/2.
-func (g PadGeometry) BottomRadius() float64 { return g.BottomDiameter / 2 }
+func (g PadGeometry) BottomRadius() float64 { return float64(g.BottomDiameter / 2) }
 
 // ContactArea returns S_ovl(s), the Cu–Cu contact area of two pads
 // misaligned by s (Eq. 5).
@@ -97,7 +97,7 @@ func (g PadGeometry) DeltaContactArea() float64 {
 func (g PadGeometry) DeltaCriticalDistance() float64 {
 	p, d1, d2 := g.Pitch, g.TopDiameter, g.BottomDiameter
 	kcd := g.CriticalDistanceFraction
-	return (1-kcd)*p - d1/2 + (kcd-0.5)*d2
+	return float64((1-kcd)*p) - float64(d1/2) + float64((kcd-0.5)*d2)
 }
 
 // Distortion is the systematic component of the overlay error: the three
@@ -119,36 +119,57 @@ func MagnificationFromWarpage(kMag, warpage float64) float64 {
 }
 
 // Displacement returns the systematic pad displacement (Δx, Δy) at
-// position p (Eq. 3):
+// position p (Eq. 3), each product rounded as written:
 //
 //	Δx = T_x − α·y + E·x
 //	Δy = T_y + α·x + E·y
 func (d Distortion) Displacement(p geom.Vec2) geom.Vec2 {
 	return geom.Vec2{
-		X: d.TX - d.Rotation*p.Y + d.Magnification*p.X,
-		Y: d.TY + d.Rotation*p.X + d.Magnification*p.Y,
+		X: d.TX - float64(d.Rotation*p.Y) + float64(d.Magnification*p.X),
+		Y: d.TY + float64(d.Rotation*p.X) + float64(d.Magnification*p.Y),
 	}
 }
 
 // Magnitude returns the systematic overlay error s(x, y) = |(Δx, Δy)|
-// (Eq. 4).
+// (Eq. 4) as every overlay check computes it: the square root of the
+// displacement's rounded square Δ·Δ (see MaxCornerNorm).
 func (d Distortion) Magnitude(p geom.Vec2) float64 {
-	return d.Displacement(p).Norm()
+	v := d.Displacement(p)
+	return math.Sqrt(v.Dot(v))
 }
 
 // MaxOverRect returns the maximum of s(x, y) over the rectangle. s² is a
 // sum of squares of affine functions of (x, y), hence convex, so the
-// maximum is attained at one of the four corners. The largest Magnitude
-// of the four is found by MaxCornerNorm, which ranks the corners by
-// squared displacement and calls math.Hypot once where the ranking is
-// certain; the value is that of the four-Hypot loop for every input.
+// maximum is attained at one of the four corners: MaxCornerNorm of the
+// corners' squared displacements, the largest of their Magnitudes.
 func (d Distortion) MaxOverRect(r geom.Rect) float64 {
-	var x, y, sq [4]float64
+	var sq [4]float64
 	for c, p := range r.Corners() {
 		v := d.Displacement(p)
-		x[c], y[c], sq[c] = v.X, v.Y, float64(v.X*v.X)+float64(v.Y*v.Y)
+		sq[c] = v.Dot(v)
 	}
-	return MaxCornerNorm(&x, &y, &sq)
+	return MaxCornerNorm(&sq)
+}
+
+// MaxCornerNorm returns the largest systematic overlay error over the four
+// corners of a pad-array rectangle, given each corner's squared
+// displacement sq[c] = fl(fl(Δx²) + fl(Δy²)), the products rounded as
+// written (geom.Vec2.Dot): √ of the largest square. Square root is
+// monotone and correctly rounded, so this is exactly the largest of the
+// corner norms √sq[c]. That norm is the one magnitude rule of this package
+// (Magnitude, MaxOverRect, MinOverRect) and of the simulator's overlay
+// checks.
+//
+// Where the squares lie in the normal range [2^-1022, MaxFloat64], each
+// corner norm is within (2u + u²) relative of the exact √(Δx²+Δy²),
+// u = 2^-53: a square is within a factor (1±u)² of Δx²+Δy² (one rounding
+// per product and one for the sum), the root halves that and adds its own
+// rounding. Outside that range the squares decide: a square that overflows
+// gives +Inf, squares below 2^-1022 lose relative precision and those that
+// round to zero give 0. A NaN square propagates (the builtin max), and
+// all-zero squares give +0.
+func MaxCornerNorm(sq *[4]float64) float64 {
+	return math.Sqrt(max(sq[0], sq[1], sq[2], sq[3]))
 }
 
 // MinOverRect returns the minimum of s(x, y) over the rectangle. The
@@ -158,14 +179,15 @@ func (d Distortion) MaxOverRect(r geom.Rect) float64 {
 // each edge restriction is a 1-D quadratic with a closed-form minimizer.
 func (d Distortion) MinOverRect(r geom.Rect) float64 {
 	e, a := d.Magnification, d.Rotation
-	det := e*e + a*a
+	det := float64(e*e) + float64(a*a)
 	if det == 0 {
 		// Pure translation: s is constant.
-		return math.Hypot(d.TX, d.TY)
+		t := geom.Vec2{X: d.TX, Y: d.TY}
+		return math.Sqrt(t.Dot(t))
 	}
 	// Solve [e −a; a e]·(x,y) = (−TX, −TY).
-	x := (-d.TX*e - d.TY*a) / det
-	y := (d.TX*a - d.TY*e) / det
+	x := (float64(-d.TX*e) - float64(d.TY*a)) / det
+	y := (float64(d.TX*a) - float64(d.TY*e)) / det
 	if r.Contains(geom.Vec2{X: x, Y: y}) {
 		return 0
 	}
@@ -193,13 +215,13 @@ func (d Distortion) minOnSpan(t0, t1 float64, point func(float64) geom.Vec2) flo
 		dp := d.Displacement(point(t))
 		return dp.Dot(dp)
 	}
-	mid := 0.5 * (t0 + t1)
+	mid := float64(0.5 * (t0 + t1))
 	fa, fm, fb := f(t0), f(mid), f(t1)
 	// Quadratic vertex from three equally spaced samples.
 	den := fa - 2*fm + fb
 	t := mid
 	if den > 0 {
-		t = mid + (fa-fb)/(2*den)*(t1-t0)/2
+		t = mid + float64((fa-fb)/(2*den)*(t1-t0)/2)
 	}
 	t = num.Clamp(t, t0, t1)
 	return math.Sqrt(math.Min(f(t), math.Min(fa, fb)))
@@ -229,11 +251,44 @@ func (d Distortion) ScaleToDie(refRadius, dieHalfDiagonal float64) Distortion {
 // (Eq. 1 shifted by s, the integrand of Eq. 7):
 //
 //	POS = P(−δ ≤ s + u ≤ δ) = ∫_{−δ−s}^{δ−s} N(0, σ₁²)(u) du
+//
+// that is num.NormalInterval(−δ−s, δ−s, 0, σ₁), bit for bit; a finite
+// δ ≤ 0 leaves an empty window and gives 0 for every non-NaN s. PadPOS is
+// the one-shot form of padLaw, which the W2W wafer sum and the D2W
+// quadrature resolve once per region.
 func PadPOS(s, delta, sigma1 float64) float64 {
-	if delta <= 0 {
-		return 0
+	return newPadLaw(delta, sigma1).pos(s)
+}
+
+// invSqrt2 is 1/√2, the constant num.NormalInterval scales its limits by.
+const invSqrt2 = 0.7071067811865476
+
+// padLaw is PadPOS for one pad region, resolved once: the pad POS as a
+// function of the systematic error s at a fixed δ and σ₁.
+type padLaw struct {
+	delta, sigma1 float64
+	// flat: the lower limit's erf is −1 for every s ≥ 0.
+	flat bool
+}
+
+// newPadLaw resolves PadPOS for a region of bound delta under a random
+// error of deviation sigma1. num.NormalInterval(−δ−s, δ−s, 0, σ₁) takes
+// math.Erf at fl(fl((−δ−s)/σ₁)·(1/√2)); rounding is monotone, so for
+// σ₁ > 0 and s ≥ 0 that is at most fl(fl(−δ/σ₁)·(1/√2)), and where this is
+// ≤ −6 math.Erf returns exactly −1. For 0 ≤ s ≤ δ the interval straddles
+// the mean, so NormalInterval returns 0.5·(erf((δ−s)/σ₁·(1/√2)) − (−1));
+// pos computes 0.5·(erf(…) + 1), the same bits, without the lower limit's
+// division and erf. Every other input takes NormalInterval itself.
+func newPadLaw(delta, sigma1 float64) padLaw {
+	return padLaw{delta: delta, sigma1: sigma1, flat: sigma1 > 0 && -delta/sigma1*invSqrt2 <= -6}
+}
+
+// pos returns PadPOS(s, δ, σ₁) for the law's δ and σ₁.
+func (l padLaw) pos(s float64) float64 {
+	if l.flat && 0 <= s && s <= l.delta {
+		return 0.5 * (math.Erf((l.delta-s)/l.sigma1*invSqrt2) + 1)
 	}
-	return num.NormalInterval(-delta-s, delta-s, 0, sigma1)
+	return num.NormalInterval(-l.delta-s, l.delta-s, 0, l.sigma1)
 }
 
 // DiePOS returns the possibility of survival of a die with pad-array

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"yap/internal/geom"
+	"yap/internal/num"
+	"yap/internal/randx"
 	"yap/internal/units"
 	"yap/internal/wafer"
 )
@@ -259,6 +261,105 @@ func TestPadPOSProperties(t *testing.T) {
 	if got := PadPOS(delta, delta, sigma); math.Abs(got-0.5) > 1e-6 {
 		t.Errorf("POS(s=δ) = %g, want ~0.5", got)
 	}
+}
+
+// checkPadLaw fails t unless the resolved law, and PadPOS, return
+// num.NormalInterval(−δ−s, δ−s, 0, σ₁) bit for bit, and reports whether
+// the input took the law's flat lower tail.
+func checkPadLaw(t *testing.T, s, delta, sigma1 float64) (flat bool) {
+	t.Helper()
+	want := num.NormalInterval(-delta-s, delta-s, 0, sigma1)
+	l := newPadLaw(delta, sigma1)
+	for name, got := range map[string]float64{"padLaw": l.pos(s), "PadPOS": PadPOS(s, delta, sigma1)} {
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("s=%v δ=%v σ₁=%v: %s %v (%#x), NormalInterval %v (%#x)",
+				s, delta, sigma1, name, got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	return l.flat && 0 <= s && s <= delta
+}
+
+// TestPadLawMatchesNormalInterval: the resolved pad-POS law is
+// num.NormalInterval bit for bit for s ∈ {±0, inside (0, δ), δ, the next
+// float above δ, inside (δ, 2δ), far above δ, NaN, ±Inf}, with δ/σ₁ on
+// both sides of the flat-tail threshold 6√2 (δ within a few ulps of it),
+// σ₁ zero, subnormal, normal and NaN, and δ ≤ 0. Both the flat lower tail
+// and NormalInterval's own path must be reached, on both sides of the
+// threshold.
+func TestPadLawMatchesNormalInterval(t *testing.T) {
+	rng := randx.NewSource(34)
+	negZero := math.Copysign(0, -1)
+	var flat, general, flatLaws, otherLaws int
+	for _, sigma1 := range []float64{0, negZero, math.SmallestNonzeroFloat64, 3e-320, 1e-310, 5e-9, 2e-7, math.NaN()} {
+		deltas := []float64{0, negZero, -1e-7, math.Inf(-1), 1e-9, 165e-9, 1e-6, math.Inf(1), math.NaN()}
+		for _, ratio := range []float64{1, 6, 8, 6 * math.Sqrt2, 9, 1e3} {
+			for k := -3; k <= 3; k++ {
+				deltas = append(deltas, nudge(ratio*sigma1, k))
+			}
+		}
+		for _, delta := range deltas {
+			if newPadLaw(delta, sigma1).flat {
+				flatLaws++
+			} else {
+				otherLaws++
+			}
+			ss := []float64{0, negZero, delta, nudge(delta, 1), nudge(delta, -1), 10 * delta, 1e300,
+				math.NaN(), math.Inf(1), math.Inf(-1), -delta, 1e-9}
+			for i := 0; i < 8; i++ {
+				ss = append(ss, delta*rng.Float64(), delta*(1+rng.Float64()))
+			}
+			for _, s := range ss {
+				if checkPadLaw(t, s, delta, sigma1) {
+					flat++
+				} else {
+					general++
+				}
+			}
+		}
+	}
+	t.Logf("%d inputs took the flat lower tail, %d NormalInterval; %d flat laws, %d others", flat, general, flatLaws, otherLaws)
+	if flat == 0 || general == 0 || flatLaws == 0 || otherLaws == 0 {
+		t.Errorf("flat-tail inputs %d, others %d, flat laws %d, others %d: every count must be positive", flat, general, flatLaws, otherLaws)
+	}
+	// The threshold itself: δ a few ulps either side of 6√2·σ₁ resolves
+	// both ways.
+	const sigma1 = 5e-9
+	var sides [2]int
+	for k := -3; k <= 3; k++ {
+		if newPadLaw(nudge(6*math.Sqrt2*sigma1, k), sigma1).flat {
+			sides[1]++
+		} else {
+			sides[0]++
+		}
+	}
+	if sides[0] == 0 || sides[1] == 0 {
+		t.Errorf("δ within 3 ulps of 6√2·σ₁: %d laws flat, %d not; the cases do not straddle the threshold", sides[1], sides[0])
+	}
+}
+
+// FuzzPadLaw: on any (s, δ, σ₁) the resolved pad-POS law and PadPOS are
+// num.NormalInterval(−δ−s, δ−s, 0, σ₁) bit for bit.
+func FuzzPadLaw(f *testing.F) {
+	const sigma1 = 5e-9
+	edge := 6 * math.Sqrt2 * sigma1
+	for _, c := range [][3]float64{
+		{0, 165e-9, sigma1},
+		{100e-9, 165e-9, sigma1},
+		{165e-9, 165e-9, sigma1},
+		{nudge(165e-9, 1), 165e-9, sigma1},
+		{edge / 2, nudge(edge, -1), sigma1},
+		{edge / 2, nudge(edge, 1), sigma1},
+		{1e-9, 1e-6, math.SmallestNonzeroFloat64},
+		{0, 165e-9, 0},
+		{math.NaN(), 0, sigma1},
+		{math.Inf(1), math.Inf(1), sigma1},
+		{math.Copysign(0, -1), math.Copysign(0, -1), math.NaN()},
+	} {
+		f.Add(c[0], c[1], c[2])
+	}
+	f.Fuzz(func(t *testing.T, s, delta, sigma1 float64) {
+		checkPadLaw(t, s, delta, sigma1)
+	})
 }
 
 func TestWaferYieldW2WBaselineNearUnity(t *testing.T) {

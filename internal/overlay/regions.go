@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"yap/internal/geom"
+	"yap/internal/num"
 	"yap/internal/wafer"
 )
 
@@ -39,32 +40,38 @@ func DiePOSRegions(dist Distortion, regions []PadRegion, sigma1 float64) float64
 	return pos
 }
 
-// WaferDiePOS returns the POS of one die of a W2W-bonded wafer, the
-// summand of Eq. 8: the region product under the wafer-level distortion
-// field, with each region's die-local rectangle translated to the die's
-// wafer position.
-func (m Model) WaferDiePOS(die wafer.Die, regions []PadRegion) float64 {
-	c := die.Center()
-	pos := 1.0
-	for _, r := range regions {
-		pos *= DiePOS(m.Dist, r.Rect.Translate(c), r.Delta, m.Sigma1)
+// WaferDiePOS returns the POS of each die of a W2W-bonded wafer, the
+// summands of Eq. 8: per die, the region product under the wafer-level
+// distortion field, with each region's die-local rectangle translated to
+// the die's wafer position. Each region's padLaw is resolved once for all
+// dies; a die's value is DiePOSRegions' on the translated rectangles, bit
+// for bit.
+func (m Model) WaferDiePOS(dies []wafer.Die, regions []PadRegion) []float64 {
+	laws := make([]padLaw, len(regions))
+	for r := range regions {
+		laws[r] = newPadLaw(regions[r].Delta, m.Sigma1)
 	}
-	return pos
+	out := make([]float64, len(dies))
+	for i, die := range dies {
+		c := die.Center()
+		pos := 1.0
+		for r := range regions {
+			pos *= laws[r].pos(m.Dist.MaxOverRect(regions[r].Rect.Translate(c)))
+		}
+		out[i] = pos
+	}
+	return out
 }
 
 // WaferYieldW2WRegions returns Y_ovl,W2W (Eq. 8) for a pad layout: the
 // average of WaferDiePOS over all M dies of the wafer layout. The model's
 // Pads field is not consulted — each region carries its own δ.
 func (m Model) WaferYieldW2WRegions(layout wafer.Layout, regions []PadRegion) float64 {
-	dies := layout.Dies()
-	if len(dies) == 0 {
+	pos := m.WaferDiePOS(layout.Dies(), regions)
+	if len(pos) == 0 {
 		return 0
 	}
-	var sum float64
-	for _, die := range dies {
-		sum += m.WaferDiePOS(die, regions)
-	}
-	return sum / float64(len(dies))
+	return num.Mean(pos)
 }
 
 // DieYieldD2WRegions returns Y_ovl,D2W (Eq. 23) for a single chiplet of the

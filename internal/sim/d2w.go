@@ -157,7 +157,7 @@ func (e *d2wEnv) defectCheck(rng *randx.Source) bool {
 		x, y := rng.InRect(e.extRect.X0, e.extRect.Y0, e.extRect.X1, e.extRect.Y1)
 		// L is the distance from the die center, clamped to the effective
 		// radius to match Eq. 24's support (DESIGN.md §2.8).
-		l := math.Min(math.Hypot(x, y), e.effR)
+		l := min(math.Hypot(x, y), e.effR)
 		t := rng.ParticleThickness(e.defect.MinThickness, e.defect.Shape)
 		rv := e.defect.MainVoidRadius(l, t)
 		if e.voidKills(geom.Vec2{X: x, Y: y}, rv) {

@@ -163,15 +163,14 @@ func fromOrderKey(k uint64) float64 {
 //
 //	!(math.Abs(d.MaxOverRect(rect)+u) > delta) && !(math.Abs(d.MinOverRect(rect)+u) > delta)
 //
-// for every float64 input, but it ranks the corners for s_max on the
-// squares its s_min bound needs anyway, and evaluates MinOverRect — a
-// corner solve and four edge minimizations — only when that bound cannot
-// decide the second conjunct. corners are rect.Corners().
+// for every float64 input, but it takes s_max from the squares its s_min
+// bound needs anyway, and evaluates MinOverRect — a corner solve and four
+// edge minimizations — only when that bound cannot decide the second
+// conjunct. corners are rect.Corners().
 //
 // The s_max conjunct. f_c is corner c's squared displacement, computed as
-// MinOverRect computes it (Displacement, then Dot, a sum of two products
-// that may be fused with one of them). That is how overlay.MaxCornerNorm
-// wants its squares, so MaxCornerNorm on the displacements and f returns
+// MaxOverRect and MinOverRect compute it (Displacement, then Dot, its
+// products rounded as written), so overlay.MaxCornerNorm of f is
 // MaxOverRect's value, s_max, bit for bit.
 //
 // The s_min bound. Let q = sqrt(min_c f_c). Whenever MinOverRect's value
@@ -181,22 +180,22 @@ func fromOrderKey(k uint64) float64 {
 // corners; every corner ends some edge, so 0 <= m <= q. Then, if u >= -δ
 // and fl(q+u) <= δ, monotone rounding gives fl(m+u) <= fl(q+u) <= δ and
 // fl(m+u) >= fl(u) = u >= -δ, so the s_min conjunct holds. A NaN m makes
-// that conjunct hold as well. With E²+α² == 0 MinOverRect returns
-// |(T_x, T_y)|, which the corners do not bound, so that case, like any
-// where the bound fails, evaluates MinOverRect. Rounding never enters this
-// bound: q is compared against the same corner values MinOverRect reads,
-// not against the Hypot-rounded s_max.
+// that conjunct hold as well. With E²+α² == 0 (its squares rounded as
+// MinOverRect rounds them) MinOverRect returns |(T_x, T_y)|, which the
+// corners do not bound, so that case, like any where the bound fails,
+// evaluates MinOverRect.
 func d2wRegionPasses(d overlay.Distortion, rect geom.Rect, corners *[4]geom.Vec2, u, delta float64) bool {
-	var x, y, f [4]float64
+	var f [4]float64
 	for c := range corners {
 		dp := d.Displacement(corners[c])
-		x[c], y[c], f[c] = dp.X, dp.Y, dp.Dot(dp)
+		f[c] = dp.Dot(dp)
 	}
-	if math.Abs(overlay.MaxCornerNorm(&x, &y, &f)+u) > delta {
+	if math.Abs(overlay.MaxCornerNorm(&f)+u) > delta {
 		return false
 	}
 	fMin := min(f[0], f[1], f[2], f[3])
-	if u >= -delta && d.Magnification*d.Magnification+d.Rotation*d.Rotation != 0 && math.Sqrt(fMin)+u <= delta {
+	e, a := d.Magnification, d.Rotation
+	if u >= -delta && float64(e*e)+float64(a*a) != 0 && math.Sqrt(fMin)+u <= delta {
 		return true
 	}
 	return !(math.Abs(d.MinOverRect(rect)+u) > delta)
@@ -228,17 +227,17 @@ func padsPass(d overlay.Distortion, center geom.Vec2, regions []core.Region, u f
 // every region, the largest |D(c) + u| over the corners c of the region's
 // pad rectangle shifted by center stays within the region's δ. D is
 // affine, so |D + u| is convex and its maximum over the rectangle lies at
-// a corner. The largest magnitude is overlay.MaxCornerNorm's, so the
-// verdict is exactly that of the four-Hypot loop.
+// a corner. The largest magnitude is overlay.MaxCornerNorm's, √ of the
+// largest rounded square D·D.
 func cornersPass2D(d overlay.Distortion, center geom.Vec2, regions []core.Region, u geom.Vec2) bool {
 	for r := range regions {
 		reg := &regions[r]
-		var x, y, sq [4]float64
+		var sq [4]float64
 		for c, p := range reg.Corners {
 			v := d.Displacement(center.Add(p)).Add(u)
-			x[c], y[c], sq[c] = v.X, v.Y, float64(v.X*v.X)+float64(v.Y*v.Y)
+			sq[c] = v.Dot(v)
 		}
-		if overlay.MaxCornerNorm(&x, &y, &sq) > reg.Delta {
+		if overlay.MaxCornerNorm(&sq) > reg.Delta {
 			return false
 		}
 	}

@@ -21,21 +21,24 @@ func legacyW2WOverlayPass(sMin, sMax, delta []float64, u float64) bool {
 	return pass
 }
 
-// literalMaxOverRect is MaxOverRect as the four-Hypot loop computed it
-// before the worst-corner ranking.
+// literalNorm is the overlay error magnitude written out:
+// √(fl(x²) + fl(y²)).
+func literalNorm(v geom.Vec2) float64 {
+	return math.Sqrt(float64(v.X*v.X) + float64(v.Y*v.Y))
+}
+
+// literalMaxOverRect is MaxOverRect written out as the loop over the
+// corners: the largest literalNorm, NaN propagating.
 func literalMaxOverRect(d overlay.Distortion, rect geom.Rect) float64 {
 	var maxS float64
 	for _, c := range rect.Corners() {
-		if s := d.Magnitude(c); s > maxS {
-			maxS = s
-		}
+		maxS = max(maxS, literalNorm(d.Displacement(c)))
 	}
 	return maxS
 }
 
-// legacyD2WRegionPass is one region's D2W overlay decision as the kernel
-// evaluated it before the worst-corner ranking and the certified s_min
-// skip.
+// legacyD2WRegionPass is one region's D2W overlay decision written out,
+// without the shared corner squares and the certified s_min skip.
 func legacyD2WRegionPass(d overlay.Distortion, rect geom.Rect, u, delta float64) bool {
 	if math.Abs(literalMaxOverRect(d, rect)+u) > delta {
 		return false
@@ -43,16 +46,14 @@ func legacyD2WRegionPass(d overlay.Distortion, rect geom.Rect, u, delta float64)
 	return !(math.Abs(d.MinOverRect(rect)+u) > delta)
 }
 
-// legacyCornersPass2D is the 2-D overlay check as the kernels evaluated it
-// before the worst-corner ranking: four Hypots per region.
+// legacyCornersPass2D is the 2-D overlay check written out: per region,
+// the largest literalNorm over the corners, NaN propagating.
 func legacyCornersPass2D(d overlay.Distortion, center geom.Vec2, regions []core.Region, u geom.Vec2) bool {
 	for r := range regions {
 		reg := &regions[r]
 		worst := 0.0
 		for _, c := range reg.Corners {
-			if m := d.Displacement(center.Add(c)).Add(u).Norm(); m > worst {
-				worst = m
-			}
+			worst = max(worst, literalNorm(d.Displacement(center.Add(c)).Add(u)))
 		}
 		if worst > reg.Delta {
 			return false
@@ -251,11 +252,12 @@ func TestD2WRegionPassesExact(t *testing.T) {
 }
 
 // TestCornersPass2DExact: the 2-D overlay check returns the verdict of the
-// four-Hypot loop it replaced over a million draws of 1 to 8 regions, die
-// centers across a 300 mm wafer and the distortions of randDistortion,
-// with each region's δ mostly within a few ulps of its worst corner
-// magnitude (where only the exact worst magnitude decides), a random u
-// component sometimes nudged by a few ulps, and special values of u and δ.
+// literal loop over the corner norms over a million draws of 1 to 8
+// regions, die centers across a 300 mm wafer and the distortions of
+// randDistortion, with each region's δ mostly within a few ulps of its
+// worst corner magnitude (where only the exact worst magnitude decides), a
+// random u component sometimes nudged by a few ulps, and special values of
+// u and δ.
 func TestCornersPass2DExact(t *testing.T) {
 	rng := randx.NewSource(2026)
 	const draws = 1_000_000
@@ -291,7 +293,7 @@ func TestCornersPass2DExact(t *testing.T) {
 			reg := core.Region{Corners: rect.Corners()}
 			worst := 0.0
 			for _, c := range reg.Corners {
-				worst = max(worst, d.Displacement(center.Add(c)).Add(u).Norm())
+				worst = max(worst, literalNorm(d.Displacement(center.Add(c)).Add(u)))
 			}
 			switch k := rng.IntN(20); {
 			case k == 0:

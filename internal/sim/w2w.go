@@ -202,20 +202,22 @@ func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 	// (shared by all its regions' pads). A die passes when the worst pad of
 	// every region stays within that region's ±δ. In the scalar mode that
 	// is membership of u in the die's pass set, built per run from every
-	// region's s_min and s_max.
-	overlayPass, pass := w.overlayPass, e.pass
-	for i := 0; i < n; i++ {
-		switch {
-		case e.opts.ExplicitPads:
+	// region's s_min and s_max. The mode is fixed per run, so it is chosen
+	// once per wafer; the passes are counted with the other checks below.
+	overlayPass := w.overlayPass
+	switch {
+	case e.opts.ExplicitPads:
+		for i := range overlayPass {
 			overlayPass[i] = padsPass(e.baseDist, e.dies[i].Center(), e.regions, rng.Normal(0, e.sigma1))
-		case e.opts.TwoDRandomMisalignment:
+		}
+	case e.opts.TwoDRandomMisalignment:
+		for i := range overlayPass {
 			u := geom.Vec2{X: rng.Normal(0, e.sigma1), Y: rng.Normal(0, e.sigma1)}
 			overlayPass[i] = cornersPass2D(e.baseDist, e.dies[i].Center(), e.regions, u)
-		default:
-			overlayPass[i] = pass[i].contains(rng.Normal(0, e.sigma1))
 		}
-		if overlayPass[i] {
-			c.OverlayPass++
+	default:
+		for i, iv := range e.pass {
+			overlayPass[i] = iv.contains(rng.Normal(0, e.sigma1))
 		}
 	}
 
@@ -247,6 +249,9 @@ func (w *w2wWorker) simulateWafer(rng *randx.Source, perDie []Counts) Counts {
 		recessPass := e.recess.pass(rng, shift, q)
 		if recessPass {
 			c.RecessPass++
+		}
+		if overlayPass[i] {
+			c.OverlayPass++
 		}
 		defectPass := !killed[i]
 		survived := recessPass && overlayPass[i] && defectPass
@@ -328,8 +333,8 @@ func radialTail(pos geom.Vec2, dist, l float64) geom.Segment {
 // overlapped by the defect's bounding box rather than a scan of all dies;
 // each candidate tests every region's pad-array rectangle.
 func (e *w2wEnv) killAlongSegment(seg geom.Segment, voidR float64, killed []bool) {
-	c0, c1 := cellSpan(math.Min(seg.A.X, seg.B.X)-voidR, math.Max(seg.A.X, seg.B.X)+voidR, e.dieW, e.col0, e.cols)
-	r0, r1 := cellSpan(math.Min(seg.A.Y, seg.B.Y)-voidR, math.Max(seg.A.Y, seg.B.Y)+voidR, e.dieH, e.row0, e.rows)
+	c0, c1 := cellSpan(min(seg.A.X, seg.B.X)-voidR, max(seg.A.X, seg.B.X)+voidR, e.dieW, e.col0, e.cols)
+	r0, r1 := cellSpan(min(seg.A.Y, seg.B.Y)-voidR, max(seg.A.Y, seg.B.Y)+voidR, e.dieH, e.row0, e.rows)
 	nR := len(e.regions)
 	for col := c0; col < c1; col++ {
 		for _, cell := range e.cells[col*e.rows+r0 : col*e.rows+r1] {
